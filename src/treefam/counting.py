@@ -63,7 +63,16 @@ def count_trees_containing(n: int, f) -> int:
     pk = _component_product(n, edges)
     if pk is None:
         return 0
-    prod, k = pk
+    return count_from_component_product(n, *pk)
+
+
+def count_from_component_product(n: int, prod: int, k: int) -> int:
+    """prod * n^(n-2-k): trees of K_n containing a k-edge forest whose
+    component sizes multiply to prod.
+
+    The count depends on the forest only through (prod, k), which is what
+    lets the spread checks range over component-size profiles.
+    """
     e = n - 2 - k
     # k = n-1 forces a single spanning component of size n, so prod // n = 1.
     return prod * n ** e if e >= 0 else prod // n
@@ -132,9 +141,7 @@ def _subset_sums(n: int, edges: tuple, ie_cap: int) -> list:
             pk = _component_product(n, sub)
             if pk is None:
                 continue
-            prod, k = pk
-            e = n - 2 - k
-            acc += prod * n ** e if e >= 0 else prod // n
+            acc += count_from_component_product(n, *pk)
         sums[j] = acc
     return sums
 

@@ -333,7 +333,10 @@ def example_closed_form(n: int, t: int) -> ExampleReport:
     baseline = 3 ** (t // 2) * n ** (n - 2 - t)
     quad = n * n - (4 + 2 * t) * n + 3 * t + 3
     report = ExampleReport(n, t, threshold, baseline, quad)
-    assert report.threshold_larger == (threshold > baseline)
+    if report.threshold_larger != (threshold > baseline):
+        raise RuntimeError(
+            f"(n,t)=({n},{t}): quadratic sign disagrees with the closed-form sizes"
+        )
     return report
 
 

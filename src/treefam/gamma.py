@@ -274,11 +274,25 @@ class DisjointnessGraph:
             magic = fh.read(8)
             if magic != _DUMP_MAGIC:
                 raise ValueError(f"bad magic {magic!r} in {path}")
-            n, t, V = struct.unpack("<QQQ", fh.read(24))
+            header = fh.read(24)
+            if len(header) != 24:
+                raise ValueError(f"{path}: truncated header ({len(header)} of 24 bytes)")
+            n, t, V = struct.unpack("<QQQ", header)
             row_bytes = (V + 7) // 8
             rows = []
-            for _ in range(V):
-                rows.append(int.from_bytes(fh.read(row_bytes), "little"))
+            for i in range(V):
+                row = fh.read(row_bytes)
+                if len(row) != row_bytes:
+                    raise ValueError(
+                        f"{path}: adjacency body is {i * row_bytes + len(row)} "
+                        f"bytes, expected {V * row_bytes} ({V} rows of {row_bytes})"
+                    )
+                rows.append(int.from_bytes(row, "little"))
+            if fh.read(1):
+                raise ValueError(
+                    f"{path}: adjacency body is longer than the expected "
+                    f"{V * row_bytes} bytes ({V} rows of {row_bytes})"
+                )
         return n, t, rows
 
 
@@ -540,7 +554,8 @@ def max_clique(
     """Maximum clique of Gamma_t (a family of pairwise <t-sharing trees)."""
     mask, optimal, nodes = _max_clique_bitset(gamma.adj, budget)
     fam = TreeFamily(gamma, mask)
-    assert fam.is_clique()
+    if not fam.is_clique():
+        raise RuntimeError("clique search returned a non-clique")
     return SearchResult(fam, optimal, nodes)
 
 
@@ -550,7 +565,8 @@ def max_independent_set(
     """Maximum independent set of Gamma_t = largest pairwise t-intersecting family."""
     mask, optimal, nodes = _max_clique_bitset(gamma.complement_rows(), budget)
     fam = TreeFamily(gamma, mask)
-    assert fam.is_independent()
+    if not fam.is_independent():
+        raise RuntimeError("independent-set search returned a dependent set")
     return SearchResult(fam, optimal, nodes)
 
 

@@ -2,11 +2,18 @@
 
 A family F is r-spread when |F(X)| <= r^(-|X|) |F| for every edge set X, and
 (r,t)-spread when additionally |F(U)| <= r^(|T|-|U|) |F(T)| for every pair
-T <= U with |T| <= t.  For F = T_n both sides are closed-form counts, so the
-checks here are exhaustive over forests within an edge budget and every
-comparison is done on cross-multiplied integers (r is a rational p/q) --
-the single-edge case sits exactly on the boundary at r = n/2, so floats
-would be wrong.
+T <= U with |T| <= t.  For F = T_n both sides are closed-form counts, and
+|T_n[X]| = prod(component sizes of X) * n^(n-2-|X|) depends on a forest X
+only through its *profile*: the non-increasing tuple e_1 >= ... >= e_c >= 1
+of edge counts of its non-trivial components (sum(e_i + 1) <= n).  The
+checks therefore range over profiles, not forests, which makes them exact at
+any n.  Every comparison is done on cross-multiplied integers (r is a
+rational p/q) -- the single-edge case sits exactly on the boundary at
+r = n/2, so floats would be wrong.
+
+Witnesses are realised on consecutive vertex blocks: a profile becomes the
+paths 1-2-..-(e_1+1), (e_1+2)-..., and so on, so a single-edge violation is
+always X = [[1, 2]].
 """
 
 from __future__ import annotations
@@ -15,15 +22,16 @@ import json
 from fractions import Fraction
 from typing import Optional
 
-from .counting import count_trees_containing
-from .trees import cayley_count, iter_forests_with_count
+from .counting import count_from_component_product, count_trees_containing
 
 
 class SpreadReport:
     """Outcome of a spread verification, with a re-checkable witness on failure.
 
     witness is None when verified; otherwise a dict holding the violating
-    forest pair and both sides of the cross-multiplied inequality.
+    forest (pair) and both sides of the cross-multiplied inequality.
+    checked counts the profiles visited (r-spread) or the (profile, |T|)
+    pairs compared ((r,t)-spread); it is 1 at edge budget 0.
     """
 
     __slots__ = ("n", "r", "t", "edge_budget", "verified", "witness", "checked")
@@ -64,93 +72,162 @@ class SpreadReport:
         return json.dumps(self.to_dict())
 
 
-def verify_r_spread(n: int, r, edge_budget: Optional[int] = None) -> SpreadReport:
-    """Check |T_n(X)| <= r^(-|X|) |T_n| for every forest X with |X| <= budget.
-
-    Non-forest X have |T_n(X)| = 0 and cannot violate, so only forests are
-    iterated.  The inequality is compared as
-
-        |T_n[X]| * p^|X|  <=  n^(n-2) * q^|X|      (r = p/q).
-
-    Work grows with the number of forests within the budget; full-budget
-    exhaustion is practical up to n = 9 or so.
-    """
+def _check_args(n: int, r, edge_budget: Optional[int]):
+    """Validated (r as a Fraction, edge budget clamped to n-1)."""
+    if n < 2:
+        raise ValueError(f"n={n} must be >= 2")
     r = Fraction(r)
     if r <= 1:
         raise ValueError(f"r={r} must exceed 1")
     if edge_budget is None:
-        edge_budget = n - 1
-    p, q = r.numerator, r.denominator
-    total = cayley_count(n)
-    ppow = [p ** k for k in range(edge_budget + 1)]
-    qpow = [q ** k for k in range(edge_budget + 1)]
-    checked = 0
-    for forest, count in iter_forests_with_count(n, edge_budget):
-        k = len(forest)
-        checked += 1
-        if count * ppow[k] > total * qpow[k]:
-            witness = {
-                "X": [list(e) for e in forest],
-                "count_X": count,
-                "lhs": count * ppow[k],
-                "rhs": total * qpow[k],
-            }
-            return SpreadReport(n, r, 0, edge_budget, False, witness, checked)
-    return SpreadReport(n, r, 0, edge_budget, True, None, checked)
+        return r, n - 1
+    if edge_budget < 0:
+        raise ValueError(f"edge_budget={edge_budget} must be >= 0")
+    return r, min(edge_budget, n - 1)
+
+
+def _extend(best: list, e: int):
+    """Add a component with e edges to the sub-forest DP row.
+
+    best[j] is the least product of component sizes of a j-edge sub-forest
+    of the components so far (None if j edges do not fit).  Inside one tree
+    component, f edges in pieces of sizes s_j give prod s_j >= 1 + sum(s_j - 1)
+    = f + 1, attained by a connected subtree, so the new row is the min-product
+    knapsack over f = 0..e.  Returns (new row, edges taken from this component
+    at each j), ties broken towards fewer edges here.
+    """
+    new = [None] * len(best)
+    take = [0] * len(best)
+    for j in range(len(best)):
+        for f in range(min(e, j) + 1):
+            b = best[j - f]
+            if b is not None:
+                v = b * (f + 1)
+                if new[j] is None or v < new[j]:
+                    new[j] = v
+                    take[j] = f
+    return new, take
+
+
+def _profiles(n: int, k: int, jmax: int):
+    """Every profile with k edges that fits on n vertices, larger parts first.
+
+    Yields (profile, prod, best, takes): prod = prod(e_i + 1), best is the
+    _extend DP row over j = 0..jmax, and takes[i] the per-j edge choice for
+    component i (a live stack: read it before advancing the generator).
+    """
+    slots = n - k  # sum(e_i + 1) <= n allows at most n - k components
+    parts, rows, takes = [], [[1] + [None] * jmax], []
+
+    def rec(rest, cap, prod):
+        if rest == 0:
+            yield tuple(parts), prod, rows[-1], takes
+            return
+        free = slots - len(parts)
+        # the parts after e are each <= e, so rest - e must fit in free - 1 of them
+        for e in range(min(rest, cap), 0, -1):
+            if rest - e > e * (free - 1):
+                break
+            row, take = _extend(rows[-1], e)
+            parts.append(e)
+            rows.append(row)
+            takes.append(take)
+            yield from rec(rest - e, e, prod * (e + 1))
+            parts.pop()
+            rows.pop()
+            takes.pop()
+
+    yield from rec(k, k, 1)
+
+
+def _realise(profile, sub=None):
+    """Edges of the profile as paths on consecutive vertex blocks, or of the
+    sub-forest taking the first sub[i] edges of path i."""
+    out = []
+    start = 1
+    for i, e in enumerate(profile):
+        m = e if sub is None else sub[i]
+        out.extend([start + a, start + a + 1] for a in range(m))
+        start += e + 1
+    return out
+
+
+def _sub_choice(takes, j):
+    """Per-component edge counts of the optimal j-edge sub-forest."""
+    sub = [0] * len(takes)
+    for i in range(len(takes) - 1, -1, -1):
+        sub[i] = takes[i][j]
+        j -= sub[i]
+    return sub
+
+
+def verify_r_spread(n: int, r, edge_budget: Optional[int] = None) -> SpreadReport:
+    """Check |T_n(X)| <= r^(-|X|) |T_n| for every forest X with |X| <= budget.
+
+    Non-forest X have |T_n(X)| = 0 and cannot violate, and a forest's count
+    depends only on its profile, so profiles are visited in order of
+    increasing edge count.  The inequality is compared as
+
+        |T_n[X]| * p^|X|  <=  n^(n-2) * q^|X|      (r = p/q).
+
+    A budget above n - 1 is clamped (and reported clamped); a negative one is
+    a ValueError.  The work is the number of profiles, so any n is in reach.
+    This is the t = 0 case of verify_rt_spread: at T = {} the chain reads
+    |T_n[X]| * p^|X| <= |T_n| * q^|X|.
+    """
+    rep = verify_rt_spread(n, r, 0, edge_budget)
+    w = rep.witness
+    if w is not None:
+        rep.witness = {
+            "X": w["U"],
+            "count_X": w["count_U"],
+            "lhs": w["lhs"],
+            "rhs": w["rhs"],
+        }
+    return rep
 
 
 def verify_rt_spread(
     n: int, r, t: int, edge_budget: Optional[int] = None
 ) -> SpreadReport:
-    """Check the (r,t)-spread chain on T_n exhaustively within the budget.
+    """Check the (r,t)-spread chain on T_n exactly within the budget.
 
     For every forest U with |U| <= budget and every subset T of U with
     |T| <= t, compares
 
         |T_n[U]| * p^(|U|-|T|)  <=  |T_n[T]| * q^(|U|-|T|)      (r = p/q).
 
-    Pairs are iterated as U plus subsets T of U; subset counts are memoized
-    across different U.  As with verify_r_spread, full-budget exhaustion is
-    practical up to n = 9 or so.
+    For a U profile and a size |T| = k, the worst T is the k-edge sub-forest
+    with the least component-size product, found by the exact DP in _extend;
+    so the pairs compared are (U profile, k).  The witness realises U as
+    paths on consecutive vertex blocks and T as prefixes of those paths.
+    Budget handling is as in verify_r_spread.
     """
-    from itertools import combinations
-
-    r = Fraction(r)
-    if r <= 1:
-        raise ValueError(f"r={r} must exceed 1")
+    r, edge_budget = _check_args(n, r, edge_budget)
     if t < 0:
         raise ValueError(f"t={t} must be >= 0")
-    if edge_budget is None:
-        edge_budget = n - 1
     p, q = r.numerator, r.denominator
-    ppow = [p ** k for k in range(edge_budget + 1)]
-    qpow = [q ** k for k in range(edge_budget + 1)]
-    memo = {}
-
-    def subset_count(sub):
-        c = memo.get(sub)
-        if c is None:
-            c = count_trees_containing(n, sub)
-            memo[sub] = c
-        return c
-
     checked = 0
-    for u_forest, count_u in iter_forests_with_count(n, edge_budget):
-        ku = len(u_forest)
-        for kt in range(min(t, ku) + 1):
-            gap = ku - kt
-            lhs = count_u * ppow[gap]
-            for t_forest in combinations(u_forest, kt):
+    for ku in range(edge_budget + 1):
+        jmax = min(t, ku)
+        for profile, prod_u, best, takes in _profiles(n, ku, jmax):
+            count_u = count_from_component_product(n, prod_u, ku)
+            for kt in range(jmax + 1):
                 checked += 1
-                count_t = subset_count(t_forest)
-                if lhs > count_t * qpow[gap]:
+                gap = ku - kt
+                count_t = count_from_component_product(n, best[kt], kt)
+                if count_u * p ** gap > count_t * q ** gap:
+                    u_edges = _realise(profile)
+                    t_edges = _realise(profile, _sub_choice(takes, kt))
+                    count_u = count_trees_containing(n, u_edges)
+                    count_t = count_trees_containing(n, t_edges)
                     witness = {
-                        "T": [list(e) for e in t_forest],
-                        "U": [list(e) for e in u_forest],
+                        "T": t_edges,
+                        "U": u_edges,
                         "count_T": count_t,
                         "count_U": count_u,
-                        "lhs": lhs,
-                        "rhs": count_t * qpow[gap],
+                        "lhs": count_u * p ** gap,
+                        "rhs": count_t * q ** gap,
                     }
                     return SpreadReport(n, r, t, edge_budget, False, witness, checked)
     return SpreadReport(n, r, t, edge_budget, True, None, checked)

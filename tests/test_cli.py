@@ -168,6 +168,27 @@ def test_spread_check_with_witness(capsys):
     assert code == EXIT_OK and data["verified"] is True
 
 
+def test_spread_check_edge_budget_validation(capsys):
+    code, data = run_json(capsys, "spread", "check", "--n", "5", "--r", "3",
+                          "--edge-budget", "-1", "--reproducible")
+    assert code == EXIT_VALIDATION
+    assert "edge_budget" in data["error"]["message"]
+    code, data = run_json(capsys, "spread", "check", "--n", "5", "--r", "5/2",
+                          "--t", "2", "--edge-budget", "99", "--reproducible")
+    assert code == EXIT_OK and data["verified"] is True
+    assert data["edge_budget"] == 4
+
+
+def test_spread_check_at_n_40(capsys):
+    code, data = run_json(capsys, "spread", "check", "--n", "40", "--r", "20",
+                          "--t", "3", "--reproducible")
+    assert code == EXIT_OK and data["verified"] is True
+    code, data = run_json(capsys, "spread", "check", "--n", "40", "--r", "20001/1000",
+                          "--edge-budget", "1", "--witness", "--reproducible")
+    assert code == EXIT_OK and data["verified"] is False
+    assert data["witness"]["X"] == [[1, 2]]
+
+
 def test_gamma_commands(capsys, tmp_path):
     code, data = run_json(capsys, "gamma", "packing", "--graph", "K4",
                           "--reproducible")

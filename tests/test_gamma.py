@@ -1,6 +1,13 @@
 """Disjointness graphs, tree packing, exact clique/independence search."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import treefam
 
 from treefam.gamma import (
     CapExceeded,
@@ -113,6 +120,43 @@ def test_gamma_dump_roundtrip(tmp_path):
     assert rows == dg.adj
     summary = dg.summary()
     assert summary["vertices"] == 16 and summary["n"] == 4
+
+
+def test_truncated_dump_rejected(tmp_path):
+    dg = build_gamma(SimpleGraph.complete(5), 1)
+    path = tmp_path / "gamma.bin"
+    dg.save_adjacency(str(path))
+    data = path.read_bytes()
+    path.write_bytes(data[:-3])
+    # 125 rows of 16 bytes
+    with pytest.raises(ValueError, match="1997 bytes, expected 2000"):
+        DisjointnessGraph.load_adjacency(str(path))
+    path.write_bytes(data + b"\0")
+    with pytest.raises(ValueError, match="longer than the expected 2000 bytes"):
+        DisjointnessGraph.load_adjacency(str(path))
+    path.write_bytes(data[:20])
+    with pytest.raises(ValueError, match="truncated header"):
+        DisjointnessGraph.load_adjacency(str(path))
+
+
+def test_search_result_checks_survive_optimize_flag():
+    # the certificate check on a search result must not be an assert,
+    # which python -O strips
+    code = (
+        "import treefam.gamma as g\n"
+        "g.TreeFamily.is_independent = lambda self: False\n"
+        "try:\n"
+        "    g.max_independent_set(g.build_gamma(g.SimpleGraph.complete(4), 1))\n"
+        "except RuntimeError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(3)\n"
+    )
+    src = str(Path(treefam.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- packing ---------------------------------------------------------------------
