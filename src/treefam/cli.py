@@ -78,7 +78,6 @@ class RunConfig:
     node_budget: int = gamma.DEFAULT_NODE_BUDGET
     fmt: str = "json"
     component_shape: str = "path"
-    workers: int = 1
     reproducible: bool = False
 
 
@@ -98,7 +97,6 @@ def _common_flags(p: _Parser) -> None:
     p.add_argument("--enum-cap", type=int, default=None)
     p.add_argument("--ie-cap", type=int, default=None)
     p.add_argument("--budget", type=int, default=None, help="search node budget")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--reproducible", action="store_true")
 
 
@@ -122,14 +120,12 @@ def _config(args) -> RunConfig:
         ),
         fmt=args.format,
         component_shape=getattr(args, "shape", "path"),
-        workers=args.workers if args.workers is not None else os.cpu_count() or 1,
         reproducible=args.reproducible,
     )
     for name, value in (
         ("enum-cap", cfg.enum_cap),
         ("ie-cap", cfg.ie_cap),
         ("budget", cfg.node_budget),
-        ("workers", cfg.workers),
     ):
         if value <= 0:
             raise CLIError(f"--{name} must be positive, got {value}")
@@ -331,58 +327,51 @@ def _cmd_family_verify(args, cfg: RunConfig):
         try:
             with open(args.spec) as fh:
                 fs = extremal.FamilySpec.from_json(fh.read())
-            ok, mpi, size = fs.verify(cap=cfg.enum_cap)
         except OSError as e:
             raise CLIError(f"cannot read {args.spec}: {e}")
         except (KeyError, ValueError) as e:
             raise CLIError(f"bad family spec: {e}")
-        return {
-            "kind": fs.kind,
-            "n": fs.n,
-            "claimed_t": fs.t,
-            "size": str(size),
-            "min_pairwise_intersection": mpi,
-            "verified": ok,
-        }, None
-    kind = args.kind
-    if kind is None:
+        kind = fs.kind
+    else:
+        kind = args.kind
+        fs = _family_spec_from_flags(args)
+    ok, mpi, size = fs.verify(cap=cfg.enum_cap)
+    return {
+        "kind": kind,
+        "n": fs.n,
+        "claimed_t": fs.t,
+        "size": str(size),
+        "min_pairwise_intersection": mpi,
+        "verified": ok,
+    }, None
+
+
+def _family_spec_from_flags(args) -> extremal.FamilySpec:
+    """The FamilySpec that `family verify --kind ...` describes, with its claimed t."""
+    if args.kind is None:
         raise CLIError("give --kind or --spec")
     if args.n is None:
         raise CLIError("--n is required with --kind")
-    if kind == "trivial":
+    edges = None
+    if args.kind == "trivial":
         edges = _parse_edges_arg(args.edges, args.edges_file)
         try:
-            f = trees.Forest(args.n, edges)
+            trees.Forest(args.n, edges)
         except ValueError as e:
             raise CLIError(f"not a forest: {e}")
-        masks = extremal.realize_trivial_family(args.n, f, cap=cfg.enum_cap)
         claimed = len(edges)
-    elif kind == "stars-plus-edge":
-        masks = extremal.realize_stars_plus_edge(args.n, cap=cfg.enum_cap)
+    elif args.kind == "stars-plus-edge":
         claimed = 1
-    elif kind == "threshold":
+    else:
         edges = _parse_edges_arg(args.edges, args.edges_file)
         if args.m is None:
             raise CLIError("--m is required for threshold families")
-        masks = extremal.realize_threshold_family(
-            args.n, edges, args.m, cap=cfg.enum_cap
-        )
         # two members share >= 2m - |s| edges of s
         claimed = max(2 * args.m - len(edges), 0)
-    else:
-        raise CLIError(f"unknown family kind {kind!r}")
     if args.t is not None:
         claimed = args.t
-    mpi = extremal.min_pairwise_intersection(masks)
-    payload = {
-        "kind": kind,
-        "n": args.n,
-        "claimed_t": claimed,
-        "size": str(len(masks)),
-        "min_pairwise_intersection": mpi,
-        "verified": mpi is None or mpi >= claimed,
-    }
-    return payload, None
+    kind = args.kind.replace("-", "_")
+    return extremal.FamilySpec(kind, args.n, claimed, edges=edges, threshold=args.m)
 
 
 def _cmd_family_scan(args, cfg: RunConfig):

@@ -23,9 +23,8 @@ from .trees import (
     _DSU,
     cayley_count,
     edge,
-    edges_to_mask,
+    edge_hits,
     enumerate_trees,
-    tree_mask_array,
 )
 
 DEFAULT_IE_CAP = 24
@@ -190,13 +189,5 @@ def enumeration_count_containing(n: int, edges, cap: int = DEFAULT_ENUM_CAP) -> 
     Same answer as verify_by_enumeration(n, lambda t: edges <= t.edge_set())
     but vectorized over the cached tree-mask universe.
     """
-    import numpy as np
-
-    if n > cap:
-        raise CapExceeded(
-            f"n={n} exceeds the enumeration cap {cap}", "enum_cap", cap
-        )
     es = edges.edges if isinstance(edges, Forest) else _as_edge_tuple(n, edges)
-    mask = np.uint64(edges_to_mask(n, es))
-    arr = tree_mask_array(n)
-    return int(np.count_nonzero((arr & mask) == mask))
+    return int((edge_hits(n, es, cap) == len(es)).sum())

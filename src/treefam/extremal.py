@@ -41,8 +41,10 @@ from .trees import (
     Tree,
     cayley_count,
     edge,
+    edge_hits,
     edges_to_mask,
     is_d_star_like,
+    min_pairwise_intersection,
     star_masks,
     tree_mask_array,
     tree_masks,
@@ -78,56 +80,24 @@ def realize_stars_plus_edge(
     """The stars-plus-fixed-edge family as tree bitmasks, ascending tree index."""
     import numpy as np
 
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds the enumeration cap {cap}", "enum_cap", cap)
-    emask = edges_to_mask(n, [edge(*e)])
+    keep = edge_hits(n, [e], cap) >= 1
     arr = tree_mask_array(n)
-    member = (arr & np.uint64(emask)) == np.uint64(emask)
-    stars = set(star_masks(n))
-    masks = tree_masks(n)
-    return [m for m, keep in zip(masks, member) if keep or m in stars]
+    keep |= np.isin(arr, np.array(star_masks(n), dtype=np.uint64))
+    return arr[keep].tolist()
 
 
 def realize_trivial_family(n: int, f: Forest, cap: int = DEFAULT_ENUM_CAP) -> List[int]:
     """T_n[F] as tree bitmasks, ascending tree index."""
-    import numpy as np
-
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds the enumeration cap {cap}", "enum_cap", cap)
-    fmask = np.uint64(edges_to_mask(n, f.edges))
-    arr = tree_mask_array(n)
-    masks = tree_masks(n)
-    return [m for m, keep in zip(masks, (arr & fmask) == fmask) if keep]
+    keep = edge_hits(n, f.edges, cap) == len(f)
+    return tree_mask_array(n)[keep].tolist()
 
 
 def realize_threshold_family(
     n: int, s, m: int, cap: int = DEFAULT_ENUM_CAP
 ) -> List[int]:
     """Trees containing at least m edges of the edge set s, as bitmasks."""
-    import numpy as np
-
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds the enumeration cap {cap}", "enum_cap", cap)
-    edges = s.edges if isinstance(s, Forest) else [edge(*e) for e in s]
-    arr = tree_mask_array(n)
-    hits = np.zeros(len(arr), dtype=np.int64)
-    for u, v in edges:
-        b = np.uint64(edges_to_mask(n, [(u, v)]))
-        hits += (arr & b) != 0
-    masks = tree_masks(n)
-    return [mk for mk, h in zip(masks, hits) if h >= m]
-
-
-def min_pairwise_intersection(masks: Sequence[int]) -> Optional[int]:
-    """Smallest edge overlap over all pairs of tree bitmasks (None if < 2)."""
-    best = None
-    for i in range(len(masks)):
-        mi = masks[i]
-        for j in range(i + 1, len(masks)):
-            c = (mi & masks[j]).bit_count()
-            if best is None or c < best:
-                best = c
-    return best
+    keep = edge_hits(n, s.edges if isinstance(s, Forest) else s, cap) >= m
+    return tree_mask_array(n)[keep].tolist()
 
 
 class FamilySpec:
@@ -445,17 +415,9 @@ def count_avoiding(
                 total += sign * count_trees_containing(n, base + sub)
         return total
     if method == "enum":
-        import numpy as np
-
-        if n > enum_cap:
-            raise CapExceeded(
-                f"n={n} exceeds the enumeration cap {enum_cap}", "enum_cap", enum_cap
-            )
-        arr = tree_mask_array(n)
-        fmask = np.uint64(edges_to_mask(n, base))
-        amask = np.uint64(edges_to_mask(n, avoid))
-        zero = np.uint64(0)
-        return int(np.count_nonzero(((arr & fmask) == fmask) & ((arr & amask) == zero)))
+        keep = edge_hits(n, base, enum_cap) == len(base)
+        keep &= edge_hits(n, avoid, enum_cap) == 0
+        return int(keep.sum())
     raise ValueError(f"unknown method {method!r} (want 'ie' or 'enum')")
 
 
@@ -521,9 +483,7 @@ def blocked_Dt(n: int, t: int, enum_cap: int = DEFAULT_ENUM_CAP) -> BlockedRepor
     if not (1 <= t <= n - 2):
         raise ValueError(f"t={t} out of range 1..{n - 2}")
     arr = tree_mask_array(n)
-    total = len(arr)
-    star_set = set(star_masks(n))
-    is_star_arr = np.array([m in star_set for m in tree_masks(n)])
+    is_star_arr = np.isin(arr, np.array(star_masks(n), dtype=np.uint64))
     masks = tree_masks(n)
     best = None
     best_forest = None
@@ -532,15 +492,10 @@ def blocked_Dt(n: int, t: int, enum_cap: int = DEFAULT_ENUM_CAP) -> BlockedRepor
     u64 = np.uint64
     for f_edges in iter_forests(n, max_edges=t, min_edges=t):
         fmask = u64(edges_to_mask(n, f_edges))
-        shared = arr & fmask
-        pc = np.zeros(total, dtype=np.int64)
-        rem = shared.copy()
-        while rem.any():
-            pc += (rem & u64(1)) != 0
-            rem >>= u64(1)
+        pc = np.bitwise_count(arr & fmask)
         admissible = (~is_star_arr) & (pc < t)
-        containing = arr[(arr & fmask) == fmask]
-        avoids = (arr & ~fmask).astype(np.uint64)
+        containing = arr[pc == t]
+        avoids = arr & ~fmask
         idxs = np.flatnonzero(admissible)
         pairs += len(idxs)
         # count, per admissible T0, trees >= F that miss T0 outside F

@@ -24,7 +24,10 @@ from .trees import (
     cayley_count,
     edge,
     edges_to_mask,
+    mask_matrix,
     mask_to_edges,
+    min_pairwise_intersection,
+    overlaps,
     tree_masks,
 )
 
@@ -168,44 +171,16 @@ def enumerate_spanning_trees(
 
 def _popcount_rows(masks, t: int) -> List[int]:
     """Bit-packed adjacency rows: bit j of row i set iff trees i,j share < t edges."""
-    V = len(masks)
-    try:
-        import numpy as np
+    import numpy as np
 
-        arr = np.array(masks, dtype=np.uint64)
-        fits = max(masks, default=0) < (1 << 63)
-    except (OverflowError, ValueError):
-        fits = False
-    if fits and V:
-        np_t = np.uint64(t)
-        c1 = np.uint64(0x5555555555555555)
-        c2 = np.uint64(0x3333333333333333)
-        c4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-        mul = np.uint64(0x0101010101010101)
-        one, two, four, s56 = (np.uint64(k) for k in (1, 2, 4, 56))
-        rows = []
-        for i in range(V):
-            x = arr & arr[i]
-            x = x - ((x >> one) & c1)
-            x = (x & c2) + ((x >> two) & c2)
-            x = (x + (x >> four)) & c4
-            pc = (x * mul) >> s56
-            bits = pc < np_t
-            bits[i] = False
-            row = int.from_bytes(
-                np.packbits(bits, bitorder="little").tobytes(), "little"
-            )
-            rows.append(row)
-        return rows
-    rows = [0] * V
-    for i in range(V):
-        mi = masks[i]
-        row = rows[i]
-        for j in range(i + 1, V):
-            if (mi & masks[j]).bit_count() < t:
-                row |= 1 << j
-                rows[j] |= 1 << i
-        rows[i] = row
+    mat = mask_matrix(masks)
+    rows = []
+    for i in range(len(mat)):
+        bits = overlaps(mat, mat[i]) < t
+        bits[i] = False
+        rows.append(
+            int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+        )
     return rows
 
 
@@ -343,16 +318,8 @@ class TreeFamily:
 
     def min_pairwise_intersection(self) -> Optional[int]:
         """Smallest number of shared edges over all member pairs (None if < 2 members)."""
-        idx = self.indices()
         masks = self.gamma.masks
-        best = None
-        for a in range(len(idx)):
-            ma = masks[idx[a]]
-            for b in range(a + 1, len(idx)):
-                c = (ma & masks[idx[b]]).bit_count()
-                if best is None or c < best:
-                    best = c
-        return best
+        return min_pairwise_intersection([masks[i] for i in self.indices()])
 
     def is_independent(self) -> bool:
         """No two members adjacent in the disjointness graph."""

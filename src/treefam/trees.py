@@ -369,10 +369,7 @@ def enumerate_trees(
     """
     if n < 2:
         raise ValueError(f"n={n} must be >= 2")
-    if n > cap:
-        raise CapExceeded(
-            f"n={n} exceeds the enumeration cap {cap}", "enum_cap", cap
-        )
+    _check_enum_cap(n, cap)
     total = cayley_count(n)
     if stop is None:
         stop = total
@@ -389,13 +386,10 @@ def enumerate_trees(
 def sample_uniform_tree(n: int, seed: int) -> Tree:
     """A uniformly random spanning tree of K_n from a seeded generator.
 
-    Identical seed gives an identical tree (uniform Prufer code, decoded).
+    Identical seed gives an identical tree: the first of
+    sample_uniform_trees(n, seed, count) for any count.
     """
-    if n < 2:
-        raise ValueError(f"n={n} must be >= 2")
-    rng = random.Random(seed)
-    code = tuple(rng.randrange(1, n + 1) for _ in range(n - 2))
-    return prufer_decode(n, code)
+    return sample_uniform_trees(n, seed, 1)[0]
 
 
 def sample_uniform_trees(n: int, seed: int, count: int) -> list:
@@ -426,9 +420,21 @@ def all_edges(n: int) -> list:
 
 
 def edges_to_mask(n: int, edges: Iterable) -> int:
+    """Bitmask of an edge set on [n]: edge (u,v) sets bit edge_bit(n, u, v).
+
+    Every edge must join two distinct vertices of 1..n and appear once.  An
+    out-of-range edge would land on some other edge's bit and a duplicate
+    would vanish, so both are rejected here, where every sweep builds masks.
+    """
     mask = 0
-    for u, v in edges:
-        mask |= 1 << edge_bit(n, u, v)
+    for e in edges:
+        u, v = edge(*e)
+        if not (1 <= u < v <= n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        bit = 1 << edge_bit(n, u, v)
+        if mask & bit:
+            raise ValueError(f"duplicate edge ({u},{v})")
+        mask |= bit
     return mask
 
 
@@ -473,6 +479,66 @@ def tree_mask_array(n: int):
     return np.array(tree_masks(n), dtype=np.uint64)
 
 
+# -- the mask kernel ------------------------------------------------------------
+# Every sweep over tree masks reduces to "popcount of a & b": the universe
+# sweeps count, per tree, how many edges of one mask it holds (edge_hits), and
+# the pairwise sweeps count shared bits row by row over a mask matrix
+# (overlaps).  numpy is imported inside the functions so that importing the
+# package (and starting the CLI) does not pay for it.
+
+
+def _check_enum_cap(n: int, cap: int) -> None:
+    if n > cap:
+        raise CapExceeded(f"n={n} exceeds the enumeration cap {cap}", "enum_cap", cap)
+
+
+def edge_hits(n: int, edges: Iterable, cap: int = DEFAULT_ENUM_CAP):
+    """How many of `edges` each spanning tree of K_n contains, in tree-index order.
+
+    A uint8 array over the cached tree universe; refuses n above the
+    enumeration cap.  Containment of a k-edge set is `== k`, avoidance
+    `== 0`, "at least m of them" `>= m`.
+    """
+    import numpy as np
+
+    _check_enum_cap(n, cap)
+    mask = np.uint64(edges_to_mask(n, edges))
+    return np.bitwise_count(tree_mask_array(n) & mask)
+
+
+def mask_matrix(masks: Sequence[int]):
+    """Python-int bitmasks of any width as a (V, W) little-endian uint64 array.
+
+    W is the number of 64-bit words of the widest mask (at least 1); word w
+    of row i holds bits 64w .. 64w+63 of masks[i].
+    """
+    import numpy as np
+
+    width = max((m.bit_length() for m in masks), default=0)
+    words = max(1, -(-width // 64))
+    buf = b"".join(m.to_bytes(8 * words, "little") for m in masks)
+    return np.frombuffer(buf, dtype="<u8").reshape(len(masks), words)
+
+
+def overlaps(mat, row):
+    """Shared-bit count of `row` with every row of the mask matrix `mat`."""
+    import numpy as np
+
+    return np.bitwise_count(mat & row).sum(axis=1)
+
+
+def min_pairwise_intersection(masks: Sequence[int]) -> Optional[int]:
+    """Smallest edge overlap over all pairs of bitmasks (None if fewer than 2).
+
+    One row against the rows after it at a time, so memory stays O(V W)
+    rather than V x V.
+    """
+    if len(masks) < 2:
+        return None
+    mat = mask_matrix(masks)
+    return min(int(overlaps(mat[i + 1 :], mat[i]).min()) for i in range(len(mat) - 1))
+
+
 @lru_cache(maxsize=None)
 def star_masks(n: int) -> tuple:
     """Edge bitmasks of the n stars of K_n, in center order 1..n."""
@@ -494,42 +560,13 @@ def iter_forests(
     a prefix before its extensions.  Includes the empty forest when
     min_edges == 0.
     """
-    if max_edges is None:
-        max_edges = n - 1
-    max_edges = min(max_edges, n - 1 if n > 1 else 0)
-    edges = all_edges(n)
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    chosen = []
-
-    def rec(start):
-        if len(chosen) >= min_edges:
-            yield tuple(chosen)
-        if len(chosen) == max_edges:
-            return
-        for i in range(start, len(edges)):
-            u, v = edges[i]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                continue
-            parent[ru] = rv
-            chosen.append(edges[i])
-            yield from rec(i + 1)
-            chosen.pop()
-            parent[ru] = ru
-
-    yield from rec(0)
+    return (f for f, _ in iter_forests_with_count(n, max_edges, min_edges))
 
 
 def iter_forests_with_count(
     n: int, max_edges: Optional[int] = None, min_edges: int = 0
 ) -> Iterator[Tuple[Tuple[Edge, ...], int]]:
-    """Like iter_forests, but also yields |T_n[F]| for each forest F.
+    """The forests of iter_forests, in its order, each with |T_n[F]|.
 
     The count is maintained incrementally from the component sizes (product
     of component sizes times n^(n-2-|F|)), so each forest costs O(1) beyond

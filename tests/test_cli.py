@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import treefam
 from treefam.cli import EXIT_OK, EXIT_UNKNOWN_COMMAND, EXIT_VALIDATION, main
 
 
@@ -73,6 +78,24 @@ def test_validation_errors_exit_2_with_object(capsys):
     # missing subcommand is a usage error, not an unknown command
     code, out = run(capsys, "count")
     assert code == EXIT_VALIDATION
+
+
+def test_workers_flag_is_gone(capsys):
+    code, out = run(capsys, "dt", "--n", "5", "--t", "1", "--workers", "2")
+    assert code == EXIT_VALIDATION
+    assert "--workers" in json.loads(out)["error"]["message"]
+
+
+def test_cli_import_does_not_load_numpy():
+    # every CLI call is a fresh process; numpy is imported only by the
+    # commands that sweep masks
+    src = str(Path(treefam.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, treefam.cli; raise SystemExit('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cap_violation_names_the_cap(capsys):
@@ -143,6 +166,62 @@ def test_family_verify(capsys):
     assert data["size"] == "117" and data["claimed_t"] == 2 and data["verified"]
 
 
+def _payload(kind, n, claimed_t, size, mpi, verified):
+    return {"kind": kind, "n": n, "claimed_t": claimed_t, "size": size,
+            "min_pairwise_intersection": mpi, "verified": verified}
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["--kind", "trivial", "--n", "6", "--edges", "1-2,3-4"],
+     _payload("trivial", 6, 2, "144", 2, True)),
+    (["--kind", "trivial", "--n", "6"],
+     _payload("trivial", 6, 0, "1296", 0, True)),
+    (["--kind", "stars-plus-edge", "--n", "6"],
+     _payload("stars-plus-edge", 6, 1, "436", 1, True)),
+    (["--kind", "stars-plus-edge", "--n", "5", "--t", "2"],
+     _payload("stars-plus-edge", 5, 2, "53", 1, False)),
+    (["--kind", "threshold", "--n", "7", "--edges", "1-2,3-4,5-6,6-7", "--m", "3"],
+     _payload("threshold", 7, 2, "1120", 2, True)),
+    (["--kind", "threshold", "--n", "6", "--edges", "1-2,3-4", "--m", "1"],
+     _payload("threshold", 6, 0, "720", 0, True)),
+])
+def test_family_verify_kind_payloads(capsys, argv, want):
+    code, out = run(capsys, "family", "verify", *argv, "--reproducible")
+    assert code == EXIT_OK
+    assert out == json.dumps(want, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("spec,want", [
+    ({"kind": "threshold", "n": 5, "t": 1, "edges": [[1, 2], [2, 3], [4, 5]],
+      "threshold": 2},
+     _payload("threshold", 5, 1, "43", 1, True)),
+    ({"kind": "explicit", "n": 4, "t": 2,
+      "members": [[[1, 2], [2, 3], [3, 4]], [[1, 3], [2, 3], [2, 4]],
+                  [[1, 2], [1, 3], [1, 4]]]},
+     _payload("explicit", 4, 2, "3", 1, False)),
+])
+def test_family_verify_spec_payloads(capsys, tmp_path, spec, want):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(spec))
+    code, out = run(capsys, "family", "verify", "--spec", str(path), "--reproducible")
+    assert code == EXIT_OK
+    assert out == json.dumps(want, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("edges,message", [
+    ("2-7", "edge (2,7) out of range for n=6"),
+    ("1-2,1-2", "duplicate edge (1,2)"),
+    ("1-2,2-1", "duplicate edge (1,2)"),
+])
+def test_family_verify_rejects_bad_edges(capsys, edges, message):
+    # (2,7) would otherwise alias bit 9, the edge (3,4), and a duplicate
+    # would lower the claimed t; both must fail, not print a family
+    code, out = run(capsys, "family", "verify", "--kind", "threshold", "--n", "6",
+                    "--edges", edges, "--m", "1", "--reproducible")
+    assert code == EXIT_VALIDATION
+    assert json.loads(out) == {"error": {"message": message}}
+
+
 def test_family_verify_spec_file(capsys, tmp_path):
     from treefam.extremal import FamilySpec
 
@@ -154,6 +233,11 @@ def test_family_verify_spec_file(capsys, tmp_path):
     assert data["size"] == "144" and data["verified"] is True
     code, out = run(capsys, "family", "verify", "--reproducible")
     assert code == EXIT_VALIDATION  # neither --kind nor --spec
+    # a spec file over the enumeration cap names the cap, as --kind does
+    spec.write_text(FamilySpec("trivial", 9, 1, edges=[(1, 2)]).to_json())
+    code, out = run(capsys, "family", "verify", "--spec", str(spec))
+    assert code == EXIT_VALIDATION
+    assert json.loads(out)["error"]["cap"] == "enum_cap"
 
 
 def test_spread_check_with_witness(capsys):

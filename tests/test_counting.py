@@ -147,3 +147,12 @@ def test_big_counts_stay_exact():
     assert count_matching_family(n, 5) == 2 ** 5 * n ** (n - 7)
     got = count_trees_containing(n, [(1, 2), (2, 3), (4, 5)])
     assert got == 3 * 2 * n ** (n - 2 - 3)
+
+
+def test_enumeration_count_rejects_out_of_range_and_duplicate_edges():
+    # (2,7) is not an edge of K_6; unchecked, its bit 9 is the edge (3,4)
+    with pytest.raises(ValueError, match="out of range"):
+        enumeration_count_containing(6, [(2, 7)])
+    with pytest.raises(ValueError, match="duplicate"):
+        enumeration_count_containing(6, [(1, 2), (1, 2)])
+

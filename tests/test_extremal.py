@@ -82,6 +82,45 @@ def test_threshold_family_realization():
     assert min_pairwise_intersection(masks) >= t
 
 
+def _min_overlap_loop(masks):
+    best = None
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            c = (masks[i] & masks[j]).bit_count()
+            if best is None or c < best:
+                best = c
+    return best
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_min_pairwise_intersection_matches_loop(n):
+    families = [
+        realize_trivial_family(n, balanced_forest(n, 3)),
+        realize_threshold_family(n, balanced_forest(n, 4), 3),
+        realize_threshold_family(n, [(1, 2), (2, 3), (4, 5)], 2),
+    ]
+    if n < 7:
+        families.append(realize_stars_plus_edge(n, (2, 4)))
+    for masks in families:
+        assert min_pairwise_intersection(masks) == _min_overlap_loop(masks)
+    # a family with two disjoint members, and wide (multi-word) masks
+    assert min_pairwise_intersection([0b0111, 0b1000, 0b1100]) == 0
+    wide = [(1 << 70) | 0b11, (1 << 70) | (1 << 65) | 0b10, (1 << 129) | (1 << 65) | 0b11]
+    assert min_pairwise_intersection(wide) == _min_overlap_loop(wide) == 2
+    assert min_pairwise_intersection([]) is None
+    assert min_pairwise_intersection([0b111]) is None
+
+
+def test_realizations_reject_out_of_range_and_duplicate_edges():
+    # (2,7) is not an edge of K_6; unchecked, its bit 9 is the edge (3,4)
+    with pytest.raises(ValueError, match="out of range"):
+        realize_threshold_family(6, [(2, 7)], 1)
+    with pytest.raises(ValueError, match="out of range"):
+        realize_stars_plus_edge(6, (0, 1))
+    with pytest.raises(ValueError, match="duplicate"):
+        realize_threshold_family(6, [(1, 2), (2, 1)], 1)
+
+
 def test_family_spec_roundtrip_and_verify():
     from treefam.extremal import FamilySpec
 

@@ -282,3 +282,30 @@ def test_gamma_on_non_complete_graph():
     # family members really are spanning trees of c5
     for t in max_clique(g4).family.trees():
         assert set(t.edges) <= set(c5.edges)
+
+
+# C_12 plus three chords: 528 spanning trees whose masks reach bit 65, so the
+# mask matrix has two words per row
+SPARSE12 = SimpleGraph(
+    12, [(i, i + 1) for i in range(1, 12)] + [(1, 12), (1, 7), (4, 10), (3, 9)]
+)
+
+
+@pytest.mark.parametrize("g,t", [
+    (SPARSE12, 8), (SPARSE12, 9), (SimpleGraph.complete(5), 1),
+    (SimpleGraph.complete(5), 2), (SimpleGraph.complete(5), 3),
+    (SimpleGraph(4, [(1, 2), (3, 4)]), 1),  # disconnected: no trees
+])
+def test_gamma_rows_match_pairwise_loop(g, t):
+    dg = build_gamma(g, t)
+    masks = dg.masks
+    want = [0] * len(masks)
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            if (masks[i] & masks[j]).bit_count() < t:
+                want[i] |= 1 << j
+                want[j] |= 1 << i
+    assert dg.adj == want
+    if g is SPARSE12:
+        assert dg.vertex_count == 528 and max(masks) >= 1 << 64
+

@@ -276,6 +276,13 @@ def test_edge_bits_are_lexicographic():
     assert mask_to_edges(n, edges_to_mask(n, es)) == sorted(es)
 
 
+def test_edges_to_mask_rejects_out_of_range_loops_and_duplicates():
+    assert edges_to_mask(6, [(2, 1), (5, 6)]) == edges_to_mask(6, [(1, 2), (5, 6)])
+    for bad in ([(2, 7)], [(0, 3)], [(3, 3)], [(1, 2), (1, 2)], [(1, 2), (2, 1)]):
+        with pytest.raises(ValueError):
+            edges_to_mask(6, bad)
+
+
 def test_tree_masks_match_enumeration():
     n = 5
     masks = tree_masks(n)
