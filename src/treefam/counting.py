@@ -13,7 +13,7 @@ trees.  Every count is an exact Python int; nothing here touches floats.
 from __future__ import annotations
 
 from math import comb
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .trees import (
     CapExceeded,
@@ -21,8 +21,8 @@ from .trees import (
     Forest,
     Tree,
     _DSU,
+    _normalize_edges,
     cayley_count,
-    edge,
     edge_hits,
     enumerate_trees,
 )
@@ -58,7 +58,7 @@ def count_trees_containing(n: int, f) -> int:
     """
     if n < 2:
         raise ValueError(f"n={n} must be >= 2")
-    edges = f.edges if isinstance(f, Forest) else _as_edge_tuple(n, f)
+    edges = f.edges if isinstance(f, Forest) else _normalize_edges(n, f)
     pk = _component_product(n, edges)
     if pk is None:
         return 0
@@ -75,18 +75,6 @@ def count_from_component_product(n: int, prod: int, k: int) -> int:
     e = n - 2 - k
     # k = n-1 forces a single spanning component of size n, so prod // n = 1.
     return prod * n ** e if e >= 0 else prod // n
-
-
-def _as_edge_tuple(n: int, edges: Iterable) -> tuple:
-    out = []
-    for e in edges:
-        u, v = e
-        out.append(edge(int(u), int(v)))
-    out.sort()
-    for a, b in zip(out, out[1:]):
-        if a == b:
-            raise ValueError(f"duplicate edge {a}")
-    return tuple(out)
 
 
 def count_matching_family(n: int, l: int) -> int:
@@ -147,7 +135,7 @@ def _subset_sums(n: int, edges: tuple, ie_cap: int) -> list:
 
 def count_exactly(n: int, s, k: int, ie_cap: int = DEFAULT_IE_CAP) -> int:
     """Trees containing exactly k edges of the edge set s (inclusion-exclusion)."""
-    edges = s.edges if isinstance(s, Forest) else _as_edge_tuple(n, s)
+    edges = s.edges if isinstance(s, Forest) else _normalize_edges(n, s)
     if not (0 <= k <= len(edges)):
         return 0
     sums = _subset_sums(n, edges, ie_cap)
@@ -162,7 +150,7 @@ def count_at_least(n: int, s, m: int, ie_cap: int = DEFAULT_IE_CAP) -> int:
     Summed from the exactly-k inclusion-exclusion counts so the single
     containment formula is the only counting primitive.
     """
-    edges = s.edges if isinstance(s, Forest) else _as_edge_tuple(n, s)
+    edges = s.edges if isinstance(s, Forest) else _normalize_edges(n, s)
     if m <= 0:
         return cayley_count(n)
     if m > len(edges):
@@ -189,5 +177,5 @@ def enumeration_count_containing(n: int, edges, cap: int = DEFAULT_ENUM_CAP) -> 
     Same answer as verify_by_enumeration(n, lambda t: edges <= t.edge_set())
     but vectorized over the cached tree-mask universe.
     """
-    es = edges.edges if isinstance(edges, Forest) else _as_edge_tuple(n, edges)
+    es = edges.edges if isinstance(edges, Forest) else _normalize_edges(n, edges)
     return int((edge_hits(n, es, cap) == len(es)).sum())

@@ -20,9 +20,9 @@ from .trees import (
     Edge,
     Tree,
     _DSU,
+    _normalize_edges,
     all_edges,
     cayley_count,
-    edge,
     edges_to_mask,
     mask_matrix,
     mask_to_edges,
@@ -44,15 +44,8 @@ class SimpleGraph:
     def __init__(self, n: int, edges: Iterable = ()):
         if n < 1:
             raise ValueError(f"vertex count n={n} must be >= 1")
-        es = sorted(edge(int(u), int(v)) for u, v in edges)
-        for u, v in es:
-            if not (1 <= u < v <= n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        for a, b in zip(es, es[1:]):
-            if a == b:
-                raise ValueError(f"duplicate edge {a}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(es))
+        object.__setattr__(self, "edges", _normalize_edges(n, edges))
 
     def __setattr__(self, name, value):
         raise AttributeError("SimpleGraph is immutable")
@@ -360,31 +353,50 @@ class _BudgetExhausted(Exception):
 
 
 def _degeneracy_order(adj: List[int]) -> List[int]:
-    """Vertices in degeneracy order (minimum remaining degree, ties: lowest index)."""
+    """Vertices in degeneracy order (minimum remaining degree, ties: lowest index).
+
+    `mask_matrix` sizes rows by the widest row, which can be narrower than V
+    bits (an edgeless graph has one word per row); `unpackbits(count=V)`
+    zero-pads them, here and in `_relabel`.
+    """
+    import numpy as np
+
     V = len(adj)
-    remaining = (1 << V) - 1
-    deg = [r.bit_count() for r in adj]
+    bits = mask_matrix(adj).view(np.uint8)
+    deg = np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
+    removed = np.iinfo(np.int64).max
     order = []
     for _ in range(V):
-        best = -1
-        bd = V + 1
-        m = remaining
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            if deg[v] < bd:
-                bd = deg[v]
-                best = v
-        order.append(best)
-        remaining &= ~(1 << best)
-        nb = adj[best] & remaining
-        while nb:
-            low = nb & -nb
-            w = low.bit_length() - 1
-            nb ^= low
-            deg[w] -= 1
+        v = int(np.argmin(deg))  # first minimum, so ties go to the lowest index
+        order.append(v)
+        deg -= np.unpackbits(bits[v], count=V, bitorder="little")
+        deg[v] = removed  # later decrements cannot bring it near a real degree
     return order
+
+
+_RELABEL_CHUNK = 256
+
+
+def _relabel(adj: List[int], order: List[int]) -> List[int]:
+    """Rows renamed so that vertex order[i] becomes i: bit j of row i of the
+    result is bit order[j] of adj[order[i]].
+
+    Rows are unpacked, permuted and repacked a chunk at a time, so the
+    largest temporary is _RELABEL_CHUNK x V bytes, never V x V.
+    """
+    import numpy as np
+
+    V = len(adj)
+    bits = mask_matrix(adj).view(np.uint8)
+    perm = np.asarray(order, dtype=np.intp)
+    out: List[int] = []
+    for lo in range(0, V, _RELABEL_CHUNK):
+        rows = np.unpackbits(
+            bits[perm[lo : lo + _RELABEL_CHUNK]], axis=1, count=V, bitorder="little"
+        )
+        packed = np.packbits(rows[:, perm], axis=1, bitorder="little")
+        out.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
+    return out
 
 
 def _greedy_clique(adj: List[int]) -> int:
@@ -410,8 +422,14 @@ def _greedy_clique(adj: List[int]) -> int:
     return clique
 
 
-def _color_sort(P: int, adj: List[int]) -> Tuple[List[int], List[int]]:
-    """Greedy colouring of the candidate set; vertices with colour bounds ascending."""
+def _color_sort(P: int, nadj: List[int], kmin: int) -> Tuple[List[int], List[int]]:
+    """Greedy colouring of the candidate set P; vertices with colour bounds ascending.
+
+    nadj[v] = ~(adj[v] | 1 << v), so one AND drops v and its neighbours from
+    the class being built.  Only classes above kmin are listed: the caller
+    stops at the first colour that cannot beat the incumbent, so it never
+    reaches the classes at or below kmin.
+    """
     order: List[int] = []
     colors: List[int] = []
     color = 0
@@ -419,16 +437,19 @@ def _color_sort(P: int, adj: List[int]) -> Tuple[List[int], List[int]]:
     while work:
         color += 1
         q = work
-        cmask = 0
-        while q:
-            low = q & -q
-            v = low.bit_length() - 1
-            order.append(v)
-            colors.append(color)
-            cmask |= low
-            q &= ~low
-            q &= ~adj[v]
-        work &= ~cmask
+        if color > kmin:
+            while q:
+                low = q & -q
+                v = low.bit_length() - 1
+                order.append(v)
+                colors.append(color)
+                work ^= low
+                q &= nadj[v]
+        else:
+            while q:
+                low = q & -q
+                work ^= low
+                q &= nadj[low.bit_length() - 1]
     return order, colors
 
 
@@ -444,19 +465,8 @@ def _max_clique_bitset(adj: List[int], budget: int) -> Tuple[int, bool, int]:
     if V == 0:
         return 0, True, 0
     order = _degeneracy_order(adj)
-    pos = [0] * V
-    for newi, oldv in enumerate(order):
-        pos[oldv] = newi
-    radj = [0] * V
-    for oldv in range(V):
-        ni = pos[oldv]
-        m = adj[oldv]
-        rel = 0
-        while m:
-            low = m & -m
-            rel |= 1 << pos[low.bit_length() - 1]
-            m ^= low
-        radj[ni] = rel
+    radj = _relabel(adj, order)
+    nadj = [~(r | 1 << v) for v, r in enumerate(radj)]
     seed = _greedy_clique(radj)
     best_mask = seed
     best_size = seed.bit_count()
@@ -466,7 +476,7 @@ def _max_clique_bitset(adj: List[int], budget: int) -> Tuple[int, bool, int]:
     # iterative branch and bound (depth equals clique size, so no recursion):
     # each frame is [size, rmask, local, order, colors, i] with i scanning the
     # coloured candidates from the highest bound downwards
-    first_order, first_colors = _color_sort((1 << V) - 1, radj)
+    first_order, first_colors = _color_sort((1 << V) - 1, nadj, best_size)
     stack = [[0, 0, (1 << V) - 1, first_order, first_colors, len(first_order) - 1]]
     try:
         while stack:
@@ -481,15 +491,13 @@ def _max_clique_bitset(adj: List[int], budget: int) -> Tuple[int, bool, int]:
                 v = frame[3][i]
                 vbit = 1 << v
                 i -= 1
-                if not (frame[2] & vbit):
-                    continue
                 nodes += 1
                 if nodes > budget:
                     raise _BudgetExhausted
                 frame[2] &= ~vbit
                 p2 = frame[2] & radj[v]  # v is not its own neighbour
                 if p2:
-                    order2, colors2 = _color_sort(p2, radj)
+                    order2, colors2 = _color_sort(p2, nadj, best_size - size - 1)
                     frame[5] = i
                     stack.append(
                         [size + 1, rmask | vbit, p2, order2, colors2, len(order2) - 1]

@@ -222,6 +222,18 @@ def test_family_verify_rejects_bad_edges(capsys, edges, message):
     assert json.loads(out) == {"error": {"message": message}}
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "at-least", "--n", "6", "--edges", "2-7", "--m", "5"),
+    ("count", "at-least", "--n", "6", "--edges", "2-7", "--m", "1"),
+    ("count", "contain", "--n", "6", "--edges", "2-7"),
+])
+def test_count_rejects_out_of_range_edges(capsys, argv):
+    # --m above |S| used to print "count": "0" with exit 0
+    code, out = run(capsys, *argv, "--reproducible")
+    assert code == EXIT_VALIDATION
+    assert json.loads(out) == {"error": {"message": "edge (2,7) out of range for n=6"}}
+
+
 def test_family_verify_spec_file(capsys, tmp_path):
     from treefam.extremal import FamilySpec
 

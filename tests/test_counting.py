@@ -156,3 +156,19 @@ def test_enumeration_count_rejects_out_of_range_and_duplicate_edges():
     with pytest.raises(ValueError, match="duplicate"):
         enumeration_count_containing(6, [(1, 2), (1, 2)])
 
+
+@pytest.mark.parametrize("count", [
+    lambda s: count_at_least(6, s, 5),  # m above |S|
+    lambda s: count_at_least(6, s, 0),
+    lambda s: count_exactly(6, s, 3),  # k above |S|
+    lambda s: count_exactly(6, s, -1),
+    lambda s: count_exactly(6, s, 1),
+    lambda s: count_trees_containing(6, s),
+])
+def test_counts_reject_out_of_range_edges(count):
+    # the edge list is checked before the k or m shortcuts can answer 0
+    with pytest.raises(ValueError, match=r"edge \(2,7\) out of range for n=6"):
+        count([(2, 7)])
+    with pytest.raises(ValueError, match="duplicate"):
+        count([(1, 2), (2, 1)])
+

@@ -1,6 +1,7 @@
 """Disjointness graphs, tree packing, exact clique/independence search."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,9 @@ from treefam.gamma import (
     CapExceeded,
     DisjointnessGraph,
     SimpleGraph,
+    _color_sort,
+    _degeneracy_order,
+    _relabel,
     build_gamma,
     enumerate_spanning_trees,
     iter_set_partitions,
@@ -309,3 +313,173 @@ def test_gamma_rows_match_pairwise_loop(g, t):
     if g is SPARSE12:
         assert dg.vertex_count == 528 and max(masks) >= 1 << 64
 
+
+# -- the search tree, pinned ----------------------------------------------------------
+
+# (graph, t, search, budget) -> (size, optimal, nodes, member mask in hex),
+# recorded with the pure-Python set-up and colouring kept below as oracles.
+# Any change to the vertex order, the colouring bound or the branch order
+# moves the node counts even where the family stays the same.
+PINNED_SEARCHES = [
+    ("K5", 1, "max_clique", None, 2, True, 48, "400000000000000000000000000080"),
+    ("K5", 1, "max_independent_set", None, 53, True, 44729,
+     "1000022020011000408bdef7ffdef7ff"),
+    ("K5", 2, "max_clique", None, 5, True, 780, "10000000040000002000000000000180"),
+    ("K5", 2, "max_independent_set", None, 20, True, 294, "318c6318c6318"),
+    ("K5", 3, "max_clique", None, 22, True, 509815, "8810411050004082410880124100448"),
+    ("K5", 3, "max_independent_set", None, 6, True, 24, "6318"),
+    ("K5", 4, "max_clique", None, 125, True, 0, "1fffffffffffffffffffffffffffffff"),
+    ("K5", 4, "max_independent_set", None, 1, True, 0, "1"),
+    ("K6", 3, "max_independent_set", None, 48, True, 425, (
+        "2100000002100000000000000000000b28a08200aa8a08200000000000000000"
+        "00000000000000000000000000000000000000000000000004000000c0400000"
+        "0804000000800000000000000000006800800804000000a04000000804000000"
+        "8000000000000000000068000208000000000000000000000000000000000200"
+        "000008000000000000"
+    )),
+    ("K6", 4, "max_independent_set", None, 9, True, 230,
+     "104004000000000000104004000104004000"),
+    ("K6", 2, "max_independent_set", 1000, 144, False, 1001, (
+        "4200000004200000000000000000000000000000000000000000004200000004"
+        "2000000042000000004000000100000000000000000042000000042000000042"
+        "0000000040000001000000000000000000000000000000000000000000000000"
+        "0000000061e78000061e78214261e78214261c70000061a68000061964000061"
+        "d74000061d74104661d74104661c70000061a680000619640000"
+    )),
+    ("C12+3", 8, "max_clique", None, 3, True, 7959, (
+        "2000000000000000000000000000000000000000000000000000000000000000"
+        "000000000000000000000400000000000000000000000000000000000000100"
+    )),
+    ("C12+3", 8, "max_independent_set", None, 192, True, 1380, (
+        "1fc0001fc000000003ffffff00000000000fe0000fe007f00000fffff0000000"
+        "0fe007f003ffc000000000ffffffc000000001ffffff80000007fffffffc0000"
+        "000"
+    )),
+]
+PIN_GRAPHS = {"K5": SimpleGraph.complete(5), "K6": SimpleGraph.complete(6), "C12+3": SPARSE12}
+
+
+@pytest.mark.parametrize("graph,t,search,budget,size,optimal,nodes,mask", PINNED_SEARCHES)
+def test_search_tree_is_pinned(graph, t, search, budget, size, optimal, nodes, mask):
+    dg = build_gamma(PIN_GRAPHS[graph], t)
+    find = {"max_clique": max_clique, "max_independent_set": max_independent_set}[search]
+    res = find(dg) if budget is None else find(dg, budget=budget)
+    assert (res.size, res.optimal, res.nodes) == (size, optimal, nodes)
+    assert res.family.member_mask == int(mask, 16)
+
+
+# -- oracles for the search set-up ------------------------------------------------------
+
+
+def degeneracy_order_oracle(adj):
+    """Minimum remaining degree first, ties to the lowest index, bit by bit."""
+    V = len(adj)
+    remaining = (1 << V) - 1
+    deg = [r.bit_count() for r in adj]
+    order = []
+    for _ in range(V):
+        best = -1
+        bd = V + 1
+        m = remaining
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            m ^= low
+            if deg[v] < bd:
+                bd = deg[v]
+                best = v
+        order.append(best)
+        remaining &= ~(1 << best)
+        nb = adj[best] & remaining
+        while nb:
+            low = nb & -nb
+            w = low.bit_length() - 1
+            nb ^= low
+            deg[w] -= 1
+    return order
+
+
+def relabel_oracle(adj, order):
+    """Row pos[v] of the result has bit pos[w] for every neighbour w of v."""
+    V = len(adj)
+    pos = [0] * V
+    for newi, oldv in enumerate(order):
+        pos[oldv] = newi
+    radj = [0] * V
+    for oldv in range(V):
+        m = adj[oldv]
+        rel = 0
+        while m:
+            low = m & -m
+            rel |= 1 << pos[low.bit_length() - 1]
+            m ^= low
+        radj[pos[oldv]] = rel
+    return radj
+
+
+def color_sort_oracle(P, adj):
+    """Greedy colouring of P: every class in full, colours ascending."""
+    order, colors = [], []
+    color = 0
+    work = P
+    while work:
+        color += 1
+        q = work
+        cmask = 0
+        while q:
+            low = q & -q
+            v = low.bit_length() - 1
+            order.append(v)
+            colors.append(color)
+            cmask |= low
+            q &= ~low
+            q &= ~adj[v]
+        work &= ~cmask
+    return order, colors
+
+
+def random_rows(seed, V, p):
+    rng = random.Random(seed)
+    adj = [0] * V
+    for a in range(V):
+        for b in range(a + 1, V):
+            if rng.random() < p:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+    return adj
+
+
+SETUP_CASES = [
+    [],
+    [0],
+    [0] * 100,  # edgeless with V > 64: rows narrower than V bits
+    build_gamma(SimpleGraph.complete(5), 1).complement_rows(),
+    random_rows(1, 7, 0.5),
+    random_rows(2, 70, 0.1),
+    random_rows(3, 130, 0.5),
+    random_rows(4, 300, 0.9),  # more rows than one relabel chunk
+]
+
+
+@pytest.mark.parametrize("adj", SETUP_CASES, ids=lambda adj: f"V={len(adj)}")
+def test_search_setup_matches_oracles(adj):
+    order = _degeneracy_order(adj)
+    assert order == degeneracy_order_oracle(adj)
+    assert _relabel(adj, order) == relabel_oracle(adj, order)
+    # also under an order that is not the degeneracy order
+    reverse = order[::-1]
+    assert _relabel(adj, reverse) == relabel_oracle(adj, reverse)
+
+
+@pytest.mark.parametrize("adj", SETUP_CASES[3:], ids=lambda adj: f"V={len(adj)}")
+def test_color_sort_lists_the_classes_above_kmin(adj):
+    nadj = [~(r | 1 << v) for v, r in enumerate(adj)]
+    rng = random.Random(len(adj))
+    for _ in range(20):
+        P = rng.getrandbits(len(adj))
+        want_order, want_colors = color_sort_oracle(P, adj)
+        for kmin in (0, 1, 3, max(want_colors, default=0)):
+            keep = [i for i, c in enumerate(want_colors) if c > kmin]
+            assert _color_sort(P, nadj, kmin) == (
+                [want_order[i] for i in keep], [want_colors[i] for i in keep]
+            )
