@@ -13,6 +13,7 @@ from .counting import (
     count_matching_family,
     count_trees_containing,
     enumeration_count_containing,
+    exact_k_distribution,
     is_lower_bound_vacuous,
     verify_by_enumeration,
 )

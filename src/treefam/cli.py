@@ -413,14 +413,10 @@ def _cmd_llll_check(args, cfg: RunConfig):
 
 
 def _cmd_llll_notstar(args, cfg: RunConfig):
-    edges = _parse_edges_arg(args.edges, args.edges_file)
-    try:
-        t0 = trees.Forest(args.n, edges)
-        rep = extremal.lemma_notstar_check(
-            args.n, t0, ie_cap=cfg.ie_cap, enum_cap=cfg.enum_cap
-        )
-    except ValueError as e:
-        raise CLIError(str(e))
+    t0 = trees.Forest(args.n, _parse_edges_arg(args.edges, args.edges_file))
+    rep = extremal.lemma_notstar_check(
+        args.n, t0, ie_cap=cfg.ie_cap, enum_cap=cfg.enum_cap
+    )
     return rep.to_dict(), None
 
 

@@ -5,19 +5,22 @@ containing a fixed forest F with component sizes q_1..q_m,
 
     q_1 q_2 ... q_m * n^(n - 2 - sum(q_i - 1)),
 
-plus an inclusion-exclusion engine for "contains at least m edges of a set S"
-and an enumeration oracle that recounts any of it by streaming all n^(n-2)
-trees.  Every count is an exact Python int; nothing here touches floats.
+plus one inclusion-exclusion engine, exact_k_distribution, for "contains a
+forced forest and exactly k edges of a set S", and an enumeration oracle that
+recounts any of it by streaming all n^(n-2) trees.  Every count is an exact
+Python int; nothing here touches floats.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from .trees import (
     CapExceeded,
     DEFAULT_ENUM_CAP,
+    Edge,
     Forest,
     Tree,
     _DSU,
@@ -30,24 +33,22 @@ from .trees import (
 DEFAULT_IE_CAP = 24
 
 
-def _component_product(n: int, edges) -> Optional[Tuple[int, int]]:
-    """(product of component sizes, edge count) of an edge set, or None if cyclic."""
+def _edges(n: int, f) -> Tuple[Edge, ...]:
+    """The canonical edge tuple of a Forest or of a validated edge iterable."""
+    return f.edges if isinstance(f, Forest) else _normalize_edges(n, f)
+
+
+def _count_containing(n: int, edges) -> int:
+    """Trees of K_n containing a validated edge tuple: the product formula over
+    its components, or 0 if it has a cycle."""
     dsu = _DSU(n)
-    k = 0
     for u, v in edges:
-        if not (1 <= u < v <= n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         if not dsu.union(u, v):
-            return None
-        k += 1
+            return 0
     prod = 1
-    seen = set()
-    for u, v in edges:
-        r = dsu.find(u)
-        if r not in seen:
-            seen.add(r)
-            prod *= dsu.size[r]
-    return prod, k
+    for r in {dsu.find(u) for u, _ in edges}:
+        prod *= dsu.size[r]
+    return count_from_component_product(n, prod, len(edges))
 
 
 def count_trees_containing(n: int, f) -> int:
@@ -58,11 +59,7 @@ def count_trees_containing(n: int, f) -> int:
     """
     if n < 2:
         raise ValueError(f"n={n} must be >= 2")
-    edges = f.edges if isinstance(f, Forest) else _normalize_edges(n, f)
-    pk = _component_product(n, edges)
-    if pk is None:
-        return 0
-    return count_from_component_product(n, *pk)
+    return _count_containing(n, _edges(n, f))
 
 
 def count_from_component_product(n: int, prod: int, k: int) -> int:
@@ -83,8 +80,7 @@ def count_matching_family(n: int, l: int) -> int:
         raise ValueError(f"n={n} must be >= 2")
     if not (0 <= l <= n // 2):
         raise ValueError(f"no matching with l={l} edges fits in K_{n}")
-    e = n - 2 - l
-    return 2 ** l * n ** e if e >= 0 else 2 ** l // n ** (-e)
+    return count_from_component_product(n, 2 ** l, l)
 
 
 def containment_lower_bound(n: int, t: int) -> int:
@@ -106,13 +102,20 @@ def is_lower_bound_vacuous(n: int, t: int) -> bool:
     return t > n - 2
 
 
-def _subset_sums(n: int, edges: tuple, ie_cap: int) -> list:
-    """S_j = sum over j-subsets A of `edges` of |T_n[A]|, for j = 0..|edges|.
+def exact_k_distribution(
+    n: int, s, forced=(), ie_cap: int = DEFAULT_IE_CAP
+) -> List[int]:
+    """[N_0, ..., N_|s|]: N_k counts the trees of K_n that contain every edge
+    of `forced` and exactly k edges of `s`.
 
-    Cyclic subsets contribute 0.  2^|edges| subsets, guarded by the IE cap.
+    The one inclusion-exclusion engine: with S_j the number of trees holding
+    `forced` plus some j-subset of `s` (cyclic unions contribute 0),
+    N_k = sum_j (-1)^(j-k) C(j,k) S_j.  2^|s| subsets, guarded by the IE cap.
+    s and forced may be Forests or edge iterables and must be disjoint.
     """
-    from itertools import combinations
-
+    edges, base = _edges(n, s), _edges(n, forced)
+    if set(edges) & set(base):
+        raise ValueError("s and forced must be disjoint edge sets")
     m = len(edges)
     if m > ie_cap:
         raise CapExceeded(
@@ -121,46 +124,31 @@ def _subset_sums(n: int, edges: tuple, ie_cap: int) -> list:
             ie_cap,
         )
     sums = [0] * (m + 1)
-    sums[0] = cayley_count(n)
-    for j in range(1, m + 1):
-        acc = 0
+    for j in range(m + 1):
         for sub in combinations(edges, j):
-            pk = _component_product(n, sub)
-            if pk is None:
-                continue
-            acc += count_from_component_product(n, *pk)
-        sums[j] = acc
-    return sums
+            sums[j] += _count_containing(n, base + sub)
+    return [
+        sum((-1) ** (j - k) * comb(j, k) * sums[j] for j in range(k, m + 1))
+        for k in range(m + 1)
+    ]
 
 
 def count_exactly(n: int, s, k: int, ie_cap: int = DEFAULT_IE_CAP) -> int:
     """Trees containing exactly k edges of the edge set s (inclusion-exclusion)."""
-    edges = s.edges if isinstance(s, Forest) else _normalize_edges(n, s)
+    edges = _edges(n, s)
     if not (0 <= k <= len(edges)):
         return 0
-    sums = _subset_sums(n, edges, ie_cap)
-    return sum(
-        (-1) ** (j - k) * comb(j, k) * sums[j] for j in range(k, len(edges) + 1)
-    )
+    return exact_k_distribution(n, edges, ie_cap=ie_cap)[k]
 
 
 def count_at_least(n: int, s, m: int, ie_cap: int = DEFAULT_IE_CAP) -> int:
-    """Trees containing at least m edges of the edge set s.
-
-    Summed from the exactly-k inclusion-exclusion counts so the single
-    containment formula is the only counting primitive.
-    """
-    edges = s.edges if isinstance(s, Forest) else _normalize_edges(n, s)
+    """Trees containing at least m edges of the edge set s."""
+    edges = _edges(n, s)
     if m <= 0:
         return cayley_count(n)
     if m > len(edges):
         return 0
-    sums = _subset_sums(n, edges, ie_cap)
-    total = 0
-    L = len(edges)
-    for k in range(m, L + 1):
-        total += sum((-1) ** (j - k) * comb(j, k) * sums[j] for j in range(k, L + 1))
-    return total
+    return sum(exact_k_distribution(n, edges, ie_cap=ie_cap)[m:])
 
 
 def verify_by_enumeration(
@@ -177,5 +165,5 @@ def enumeration_count_containing(n: int, edges, cap: int = DEFAULT_ENUM_CAP) -> 
     Same answer as verify_by_enumeration(n, lambda t: edges <= t.edge_set())
     but vectorized over the cached tree-mask universe.
     """
-    es = edges.edges if isinstance(edges, Forest) else _normalize_edges(n, edges)
+    es = _edges(n, edges)
     return int((edge_hits(n, es, cap) == len(es)).sum())

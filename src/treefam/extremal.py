@@ -17,6 +17,7 @@ and the lopsided-local-lemma machinery that lower-bounds avoidance counts.
 
 from __future__ import annotations
 
+import operator
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -25,6 +26,7 @@ from .counting import (
     DEFAULT_IE_CAP,
     count_at_least,
     count_trees_containing,
+    exact_k_distribution,
 )
 from .gamma import (
     DEFAULT_NODE_BUDGET,
@@ -39,6 +41,7 @@ from .trees import (
     Edge,
     Forest,
     Tree,
+    _pair_edges,
     cayley_count,
     edge,
     edge_hits,
@@ -114,16 +117,18 @@ class FamilySpec:
     def __init__(self, kind, n, t, edges=None, threshold=None, members=None):
         if kind not in ("trivial", "stars_plus_edge", "threshold", "explicit"):
             raise ValueError(f"unknown family kind {kind!r}")
+        try:
+            self.n, self.t = operator.index(n), operator.index(t)
+            self.threshold = None if threshold is None else operator.index(threshold)
+        except TypeError:
+            raise ValueError(
+                f"n, t and threshold must be integers, got {n!r}, {t!r}, {threshold!r}"
+            ) from None
+        if members is not None and not isinstance(members, (list, tuple)):
+            raise ValueError(f"members must be a list of trees, got {members!r}")
         self.kind = kind
-        self.n = n
-        self.t = t
-        self.edges = tuple(edge(*e) for e in edges) if edges is not None else None
-        self.threshold = threshold
-        self.members = (
-            tuple(tuple(edge(*e) for e in tr) for tr in members)
-            if members is not None
-            else None
-        )
+        self.edges = None if edges is None else _pair_edges(edges)
+        self.members = None if members is None else tuple(map(_pair_edges, members))
         if kind == "trivial" and self.edges is None:
             raise ValueError("trivial families need edges")
         if kind == "threshold" and (self.edges is None or threshold is None):
@@ -168,10 +173,12 @@ class FamilySpec:
         import json
 
         d = json.loads(text)
+        if not isinstance(d, dict):
+            raise ValueError(f"a family spec is a JSON object, got {d!r}")
         return cls(
             d["kind"],
-            int(d["n"]),
-            int(d["t"]),
+            d["n"],
+            d["t"],
             edges=d.get("edges"),
             threshold=d.get("threshold"),
             members=d.get("members"),
@@ -386,13 +393,11 @@ def count_avoiding(
     """|T_n[T_0; F]|: trees containing every edge of f and no edge of t0
     outside f.
 
-    method "ie" runs inclusion-exclusion over subsets of t0 \\ f joined with
-    f (cyclic unions contribute 0, any n); method "enum" recounts by scanning
+    method "ie" reads N_0 of exact_k_distribution(n, t0 \\ f, forced=f)
+    (any n, |t0 \\ f| within the IE cap); method "enum" recounts by scanning
     the full tree universe (n within the enumeration cap).  The two paths must
     agree; tests hold them to that.
     """
-    from itertools import combinations
-
     if not isinstance(t0, Forest):
         t0 = Forest(n, t0)
     if not isinstance(f, Forest):
@@ -402,18 +407,7 @@ def count_avoiding(
     base = f.edges
     avoid = tuple(sorted(set(t0.edges) - set(base)))
     if method == "ie":
-        if len(avoid) > ie_cap:
-            raise CapExceeded(
-                f"|t0 \\ f| = {len(avoid)} exceeds the IE cap {ie_cap}",
-                "ie_cap",
-                ie_cap,
-            )
-        total = 0
-        for k in range(len(avoid) + 1):
-            sign = -1 if k % 2 else 1
-            for sub in combinations(avoid, k):
-                total += sign * count_trees_containing(n, base + sub)
-        return total
+        return exact_k_distribution(n, avoid, f, ie_cap)[0]
     if method == "enum":
         keep = edge_hits(n, base, enum_cap) == len(base)
         keep &= edge_hits(n, avoid, enum_cap) == 0

@@ -12,6 +12,7 @@ maximum cliques and maximum independent sets.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from typing import Iterable, Iterator, List, Optional, Tuple
 
@@ -247,20 +248,20 @@ class DisjointnessGraph:
                 raise ValueError(f"{path}: truncated header ({len(header)} of 24 bytes)")
             n, t, V = struct.unpack("<QQQ", header)
             row_bytes = (V + 7) // 8
-            rows = []
-            for i in range(V):
-                row = fh.read(row_bytes)
-                if len(row) != row_bytes:
-                    raise ValueError(
-                        f"{path}: adjacency body is {i * row_bytes + len(row)} "
-                        f"bytes, expected {V * row_bytes} ({V} rows of {row_bytes})"
-                    )
-                rows.append(int.from_bytes(row, "little"))
-            if fh.read(1):
+            # check the size before reading, so an absurd V cannot ask for
+            # an absurd row
+            body, want = os.fstat(fh.fileno()).st_size - 32, V * row_bytes
+            shape = f"({V} rows of {row_bytes})"
+            if body < want:
+                raise ValueError(
+                    f"{path}: adjacency body is {body} bytes, expected {want} {shape}"
+                )
+            if body > want:
                 raise ValueError(
                     f"{path}: adjacency body is longer than the expected "
-                    f"{V * row_bytes} bytes ({V} rows of {row_bytes})"
+                    f"{want} bytes {shape}"
                 )
+            rows = [int.from_bytes(fh.read(row_bytes), "little") for _ in range(V)]
         return n, t, rows
 
 

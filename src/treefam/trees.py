@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -47,15 +48,27 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _pair_edges(entries) -> Tuple[Edge, ...]:
+    """Canonical edges of a list of [u, v] integer pairs, in the given order.
+
+    Anything else (a non-list, a triple, a bare number, a float or string
+    label) is a ValueError, as is a loop.
+    """
+    index = operator.index
+    try:
+        pairs = [(index(u), index(v)) for u, v in entries]
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"expected a list of [u, v] integer pairs, got {entries!r}"
+        ) from None
+    return tuple(edge(u, v) for u, v in pairs)
+
+
 def _normalize_edges(n: int, edges: Iterable) -> Tuple[Edge, ...]:
-    out = []
-    for e in edges:
-        u, v = e
-        u, v = int(u), int(v)
-        if not (1 <= u <= n and 1 <= v <= n):
+    out = sorted(_pair_edges(edges))
+    for u, v in out:
+        if not (1 <= u and v <= n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        out.append(edge(u, v))
-    out.sort()
     for a, b in zip(out, out[1:]):
         if a == b:
             raise ValueError(f"duplicate edge {a}")
@@ -181,10 +194,9 @@ class Forest:
 
     @classmethod
     def from_json_array(cls, text: str, n: Optional[int] = None) -> "Forest":
-        pairs = json.loads(text)
-        es = [edge(int(u), int(v)) for u, v in pairs]
+        es = _pair_edges(json.loads(text))
         if n is None:
-            n = max((max(u, v) for u, v in es), default=1)
+            n = max((v for _, v in es), default=1)
         return cls(n, es)
 
 
@@ -396,6 +408,8 @@ def sample_uniform_trees(n: int, seed: int, count: int) -> list:
     """`count` independent uniform spanning trees from one seeded stream."""
     if n < 2:
         raise ValueError(f"n={n} must be >= 2")
+    if count < 0:
+        raise ValueError(f"count={count} must be >= 0")
     rng = random.Random(seed)
     out = []
     for _ in range(count):
@@ -422,13 +436,13 @@ def all_edges(n: int) -> list:
 def edges_to_mask(n: int, edges: Iterable) -> int:
     """Bitmask of an edge set on [n]: edge (u,v) sets bit edge_bit(n, u, v).
 
-    Every edge must join two distinct vertices of 1..n and appear once.  An
-    out-of-range edge would land on some other edge's bit and a duplicate
-    would vanish, so both are rejected here, where every sweep builds masks.
+    Every edge must be a pair of integers joining two distinct vertices of
+    1..n and appear once.  An out-of-range edge would land on some other
+    edge's bit and a duplicate would vanish, so both are rejected here, where
+    every sweep builds masks.
     """
     mask = 0
-    for e in edges:
-        u, v = edge(*e)
+    for u, v in _pair_edges(edges):
         if not (1 <= u < v <= n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         bit = 1 << edge_bit(n, u, v)

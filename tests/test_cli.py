@@ -105,6 +105,12 @@ def test_cap_violation_names_the_cap(capsys):
     # caps are configurable per invocation
     code, out = run(capsys, "enumerate", "--n", "4", "--enum-cap", "3")
     assert code == EXIT_VALIDATION
+    code, out = run(capsys, "llll", "notstar", "--n", "7", "--edges", "1-2,3-4,5-6",
+                    "--ie-cap", "2")
+    assert code == EXIT_VALIDATION
+    assert json.loads(out)["error"] == {
+        "message": "|s|=3 exceeds the inclusion-exclusion cap 2", "cap": "ie_cap"
+    }
 
 
 def test_env_cap_override(capsys, monkeypatch):
@@ -206,6 +212,28 @@ def test_family_verify_spec_payloads(capsys, tmp_path, spec, want):
     code, out = run(capsys, "family", "verify", "--spec", str(path), "--reproducible")
     assert code == EXIT_OK
     assert out == json.dumps(want, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"kind": "threshold", "n": 5, "t": 1, "edges": [[1, 2], [2, 3]],
+      "threshold": "1"}, "must be integers"),
+    ({"kind": "threshold", "n": 5, "t": 1, "edges": [[1, 2], [2, 3]],
+      "threshold": 1.5}, "must be integers"),
+    ({"kind": "trivial", "n": "5", "t": 1, "edges": [[1, 2]]}, "must be integers"),
+    ({"kind": "trivial", "n": 5, "t": 1, "edges": [[1, 2, 3]]}, "integer pairs"),
+    ({"kind": "trivial", "n": 5, "t": 1, "edges": [1, 2]}, "integer pairs"),
+    ({"kind": "explicit", "n": 4, "t": 1, "members": [[1, 2]]}, "integer pairs"),
+    ({"kind": "explicit", "n": 4, "t": 1, "members": 5}, "list of trees"),
+    ([1], "JSON object"),
+])
+def test_family_verify_rejects_malformed_spec(capsys, tmp_path, spec, message):
+    # these used to crash with a traceback (exit 1), or, for threshold 1.5,
+    # to verify a family at threshold 2
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(spec))
+    code, out = run(capsys, "family", "verify", "--spec", str(path), "--reproducible")
+    assert code == EXIT_VALIDATION
+    assert message in json.loads(out)["error"]["message"]
 
 
 @pytest.mark.parametrize("edges,message", [
@@ -345,6 +373,9 @@ def test_sample_deterministic(capsys):
     code, data = run_json(capsys, "sample", "--n", "2", "--seed", "0",
                           "--count", "3", "--reproducible")
     assert code == EXIT_OK and data["trees"] == [[[1, 2]]] * 3
+    code, out = run(capsys, "sample", "--n", "6", "--count", "-3", "--reproducible")
+    assert code == EXIT_VALIDATION
+    assert json.loads(out) == {"error": {"message": "count=-3 must be >= 0"}}
 
 
 def test_text_format(capsys):

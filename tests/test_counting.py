@@ -1,5 +1,8 @@
 """Closed-form counts against the enumeration oracle."""
 
+import random
+
+import numpy as np
 import pytest
 
 from treefam.counting import (
@@ -10,10 +13,18 @@ from treefam.counting import (
     count_matching_family,
     count_trees_containing,
     enumeration_count_containing,
+    exact_k_distribution,
     is_lower_bound_vacuous,
     verify_by_enumeration,
 )
-from treefam.trees import Forest, cayley_count, intersection_size, iter_forests
+from treefam.trees import (
+    Forest,
+    all_edges,
+    cayley_count,
+    edge_hits,
+    intersection_size,
+    iter_forests,
+)
 
 
 def test_count_trees_containing_examples():
@@ -131,6 +142,34 @@ def test_exactly_k_nonnegative_and_telescoping():
     for m in range(len(s) + 1):
         assert at_least[m] >= at_least[m + 1]
         assert at_least[m] == sum(exact[m:])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_exact_k_distribution_matches_enumeration(n):
+    # S may hold cycles and F may be cyclic (then every N_k is 0)
+    rng = random.Random(100 + n)
+    for _ in range(12):
+        pool = all_edges(n)
+        rng.shuffle(pool)
+        s = pool[: rng.randint(0, min(8, len(pool)))]
+        forced = pool[len(s) : len(s) + rng.randint(0, 3)]
+        dist = exact_k_distribution(n, s, forced)
+        holds = edge_hits(n, forced) == len(forced)
+        hist = np.bincount(edge_hits(n, s)[holds], minlength=len(s) + 1)
+        assert dist == hist.tolist()
+        assert sum(dist) == count_trees_containing(n, forced)
+
+
+def test_exact_k_distribution_reads_forests_and_defaults():
+    s = Forest(6, [(1, 2), (2, 3), (4, 5)])
+    assert exact_k_distribution(6, s) == [
+        count_exactly(6, s, k) for k in range(4)
+    ]
+    assert exact_k_distribution(6, [], Forest(6, [(1, 2)])) == [
+        count_trees_containing(6, [(1, 2)])
+    ]
+    with pytest.raises(ValueError, match="disjoint"):
+        exact_k_distribution(6, [(1, 2), (2, 3)], [(3, 2)])
 
 
 def test_ie_cap():

@@ -2,6 +2,7 @@
 
 import os
 import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -140,6 +141,11 @@ def test_truncated_dump_rejected(tmp_path):
         DisjointnessGraph.load_adjacency(str(path))
     path.write_bytes(data[:20])
     with pytest.raises(ValueError, match="truncated header"):
+        DisjointnessGraph.load_adjacency(str(path))
+    # a header claiming V = 2^40 is refused from the file size, before any
+    # row (2^37 bytes each) is read
+    path.write_bytes(data[:8] + struct.pack("<QQQ", 5, 1, 2**40))
+    with pytest.raises(ValueError, match="body is 0 bytes, expected"):
         DisjointnessGraph.load_adjacency(str(path))
 
 

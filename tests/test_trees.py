@@ -54,6 +54,15 @@ def test_forest_rejects_cycles_loops_duplicates():
         Forest(4, [(1, 5)])
 
 
+@pytest.mark.parametrize("bad", [
+    [(1.5, 2)], [(1.0, 2)], [("1", "2")], [(1, 2, 3)], [1, 2], 5,
+])
+def test_edges_must_be_integer_pairs(bad):
+    # int() used to truncate 1.5 to 1 and accept "1"
+    with pytest.raises(ValueError, match="integer pairs"):
+        Forest(4, bad)
+
+
 def test_forest_is_immutable():
     f = Forest(4, [(1, 2)])
     with pytest.raises(AttributeError):
@@ -237,6 +246,12 @@ def test_sampling_deterministic():
     assert sample_uniform_tree(6, 43) != a or True  # different seed may differ
 
 
+def test_sample_count_must_be_nonnegative():
+    assert sample_uniform_trees(5, 1, 0) == []
+    with pytest.raises(ValueError, match="count=-1"):
+        sample_uniform_trees(5, 1, -1)
+
+
 def test_sampling_edge_probability():
     """Pr[a fixed edge is in a uniform tree] = 2/n, checked empirically."""
     ts = sample_uniform_trees(10, 20260810, 100_000)
@@ -262,6 +277,9 @@ def test_json_array_roundtrip():
     f = Forest(6, [(1, 2), (3, 5)])
     assert f.to_json_array() == "[[1, 2], [3, 5]]"
     assert Forest.from_json_array(f.to_json_array(), n=6) == f
+    assert Forest.from_json_array("[[5, 3], [2, 1]]") == Forest(5, f.edges)
+    with pytest.raises(ValueError, match="integer pairs"):
+        Forest.from_json_array("[[1, 2.5]]")
 
 
 # -- bitmasks ----------------------------------------------------------------
@@ -278,7 +296,8 @@ def test_edge_bits_are_lexicographic():
 
 def test_edges_to_mask_rejects_out_of_range_loops_and_duplicates():
     assert edges_to_mask(6, [(2, 1), (5, 6)]) == edges_to_mask(6, [(1, 2), (5, 6)])
-    for bad in ([(2, 7)], [(0, 3)], [(3, 3)], [(1, 2), (1, 2)], [(1, 2), (2, 1)]):
+    for bad in ([(2, 7)], [(0, 3)], [(3, 3)], [(1, 2), (1, 2)], [(1, 2), (2, 1)],
+                [(1.5, 2)], [(1, 2, 3)]):
         with pytest.raises(ValueError):
             edges_to_mask(6, bad)
 
