@@ -367,6 +367,8 @@ def conjecture_scan(
     Ties resolve to the smallest j.  When t <= n/2, weak_consistent records
     whether j = 0 (the plain trivial family) wins, as expected for that range.
     """
+    if j_max < 0:
+        raise ValueError(f"j_max={j_max} must be >= 0")
     if t + 2 * j_max > n - 1:
         raise ValueError(f"t + 2*j_max = {t + 2 * j_max} exceeds n-1 = {n - 1}")
     rows = [

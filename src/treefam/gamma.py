@@ -5,8 +5,9 @@ they share fewer than t edges, so pairwise t-intersecting families are exactly
 the independent sets.  This module builds Gamma_t with bit-packed adjacency
 rows, computes the tree packing number via the Tutte/Nash-Williams partition
 minimum (with a search-found witness packing), and runs an exact
-branch-and-bound (greedy colouring bound, degeneracy order, node budget) for
-maximum cliques and maximum independent sets.
+branch-and-bound (greedy colouring bound, degeneracy order, node budget,
+S_n-orbit pruning when the host graph is complete) for maximum cliques and
+maximum independent sets.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from __future__ import annotations
 import json
 import os
 import struct
-from typing import Iterable, Iterator, List, Optional, Tuple
+from functools import lru_cache
+from itertools import permutations
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .trees import (
     CapExceeded,
@@ -24,6 +27,7 @@ from .trees import (
     _normalize_edges,
     all_edges,
     cayley_count,
+    edge_bit,
     edges_to_mask,
     mask_matrix,
     mask_to_edges,
@@ -454,13 +458,67 @@ def _color_sort(P: int, nadj: List[int], kmin: int) -> Tuple[List[int], List[int
     return order, colors
 
 
-def _max_clique_bitset(adj: List[int], budget: int) -> Tuple[int, bool, int]:
+@lru_cache(maxsize=None)
+def _edge_perms(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """The n! vertex relabellings of K_n acting on edge bits, identity first.
+
+    g[b] is the bit of the image of the edge at bit b.  A relabelling keeps
+    every overlap |T & T'|, so each one is an automorphism of Gamma_t(K_n)
+    and of its complement, for every t.
+    """
+    edges = all_edges(n)  # edges[b] sits at bit b
+    return tuple(
+        tuple(edge_bit(n, p[u - 1], p[v - 1]) for u, v in edges)
+        for p in permutations(range(1, n + 1))
+    )
+
+
+def _orbit_and_stabiliser(
+    group: Sequence[Tuple[int, ...]], v: int, vmask: int, index: dict
+) -> Tuple[int, list]:
+    """Orbit of search vertex v (tree mask vmask) under group, as a vertex
+    bitmask, and the elements of group that fix v ([] once only the identity
+    does).  index maps a tree mask to its search vertex.
+    """
+    bits = []
+    m = vmask
+    while m:
+        low = m & -m
+        bits.append(low.bit_length() - 1)
+        m ^= low
+    images = set()
+    stab = []
+    for g in group:
+        img = 0
+        for b in bits:
+            img |= 1 << g[b]
+        if img == vmask:
+            stab.append(g)
+        else:
+            images.add(img)
+    orbit = 1 << v
+    for img in images:
+        orbit |= 1 << index[img]
+    return orbit, stab if len(stab) > 1 else []
+
+
+def _max_clique_bitset(
+    adj: List[int], budget: int, masks: Sequence[int] = (), group: Sequence = ()
+) -> Tuple[int, bool, int]:
     """Exact maximum clique on bit-packed adjacency; returns (mask, optimal, nodes).
 
     Branch and bound in degeneracy order with a greedy-colouring upper bound;
     nodes are vertex expansions.  Deterministic: ties always resolve to the
     lowest vertex index.  Exceeding the node budget returns the best clique
     found so far with optimal=False.
+
+    With a group (edge permutations from _edge_perms that are automorphisms
+    of adj, acting on the tree masks `masks` of the vertices), the search
+    branches on one vertex per orbit (orbital branching): each frame keeps
+    H, the elements fixing every vertex chosen so far, and its candidate
+    set is H-invariant.  After branching on v it drops v's whole H-orbit,
+    since any clique through g(v) is g of one through v; the child keeps
+    the stabiliser of v.  Without a group every candidate is branched on.
     """
     V = len(adj)
     if V == 0:
@@ -468,6 +526,9 @@ def _max_clique_bitset(adj: List[int], budget: int) -> Tuple[int, bool, int]:
     order = _degeneracy_order(adj)
     radj = _relabel(adj, order)
     nadj = [~(r | 1 << v) for v, r in enumerate(radj)]
+    if group:
+        rmasks = [masks[o] for o in order]
+        index = {m: v for v, m in enumerate(rmasks)}
     seed = _greedy_clique(radj)
     best_mask = seed
     best_size = seed.bit_count()
@@ -475,10 +536,11 @@ def _max_clique_bitset(adj: List[int], budget: int) -> Tuple[int, bool, int]:
     optimal = True
 
     # iterative branch and bound (depth equals clique size, so no recursion):
-    # each frame is [size, rmask, local, order, colors, i] with i scanning the
-    # coloured candidates from the highest bound downwards
+    # each frame is [size, rmask, local, order, colors, i, H] with i scanning
+    # the coloured candidates from the highest bound downwards
     first_order, first_colors = _color_sort((1 << V) - 1, nadj, best_size)
-    stack = [[0, 0, (1 << V) - 1, first_order, first_colors, len(first_order) - 1]]
+    stack = [[0, 0, (1 << V) - 1, first_order, first_colors, len(first_order) - 1,
+              group]]
     try:
         while stack:
             frame = stack[-1]
@@ -492,17 +554,22 @@ def _max_clique_bitset(adj: List[int], budget: int) -> Tuple[int, bool, int]:
                 v = frame[3][i]
                 vbit = 1 << v
                 i -= 1
+                if not frame[2] & vbit:
+                    continue  # dropped with the orbit of an earlier branch
                 nodes += 1
                 if nodes > budget:
                     raise _BudgetExhausted
-                frame[2] &= ~vbit
+                # the child's candidates first: they keep v's orbit-mates
                 p2 = frame[2] & radj[v]  # v is not its own neighbour
+                orbit, stab = vbit, ()
+                if frame[6]:
+                    orbit, stab = _orbit_and_stabiliser(frame[6], v, rmasks[v], index)
+                frame[2] &= ~orbit
                 if p2:
                     order2, colors2 = _color_sort(p2, nadj, best_size - size - 1)
                     frame[5] = i
-                    stack.append(
-                        [size + 1, rmask | vbit, p2, order2, colors2, len(order2) - 1]
-                    )
+                    stack.append([size + 1, rmask | vbit, p2, order2, colors2,
+                                  len(order2) - 1, stab])
                     pushed = True
                     break
                 if size + 1 > best_size:
@@ -524,11 +591,23 @@ def _max_clique_bitset(adj: List[int], budget: int) -> Tuple[int, bool, int]:
     return out, optimal, nodes
 
 
+def _search(gamma: DisjointnessGraph, adj: List[int], budget: int) -> Tuple[int, bool, int]:
+    """_max_clique_bitset with the vertex relabellings of K_n when the host
+    graph is complete; any other host searches without a group."""
+    if gamma.graph.is_complete():
+        return _max_clique_bitset(adj, budget, gamma.masks, _edge_perms(gamma.n))
+    return _max_clique_bitset(adj, budget)
+
+
 def max_clique(
     gamma: DisjointnessGraph, budget: int = DEFAULT_NODE_BUDGET
 ) -> SearchResult:
-    """Maximum clique of Gamma_t (a family of pairwise <t-sharing trees)."""
-    mask, optimal, nodes = _max_clique_bitset(gamma.adj, budget)
+    """Maximum clique of Gamma_t (a family of pairwise <t-sharing trees).
+
+    On a complete host the search skips whole S_n-orbits of trees, so
+    `nodes` counts the vertex expansions of that pruned tree.
+    """
+    mask, optimal, nodes = _search(gamma, gamma.adj, budget)
     fam = TreeFamily(gamma, mask)
     if not fam.is_clique():
         raise RuntimeError("clique search returned a non-clique")
@@ -538,8 +617,12 @@ def max_clique(
 def max_independent_set(
     gamma: DisjointnessGraph, budget: int = DEFAULT_NODE_BUDGET
 ) -> SearchResult:
-    """Maximum independent set of Gamma_t = largest pairwise t-intersecting family."""
-    mask, optimal, nodes = _max_clique_bitset(gamma.complement_rows(), budget)
+    """Maximum independent set of Gamma_t = largest pairwise t-intersecting family.
+
+    On a complete host the search skips whole S_n-orbits of trees, so
+    `nodes` counts the vertex expansions of that pruned tree.
+    """
+    mask, optimal, nodes = _search(gamma, gamma.complement_rows(), budget)
     fam = TreeFamily(gamma, mask)
     if not fam.is_independent():
         raise RuntimeError("independent-set search returned a dependent set")

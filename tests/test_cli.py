@@ -141,6 +141,12 @@ def test_scan_csv_and_json_carry_identical_values(capsys):
     assert out.splitlines()[0] == "n,t,j,size,winner"
 
 
+def test_scan_negative_j_max_is_a_validation_error(capsys):
+    code, out = run(capsys, "family", "scan", "--n", "5", "--t", "1", "--j-max", "-1")
+    assert code == EXIT_VALIDATION
+    assert "j_max=-1" in json.loads(out)["error"]["message"]
+
+
 def test_family_size_kinds(capsys):
     code, data = run_json(capsys, "family", "size", "--kind", "stars-plus-edge",
                           "--n", "6", "--reproducible")

@@ -273,6 +273,11 @@ def test_scan_9_4_table():
     assert all(isinstance(row["size"], str) for row in d["rows"])
 
 
+def test_scan_rejects_negative_j_max():
+    with pytest.raises(ValueError, match="j_max=-1"):
+        conjecture_scan(5, 1, -1)
+
+
 # -- avoidance counts -----------------------------------------------------------
 
 
@@ -518,6 +523,19 @@ def test_brute_force_52():
     assert res.optimal and res.size == 20
     assert comp["trivial_matching"] == 20
     assert res.family.min_pairwise_intersection() >= 2
+
+
+def test_brute_force_62_is_certified():
+    # the S_6-orbit pruning finishes Gamma_2(K_6): the matching family of two
+    # disjoint edges, 2^2 * 6^2 = 144 trees, is optimal.  (Gamma_1(K_6), with
+    # 436 found, is still uncertified.)
+    res, comp = brute_force_max_t_intersecting(6, 2)
+    assert res.optimal and res.size == 144
+    assert comp["trivial_matching"] == count_matching_family(6, 2) == 144
+    assert res.family.min_pairwise_intersection() >= 2
+    assert res.family.is_independent()
+    # the pruned search tree, pinned like the rows in test_gamma
+    assert res.nodes == 32639
 
 
 def test_brute_force_t_equals_nminus1():

@@ -1,5 +1,6 @@
 """Disjointness graphs, tree packing, exact clique/independence search."""
 
+import math
 import os
 import random
 import struct
@@ -12,11 +13,14 @@ import pytest
 import treefam
 
 from treefam.gamma import (
+    DEFAULT_NODE_BUDGET,
     CapExceeded,
     DisjointnessGraph,
     SimpleGraph,
     _color_sort,
     _degeneracy_order,
+    _edge_perms,
+    _max_clique_bitset,
     _relabel,
     build_gamma,
     enumerate_spanning_trees,
@@ -25,7 +29,9 @@ from treefam.gamma import (
     max_independent_set,
     packing_number,
 )
-from treefam.trees import Tree, cayley_count, intersection_size, is_star
+from treefam.trees import (
+    Tree, all_edges, cayley_count, intersection_size, is_star, tree_masks,
+)
 
 
 # -- SimpleGraph --------------------------------------------------------------
@@ -322,10 +328,26 @@ def test_gamma_rows_match_pairwise_loop(g, t):
 
 # -- the search tree, pinned ----------------------------------------------------------
 
-# (graph, t, search, budget) -> (size, optimal, nodes, member mask in hex),
-# recorded with the pure-Python set-up and colouring kept below as oracles.
-# Any change to the vertex order, the colouring bound or the branch order
-# moves the node counts even where the family stays the same.
+# (graph, t, search, budget) -> (size, optimal, nodes, member mask in hex) of
+# the search without a symmetry group, recorded with the pure-Python set-up
+# and colouring kept below as oracles.  Any change to the vertex order, the
+# colouring bound or the branch order moves the node counts even where the
+# family stays the same.  Non-complete hosts (C12+3) search this way through
+# the public functions too.
+K6_T3_MASK = (
+    "2100000002100000000000000000000b28a08200aa8a08200000000000000000"
+    "00000000000000000000000000000000000000000000000004000000c0400000"
+    "0804000000800000000000000000006800800804000000a04000000804000000"
+    "8000000000000000000068000208000000000000000000000000000000000200"
+    "000008000000000000"
+)
+K6_T2_MASK = (
+    "4200000004200000000000000000000000000000000000000000004200000004"
+    "2000000042000000004000000100000000000000000042000000042000000042"
+    "0000000040000001000000000000000000000000000000000000000000000000"
+    "0000000061e78000061e78214261e78214261c70000061a68000061964000061"
+    "d74000061d74104661d74104661c70000061a680000619640000"
+)
 PINNED_SEARCHES = [
     ("K5", 1, "max_clique", None, 2, True, 48, "400000000000000000000000000080"),
     ("K5", 1, "max_independent_set", None, 53, True, 44729,
@@ -336,22 +358,10 @@ PINNED_SEARCHES = [
     ("K5", 3, "max_independent_set", None, 6, True, 24, "6318"),
     ("K5", 4, "max_clique", None, 125, True, 0, "1fffffffffffffffffffffffffffffff"),
     ("K5", 4, "max_independent_set", None, 1, True, 0, "1"),
-    ("K6", 3, "max_independent_set", None, 48, True, 425, (
-        "2100000002100000000000000000000b28a08200aa8a08200000000000000000"
-        "00000000000000000000000000000000000000000000000004000000c0400000"
-        "0804000000800000000000000000006800800804000000a04000000804000000"
-        "8000000000000000000068000208000000000000000000000000000000000200"
-        "000008000000000000"
-    )),
+    ("K6", 3, "max_independent_set", None, 48, True, 425, K6_T3_MASK),
     ("K6", 4, "max_independent_set", None, 9, True, 230,
      "104004000000000000104004000104004000"),
-    ("K6", 2, "max_independent_set", 1000, 144, False, 1001, (
-        "4200000004200000000000000000000000000000000000000000004200000004"
-        "2000000042000000004000000100000000000000000042000000042000000042"
-        "0000000040000001000000000000000000000000000000000000000000000000"
-        "0000000061e78000061e78214261e78214261c70000061a68000061964000061"
-        "d74000061d74104661d74104661c70000061a680000619640000"
-    )),
+    ("K6", 2, "max_independent_set", 1000, 144, False, 1001, K6_T2_MASK),
     ("C12+3", 8, "max_clique", None, 3, True, 7959, (
         "2000000000000000000000000000000000000000000000000000000000000000"
         "000000000000000000000400000000000000000000000000000000000000100"
@@ -363,15 +373,135 @@ PINNED_SEARCHES = [
     )),
 ]
 PIN_GRAPHS = {"K5": SimpleGraph.complete(5), "K6": SimpleGraph.complete(6), "C12+3": SPARSE12}
+SEARCHES = {"max_clique": max_clique, "max_independent_set": max_independent_set}
+
+
+def search_rows(dg, search):
+    return dg.adj if search == "max_clique" else dg.complement_rows()
 
 
 @pytest.mark.parametrize("graph,t,search,budget,size,optimal,nodes,mask", PINNED_SEARCHES)
 def test_search_tree_is_pinned(graph, t, search, budget, size, optimal, nodes, mask):
     dg = build_gamma(PIN_GRAPHS[graph], t)
-    find = {"max_clique": max_clique, "max_independent_set": max_independent_set}[search]
+    got, got_optimal, got_nodes = _max_clique_bitset(
+        search_rows(dg, search), DEFAULT_NODE_BUDGET if budget is None else budget
+    )
+    assert (got.bit_count(), got_optimal, got_nodes) == (size, optimal, nodes)
+    assert got == int(mask, 16)
+    if not PIN_GRAPHS[graph].is_complete():
+        # no group for this host: the public search is node for node the same
+        res = SEARCHES[search](dg) if budget is None else SEARCHES[search](dg, budget=budget)
+        assert (res.size, res.optimal, res.nodes) == (size, optimal, nodes)
+        assert res.family.member_mask == got
+
+
+# The public searches on complete hosts, which skip S_n-orbits of trees.
+# Gamma_2(K_6) searched to the end (144, optimal, 32,639 nodes) is pinned in
+# test_extremal.test_brute_force_62_is_certified.
+PINNED_SYMMETRIC_SEARCHES = [
+    ("K5", 1, "max_clique", None, 2, True, 2, "400000000000000000000000000080"),
+    ("K5", 1, "max_independent_set", None, 53, True, 8798,
+     "1000022020011000408bdef7ffdef7ff"),
+    ("K5", 2, "max_clique", None, 5, True, 17, "10000000040000002000000000000180"),
+    ("K5", 2, "max_independent_set", None, 20, True, 22, "318c6318c6318"),
+    ("K5", 3, "max_clique", None, 22, True, 57439, "8810411050004082410880124100448"),
+    ("K5", 3, "max_independent_set", None, 6, True, 2, "6318"),
+    ("K5", 4, "max_clique", None, 125, True, 0, "1fffffffffffffffffffffffffffffff"),
+    ("K5", 4, "max_independent_set", None, 1, True, 0, "1"),
+    ("K6", 3, "max_independent_set", None, 48, True, 8, K6_T3_MASK),
+    ("K6", 4, "max_independent_set", None, 9, True, 5,
+     "104004000000000000104004000104004000"),
+    ("K6", 2, "max_independent_set", 1000, 144, False, 1001, K6_T2_MASK),
+]
+
+
+@pytest.mark.parametrize("graph,t,search,budget,size,optimal,nodes,mask",
+                         PINNED_SYMMETRIC_SEARCHES)
+def test_symmetric_search_tree_is_pinned(graph, t, search, budget, size, optimal, nodes,
+                                         mask):
+    dg = build_gamma(PIN_GRAPHS[graph], t)
+    find = SEARCHES[search]
     res = find(dg) if budget is None else find(dg, budget=budget)
     assert (res.size, res.optimal, res.nodes) == (size, optimal, nodes)
     assert res.family.member_mask == int(mask, 16)
+
+
+# -- the S_n symmetry of Gamma_t(K_n) ------------------------------------------------
+
+
+def vertex_perm(n, g):
+    """Where g sends each tree of K_n, as tree indices."""
+    index = {m: i for i, m in enumerate(tree_masks(n))}
+    out = []
+    for m in tree_masks(n):
+        img = 0
+        for b in range(len(g)):
+            if m >> b & 1:
+                img |= 1 << g[b]
+        out.append(index[img])  # KeyError: g sent a tree to a non-tree
+    return out
+
+
+def adjacency_matrix(dg):
+    import numpy as np
+
+    V = dg.vertex_count
+    rows = b"".join(r.to_bytes((V + 7) // 8, "little") for r in dg.adj)
+    bits = np.frombuffer(rows, dtype=np.uint8).reshape(V, -1)
+    return np.unpackbits(bits, axis=1, count=V, bitorder="little").astype(bool)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_edge_perms_are_automorphisms_of_gamma(n):
+    import numpy as np
+
+    perms = _edge_perms(n)
+    E = n * (n - 1) // 2
+    assert len(perms) == len(set(perms)) == math.factorial(n)
+    assert perms[0] == tuple(range(E))
+    # each g is a permutation of the edge bits that keeps "shares a vertex",
+    # i.e. an automorphism of the line graph of K_n (all of S_n for n >= 5)
+    edges = [set(e) for e in all_edges(n)]
+    touch = {(a, b) for a in range(E) for b in range(E) if edges[a] & edges[b]}
+    for g in perms:
+        assert sorted(g) == list(range(E))
+        assert {(g[a], g[b]) for a, b in touch} == touch
+    if n == 6:
+        checked = random.Random(6).sample(perms, 12)
+    else:
+        checked = perms
+    mats = {t: adjacency_matrix(build_gamma(SimpleGraph.complete(n), t))
+            for t in range(1, n)}
+    for g in checked:
+        pi = np.array(vertex_perm(n, g))
+        assert sorted(pi) == list(range(cayley_count(n)))
+        for t, A in mats.items():
+            # bit j of row i <=> bit g(j) of row g(i)
+            assert np.array_equal(A[np.ix_(pi, pi)], A), (n, t)
+
+
+SYMMETRY_CASES = [
+    (n, t, search) for n in (3, 4, 5) for t in range(1, n) for search in SEARCHES
+] + [(6, 3, "max_independent_set"), (6, 4, "max_independent_set")]
+
+
+@pytest.mark.parametrize("n,t,search", SYMMETRY_CASES)
+def test_symmetric_search_agrees_with_no_group_path(n, t, search):
+    dg = build_gamma(SimpleGraph.complete(n), t)
+    pinned = [row for row in PINNED_SEARCHES if row[:4] == (f"K{n}", t, search, None)]
+    if pinned:  # test_search_tree_is_pinned checks these on the no-group path
+        want = pinned[0][4:6]
+    else:
+        mask, optimal, _ = _max_clique_bitset(search_rows(dg, search), DEFAULT_NODE_BUDGET)
+        want = (mask.bit_count(), optimal)
+    res = SEARCHES[search](dg)
+    assert (res.size, res.optimal) == want
+    assert res.optimal
+    if search == "max_clique":
+        assert res.family.is_clique()
+    else:
+        assert res.family.is_independent()
+        assert res.size == 1 or res.family.min_pairwise_intersection() >= t
 
 
 # -- oracles for the search set-up ------------------------------------------------------
