@@ -13,7 +13,6 @@ Python int; nothing here touches floats.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb
 from typing import Callable, List, Tuple
 
@@ -34,7 +33,10 @@ DEFAULT_IE_CAP = 24
 
 
 def _edges(n: int, f) -> Tuple[Edge, ...]:
-    """The canonical edge tuple of a Forest or of a validated edge iterable."""
+    """The canonical edge tuple of a Forest or of a validated edge iterable;
+    every count here reads its edges through this, so n >= 2 is checked once."""
+    if n < 2:
+        raise ValueError(f"n={n} must be >= 2")
     return f.edges if isinstance(f, Forest) else _normalize_edges(n, f)
 
 
@@ -57,8 +59,6 @@ def count_trees_containing(n: int, f) -> int:
     f may be a Forest or any iterable of edges; an edge set with a cycle is
     contained in no tree, so it counts 0 (not an error).
     """
-    if n < 2:
-        raise ValueError(f"n={n} must be >= 2")
     return _count_containing(n, _edges(n, f))
 
 
@@ -110,7 +110,8 @@ def exact_k_distribution(
 
     The one inclusion-exclusion engine: with S_j the number of trees holding
     `forced` plus some j-subset of `s` (cyclic unions contribute 0),
-    N_k = sum_j (-1)^(j-k) C(j,k) S_j.  2^|s| subsets, guarded by the IE cap.
+    N_k = sum_j (-1)^(j-k) C(j,k) S_j.  One depth-first walk visits the
+    acyclic unions, at most 2^|s| of them; the IE cap still bounds |s|.
     s and forced may be Forests or edge iterables and must be disjoint.
     """
     edges, base = _edges(n, s), _edges(n, forced)
@@ -123,10 +124,53 @@ def exact_k_distribution(
             "ie_cap",
             ie_cap,
         )
-    sums = [0] * (m + 1)
-    for j in range(m + 1):
-        for sub in combinations(edges, j):
-            sums[j] += _count_containing(n, base + sub)
+    # Union by size without path compression, so every union can be undone;
+    # prod is the product of all component sizes, updated exactly per union.
+    parent = list(range(n + 1))
+    size = [1] * (n + 1)
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    prod = 1
+    for u, v in base:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return [0] * (m + 1)
+        a, b = size[ru], size[rv]
+        if a < b:
+            ru, rv = rv, ru
+        parent[rv] = ru
+        size[ru] = a + b
+        prod = prod * (a + b) // (a * b)
+    # prods[j]: the component-size products of the acyclic j-subset unions
+    # summed; count_from_component_product is linear in prod, so S_j is one
+    # call on that sum.
+    prods = [0] * (m + 1)
+
+    def walk(i: int, j: int, prod: int) -> None:
+        prods[j] += prod
+        for e in range(i, m):
+            u, v = edges[e]
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                continue  # every superset holds this cycle too
+            a, b = size[ru], size[rv]
+            if a < b:
+                ru, rv = rv, ru
+            parent[rv] = ru
+            size[ru] = a + b
+            walk(e + 1, j + 1, prod * (a + b) // (a * b))
+            parent[rv] = rv
+            size[ru] -= size[rv]
+
+    walk(0, 0, prod)
+    sums = [
+        count_from_component_product(n, prods[j], len(base) + j)
+        for j in range(m + 1)
+    ]
     return [
         sum((-1) ** (j - k) * comb(j, k) * sums[j] for j in range(k, m + 1))
         for k in range(m + 1)

@@ -395,8 +395,9 @@ def count_avoiding(
     """|T_n[T_0; F]|: trees containing every edge of f and no edge of t0
     outside f.
 
-    method "ie" reads N_0 of exact_k_distribution(n, t0 \\ f, forced=f)
-    (any n, |t0 \\ f| within the IE cap); method "enum" recounts by scanning
+    method "ie" reads N_0 of exact_k_distribution(n, t0 \\ f, forced=f): any
+    n, one walk over the acyclic unions (at most 2^|t0 \\ f|), with
+    |t0 \\ f| bounded by the IE cap; method "enum" recounts by scanning
     the full tree universe (n within the enumeration cap).  The two paths must
     agree; tests hold them to that.
     """

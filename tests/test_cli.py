@@ -57,6 +57,16 @@ def test_count_at_least(capsys):
     assert code == EXIT_OK and data["count"] == "117"
 
 
+def test_count_at_least_18_edge_forest(capsys):
+    # balanced_forest(30, 18): six 2-edge paths and six single edges
+    edges = ("1-2,2-3,4-5,5-6,7-8,8-9,10-11,11-12,13-14,14-15,16-17,17-18,"
+             "19-20,21-22,23-24,25-26,27-28,29-30")
+    code, data = run_json(capsys, "count", "at-least", "--n", "30",
+                          "--edges", edges, "--m", "9", "--reproducible")
+    assert code == EXIT_OK
+    assert data["count"] == "119709808618702951963497600000000000"
+
+
 def test_enumerate_n2(capsys):
     code, data = run_json(capsys, "enumerate", "--n", "2", "--reproducible")
     assert code == EXIT_OK

@@ -1,6 +1,8 @@
 """Closed-form counts against the enumeration oracle."""
 
 import random
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from treefam.counting import (
     is_lower_bound_vacuous,
     verify_by_enumeration,
 )
+from treefam.extremal import balanced_forest
 from treefam.trees import (
     Forest,
     all_edges,
@@ -158,6 +161,106 @@ def test_exact_k_distribution_matches_enumeration(n):
         hist = np.bincount(edge_hits(n, s)[holds], minlength=len(s) + 1)
         assert dist == hist.tolist()
         assert sum(dist) == count_trees_containing(n, forced)
+
+
+def _subset_walk(n, s, forced=()):
+    """Test-side oracle: the former engine body, every subset of s by size,
+    one product-formula count per subset."""
+    s, forced = tuple(s), tuple(forced)
+    m = len(s)
+    sums = [
+        sum(count_trees_containing(n, forced + sub) for sub in combinations(s, j))
+        for j in range(m + 1)
+    ]
+    return [
+        sum((-1) ** (j - k) * comb(j, k) * sums[j] for j in range(k, m + 1))
+        for k in range(m + 1)
+    ]
+
+
+def _random_tree_edges(n, rng):
+    """Edges of a random spanning tree of K_n (each vertex joins an earlier one)."""
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    return [tuple(sorted((v, rng.choice(order[:i])))) for i, v in enumerate(order) if i]
+
+
+def _walk_cases(n, rng):
+    pool = all_edges(n)
+    rng.shuffle(pool)
+    tree = _random_tree_edges(n, rng)
+    rng.shuffle(tree)
+    k = rng.randint(0, min(12, n - 1))
+    rest = [e for e in pool if e not in tree]
+    yield tree[:k], tree[k : k + rng.randint(0, 4)]  # S a forest
+    yield pool[:12], pool[12 : 12 + rng.randint(0, 3)]  # S with cycles
+    a, b, c = rng.sample(range(1, n + 1), 3)
+    tri = [tuple(sorted(e)) for e in ((a, b), (b, c), (a, c))]
+    yield [e for e in pool if e not in tri][:8], tri  # cyclic forced
+    yield [], tree[:5]
+    yield tree[:10], []
+    if n <= 15:
+        # forced and S together span K_n, plus a chord: the k = n - 1 branch
+        yield tree[: n - 5] + rest[:1], tree[n - 5 :]
+
+
+@pytest.mark.parametrize("n", [8, 9, 11, 15, 22, 40, 64])
+def test_exact_k_distribution_matches_subset_walk(n):
+    rng = random.Random(800 + n)
+    for s, forced in _walk_cases(n, rng):
+        dist = exact_k_distribution(n, s, forced)
+        assert dist == _subset_walk(n, s, forced), (s, forced)
+        assert sum(dist) == count_trees_containing(n, forced)
+
+
+def test_exact_k_distribution_matches_subset_walk_at_14_edges():
+    rng = random.Random(914)
+    for n in (8, 15, 30):
+        pool = all_edges(n)
+        rng.shuffle(pool)
+        tree = _random_tree_edges(n, rng)
+        for s, forced in ((pool[:14], pool[14:16]), (tree[:14], tree[14:])):
+            assert exact_k_distribution(n, s, forced) == _subset_walk(n, s, forced)
+
+
+def test_exact_k_distribution_pinned_at_18_edges():
+    # 2^18 subsets of a forest with 12 components; the sum is every tree
+    dist = exact_k_distribution(30, balanced_forest(30, 18))
+    assert sum(dist) == 30 ** 28
+    assert dist == [
+        65573944322925344366219025162240000000000,
+        85386104840853527228919026196480000000000,
+        51925841126366947228678791813120000000000,
+        19588574258312062614751209000960000000000,
+        5135072477321409378920205350400000000000,
+        993020862613227790603714951680000000000,
+        146756262930700459715417784960000000000,
+        16942317955810252837776023040000000000,
+        1548370522351976402870219520000000000,
+        112824976440699284785459200000000000,
+        6568580930779974671809920000000000,
+        304743564607522834160640000000000,
+        11180646120657336514560000000000,
+        319940182807952878080000000000,
+        6982895407883990400000000000,
+        112160166946076160000000000,
+        1248506433457920000000000,
+        8595569249280000000000,
+        27549901440000000000,
+    ]
+
+
+@pytest.mark.parametrize("count", [
+    lambda: exact_k_distribution(-3, []),
+    lambda: exact_k_distribution(0, []),
+    lambda: count_exactly(0, [], 0),
+    lambda: count_exactly(1, [], 0),
+    lambda: count_exactly(1, [], 5),  # k above |S|
+    lambda: count_at_least(1, [], 5),  # m above |S|
+], ids=["dist-n-3", "dist-n0", "exactly-n0", "exactly-n1", "exactly-k5", "at-least-m5"])
+def test_counts_reject_n_below_2(count):
+    with pytest.raises(ValueError, match=r"n=-?\d+ must be >= 2"):
+        count()
 
 
 def test_exact_k_distribution_reads_forests_and_defaults():
