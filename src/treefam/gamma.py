@@ -13,6 +13,7 @@ maximum independent sets.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import struct
 from functools import lru_cache
@@ -32,13 +33,24 @@ from .trees import (
     mask_matrix,
     mask_to_edges,
     min_pairwise_intersection,
-    overlaps,
     tree_masks,
 )
 
 DEFAULT_GAMMA_CAP = 20000
 DEFAULT_NODE_BUDGET = 10_000_000
 _DUMP_MAGIC = b"GAMADJ01"
+# Array cells in the largest temporary of a blocked numpy pass (uint64 cells
+# in _popcount_rows, so 512 KiB; uint8 cells in _relabel).
+_BLOCK_CELLS = 1 << 16
+
+
+def _as_int(value, what: str) -> int:
+    """value as an int via operator.index; a float, string or None is a
+    ValueError rather than a TypeError from deep inside the caller."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 class SimpleGraph:
@@ -168,17 +180,27 @@ def enumerate_spanning_trees(
 
 
 def _popcount_rows(masks, t: int) -> List[int]:
-    """Bit-packed adjacency rows: bit j of row i set iff trees i,j share < t edges."""
+    """Bit-packed adjacency rows: bit j of row i set iff trees i,j share < t edges.
+
+    A block of rows is compared with the whole mask matrix in one
+    bitwise_count.  A block is as many rows as keep its (rows, V, W) AND
+    within _BLOCK_CELLS words (at least one row), so the temporaries stay
+    near 512 KiB however large V is, never V x V.
+    """
     import numpy as np
 
     mat = mask_matrix(masks)
-    rows = []
-    for i in range(len(mat)):
-        bits = overlaps(mat, mat[i]) < t
-        bits[i] = False
-        rows.append(
-            int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-        )
+    V, W = mat.shape
+    step = max(1, _BLOCK_CELLS // max(1, V * W))
+    rows: List[int] = []
+    for lo in range(0, V, step):
+        block = mat[lo : lo + step]
+        shared = np.bitwise_count(block[:, None, :] & mat[None, :, :]).sum(axis=2)
+        bits = shared < t
+        k = np.arange(len(block))
+        bits[k, lo + k] = False
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        rows.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
     return rows
 
 
@@ -271,6 +293,7 @@ class DisjointnessGraph:
 
 def build_gamma(g: SimpleGraph, t: int, cap: int = DEFAULT_GAMMA_CAP) -> DisjointnessGraph:
     """Construct Gamma_t(g) with full bit-packed adjacency."""
+    t = _as_int(t, "t")
     if not (1 <= t <= g.n - 1):
         raise ValueError(f"t={t} out of range 1..{g.n - 1}")
     if g.is_complete():
@@ -295,6 +318,14 @@ class TreeFamily:
     __slots__ = ("gamma", "member_mask")
 
     def __init__(self, gamma: DisjointnessGraph, member_mask: int):
+        member_mask = _as_int(member_mask, "member mask")
+        if member_mask < 0:
+            raise ValueError("member mask must be >= 0")
+        if member_mask >> gamma.vertex_count:
+            raise ValueError(
+                f"member mask has bit {member_mask.bit_length() - 1}, but the "
+                f"vertices are 0..{gamma.vertex_count - 1}"
+            )
         self.gamma = gamma
         self.member_mask = member_mask
 
@@ -379,61 +410,69 @@ def _degeneracy_order(adj: List[int]) -> List[int]:
     return order
 
 
-_RELABEL_CHUNK = 256
-
-
 def _relabel(adj: List[int], order: List[int]) -> List[int]:
     """Rows renamed so that vertex order[i] becomes i: bit j of row i of the
     result is bit order[j] of adj[order[i]].
 
     Rows are unpacked, permuted and repacked a chunk at a time, so the
-    largest temporary is _RELABEL_CHUNK x V bytes, never V x V.
+    largest temporary is about _BLOCK_CELLS bytes, never V x V.
     """
     import numpy as np
 
     V = len(adj)
     bits = mask_matrix(adj).view(np.uint8)
     perm = np.asarray(order, dtype=np.intp)
+    step = max(1, _BLOCK_CELLS // max(1, V))
     out: List[int] = []
-    for lo in range(0, V, _RELABEL_CHUNK):
+    for lo in range(0, V, step):
         rows = np.unpackbits(
-            bits[perm[lo : lo + _RELABEL_CHUNK]], axis=1, count=V, bitorder="little"
+            bits[perm[lo : lo + step]], axis=1, count=V, bitorder="little"
         )
         packed = np.packbits(rows[:, perm], axis=1, bitorder="little")
         out.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
     return out
 
 
-def _greedy_clique(adj: List[int]) -> int:
-    """Deterministic greedy clique (seed lower bound); returns a member bitmask."""
+def _greedy_clique(adj: List[int], bit: List[int]) -> int:
+    """Deterministic greedy clique (seed lower bound); returns a member bitmask.
+
+    Ties go to the highest index: the start among the maximum degrees, and
+    each step to the first best vertex scanning down from the top bit.
+    bit[v] is 1 << v.
+    """
     V = len(adj)
     if V == 0:
         return 0
-    start = max(range(V), key=lambda v: (adj[v].bit_count(), -v))
-    clique = 1 << start
+    start = max(range(V), key=lambda v: (adj[v].bit_count(), v))
+    clique = bit[start]
     cand = adj[start]
     while cand:
         best_v, best_sc = -1, -1
         m = cand
         while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
+            v = m.bit_length() - 1
+            m ^= bit[v]
             sc = (adj[v] & cand).bit_count()
             if sc > best_sc:
                 best_sc, best_v = sc, v
-        clique |= 1 << best_v
+        clique |= bit[best_v]
         cand &= adj[best_v]
     return clique
 
 
-def _color_sort(P: int, nadj: List[int], kmin: int) -> Tuple[List[int], List[int]]:
+def _color_sort(
+    P: int, nadj: List[int], kmin: int, bit: List[int]
+) -> Tuple[List[int], List[int]]:
     """Greedy colouring of the candidate set P; vertices with colour bounds ascending.
 
-    nadj[v] = ~(adj[v] | 1 << v), so one AND drops v and its neighbours from
-    the class being built.  Only classes above kmin are listed: the caller
-    stops at the first colour that cannot beat the incumbent, so it never
-    reaches the classes at or below kmin.
+    Each class takes vertices from the top bit down: v = q.bit_length() - 1
+    costs no big-int work, and the remaining candidates shrink as the scan
+    goes.  nadj[v] is the complement of adj[v] | 1 << v within the V bits
+    (non-negative, so the AND needs no two's-complement copy), so one AND
+    drops v and its neighbours from the class being built; bit[v] = 1 << v.
+    Only classes above kmin are listed: the caller stops at the first colour
+    that cannot beat the incumbent, so it never reaches the classes at or
+    below kmin.
     """
     order: List[int] = []
     colors: List[int] = []
@@ -444,17 +483,16 @@ def _color_sort(P: int, nadj: List[int], kmin: int) -> Tuple[List[int], List[int
         q = work
         if color > kmin:
             while q:
-                low = q & -q
-                v = low.bit_length() - 1
+                v = q.bit_length() - 1
                 order.append(v)
                 colors.append(color)
-                work ^= low
+                work ^= bit[v]
                 q &= nadj[v]
         else:
             while q:
-                low = q & -q
-                work ^= low
-                q &= nadj[low.bit_length() - 1]
+                v = q.bit_length() - 1
+                work ^= bit[v]
+                q &= nadj[v]
     return order, colors
 
 
@@ -508,9 +546,12 @@ def _max_clique_bitset(
     """Exact maximum clique on bit-packed adjacency; returns (mask, optimal, nodes).
 
     Branch and bound in degeneracy order with a greedy-colouring upper bound;
-    nodes are vertex expansions.  Deterministic: ties always resolve to the
-    lowest vertex index.  Exceeding the node budget returns the best clique
-    found so far with optimal=False.
+    nodes are vertex expansions.  The vertices are relabelled in reversed
+    degeneracy order, so the vertex the search reaches first sits at the
+    top bit and every bit walk reads it with bit_length().  Deterministic:
+    ties always resolve to the highest relabelled index, i.e. to the
+    earliest vertex of the degeneracy order.  Exceeding the node budget
+    returns the best clique found so far with optimal=False.
 
     With a group (edge permutations from _edge_perms that are automorphisms
     of adj, acting on the tree masks `masks` of the vertices), the search
@@ -523,13 +564,15 @@ def _max_clique_bitset(
     V = len(adj)
     if V == 0:
         return 0, True, 0
-    order = _degeneracy_order(adj)
+    order = _degeneracy_order(adj)[::-1]
     radj = _relabel(adj, order)
-    nadj = [~(r | 1 << v) for v, r in enumerate(radj)]
+    bit = [1 << v for v in range(V)]
+    full = (1 << V) - 1
+    nadj = [full ^ (r | b) for r, b in zip(radj, bit)]
     if group:
         rmasks = [masks[o] for o in order]
         index = {m: v for v, m in enumerate(rmasks)}
-    seed = _greedy_clique(radj)
+    seed = _greedy_clique(radj, bit)
     best_mask = seed
     best_size = seed.bit_count()
     nodes = 0
@@ -538,8 +581,8 @@ def _max_clique_bitset(
     # iterative branch and bound (depth equals clique size, so no recursion):
     # each frame is [size, rmask, local, order, colors, i, H] with i scanning
     # the coloured candidates from the highest bound downwards
-    first_order, first_colors = _color_sort((1 << V) - 1, nadj, best_size)
-    stack = [[0, 0, (1 << V) - 1, first_order, first_colors, len(first_order) - 1,
+    first_order, first_colors = _color_sort(full, nadj, best_size, bit)
+    stack = [[0, 0, full, first_order, first_colors, len(first_order) - 1,
               group]]
     try:
         while stack:
@@ -552,7 +595,7 @@ def _max_clique_bitset(
                     i = -1
                     break
                 v = frame[3][i]
-                vbit = 1 << v
+                vbit = bit[v]
                 i -= 1
                 if not frame[2] & vbit:
                     continue  # dropped with the orbit of an earlier branch
@@ -566,7 +609,7 @@ def _max_clique_bitset(
                     orbit, stab = _orbit_and_stabiliser(frame[6], v, rmasks[v], index)
                 frame[2] &= ~orbit
                 if p2:
-                    order2, colors2 = _color_sort(p2, nadj, best_size - size - 1)
+                    order2, colors2 = _color_sort(p2, nadj, best_size - size - 1, bit)
                     frame[5] = i
                     stack.append([size + 1, rmask | vbit, p2, order2, colors2,
                                   len(order2) - 1, stab])
@@ -585,15 +628,19 @@ def _max_clique_bitset(
     out = 0
     m = best_mask
     while m:
-        low = m & -m
-        out |= 1 << order[low.bit_length() - 1]
-        m ^= low
+        v = m.bit_length() - 1
+        out |= 1 << order[v]
+        m ^= bit[v]
     return out, optimal, nodes
 
 
 def _search(gamma: DisjointnessGraph, adj: List[int], budget: int) -> Tuple[int, bool, int]:
     """_max_clique_bitset with the vertex relabellings of K_n when the host
-    graph is complete; any other host searches without a group."""
+    graph is complete; any other host searches without a group.  The budget
+    must be an integer >= 0."""
+    budget = _as_int(budget, "node budget")
+    if budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {budget}")
     if gamma.graph.is_complete():
         return _max_clique_bitset(adj, budget, gamma.masks, _edge_perms(gamma.n))
     return _max_clique_bitset(adj, budget)

@@ -12,11 +12,14 @@ import pytest
 
 import treefam
 
+from treefam.extremal import brute_force_max_t_intersecting
 from treefam.gamma import (
+    _BLOCK_CELLS,
     DEFAULT_NODE_BUDGET,
     CapExceeded,
     DisjointnessGraph,
     SimpleGraph,
+    TreeFamily,
     _color_sort,
     _degeneracy_order,
     _edge_perms,
@@ -155,9 +158,17 @@ def test_truncated_dump_rejected(tmp_path):
         DisjointnessGraph.load_adjacency(str(path))
 
 
+def run_optimized(code):
+    """Run code under python -O, which strips assert statements."""
+    src = str(Path(treefam.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_search_result_checks_survive_optimize_flag():
-    # the certificate check on a search result must not be an assert,
-    # which python -O strips
+    # the certificate check on a search result must not be an assert
     code = (
         "import treefam.gamma as g\n"
         "g.TreeFamily.is_independent = lambda self: False\n"
@@ -167,12 +178,72 @@ def test_search_result_checks_survive_optimize_flag():
         "    raise SystemExit(0)\n"
         "raise SystemExit(3)\n"
     )
-    src = str(Path(treefam.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_optimized(code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_argument_checks_survive_optimize_flag():
+    # the budget, t and member-mask checks are explicit raises, not asserts
+    code = (
+        "import treefam.gamma as g\n"
+        "k4 = g.SimpleGraph.complete(4)\n"
+        "dg = g.build_gamma(k4, 1)\n"
+        "calls = [lambda: g.max_independent_set(dg, budget=-1),\n"
+        "         lambda: g.max_clique(dg, budget=1.5),\n"
+        "         lambda: g.build_gamma(k4, 1.5),\n"
+        "         lambda: g.TreeFamily(dg, 1 << 200),\n"
+        "         lambda: g.TreeFamily(dg, -1)]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(3)\n"
+    )
+    proc = run_optimized(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("budget", [-3, -1, 1.5, "7", None])
+def test_search_rejects_bad_budget(budget):
+    dg = build_gamma(SimpleGraph.complete(4), 1)
+    for search in (max_clique, max_independent_set):
+        with pytest.raises(ValueError, match="node budget"):
+            search(dg, budget=budget)
+    with pytest.raises(ValueError, match="node budget"):
+        brute_force_max_t_intersecting(4, 1, node_budget=budget)
+
+
+def test_search_accepts_integer_budgets():
+    import numpy as np
+
+    dg = build_gamma(SimpleGraph.complete(5), 1)
+    assert max_independent_set(dg, budget=np.int64(5)).nodes == 6
+    res = max_independent_set(dg, budget=0)
+    assert (res.optimal, res.nodes) == (False, 1)
+    assert res.family.is_independent()
+
+
+def test_build_gamma_rejects_non_integer_t():
+    k4 = SimpleGraph.complete(4)
+    for t in (1.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match="t must be an integer"):
+            build_gamma(k4, t)
+    import numpy as np
+
+    dg = build_gamma(k4, np.int64(2))
+    assert type(dg.t) is int and dg.summary()["t"] == 2
+
+
+def test_tree_family_rejects_masks_outside_the_vertices():
+    dg = build_gamma(SimpleGraph.complete(4), 1)
+    for mask in (-1, 1 << 16, 1 << 200):
+        with pytest.raises(ValueError, match="member mask"):
+            TreeFamily(dg, mask)
+    with pytest.raises(ValueError, match="member mask must be an integer"):
+        TreeFamily(dg, 3.0)
+    assert TreeFamily(dg, (1 << 16) - 1).size == 16
+    assert TreeFamily(dg, 0).is_independent()
 
 
 # -- packing ---------------------------------------------------------------------
@@ -310,10 +381,20 @@ SPARSE12 = SimpleGraph(
 @pytest.mark.parametrize("g,t", [
     (SPARSE12, 8), (SPARSE12, 9), (SimpleGraph.complete(5), 1),
     (SimpleGraph.complete(5), 2), (SimpleGraph.complete(5), 3),
+    (SimpleGraph.complete(4), 2),  # 16 rows, fewer than one block
+    (SimpleGraph.complete(6), 2),  # 1296 rows: many blocks, the last one short
     (SimpleGraph(4, [(1, 2), (3, 4)]), 1),  # disconnected: no trees
 ])
 def test_gamma_rows_match_pairwise_loop(g, t):
     dg = build_gamma(g, t)
+    V = dg.vertex_count
+    words = max(1, -(-max(dg.masks, default=0).bit_length() // 64))
+    # rows per block in _popcount_rows: K_4 fits in one, K_6 ends on a short one
+    step = _BLOCK_CELLS // max(1, V * words)
+    if V == 16:
+        assert V < step
+    if V == 1296:
+        assert V > 2 * step and V % step
     masks = dg.masks
     want = [0] * len(masks)
     for i in range(len(masks)):
@@ -348,6 +429,23 @@ K6_T2_MASK = (
     "0000000061e78000061e78214261e78214261c70000061a68000061964000061"
     "d74000061d74104661d74104661c70000061a680000619640000"
 )
+K6_T1_MASK = (
+    "80000100400000100400000100400000103f000001004e79e7f03d0000010040"
+    "1000100400000100400000103f000001004e79e7f03d00000100400000100400"
+    "020100400000103f000001004e79e7f03dfbefbff84fbefbff84fbefbff84fbe"
+    "fbffbffbefbff84efbeffeff00000100400000100400000100400000103f0000"
+    "0108400003f004082081ec6082081ec6082081ec6fbefbffbfefbec1effefbef"
+    "feff"
+)
+W8_T2_MASK = (
+    "1ffffffc73fc1ff9f30b80fc0001fd87ba8500191806021fa0000004003fd6bc"
+    "cf453af9afba0b2df04c2dc0b4c0103f65ffa02ee000550200001fffc04126c6"
+    "00016381020c105800435a0a4924071c000020000000400feace1ff10003e846"
+    "0080068120280000000"
+)
+# the wheel on 8 vertices (hub 1, rim 2..8): 841 spanning trees, 14 words a row
+WHEEL8 = SimpleGraph(8, [(1, v) for v in range(2, 9)] + [(v, v + 1) for v in range(2, 8)]
+                     + [(2, 8)])
 PINNED_SEARCHES = [
     ("K5", 1, "max_clique", None, 2, True, 48, "400000000000000000000000000080"),
     ("K5", 1, "max_independent_set", None, 53, True, 44729,
@@ -371,8 +469,12 @@ PINNED_SEARCHES = [
         "0fe007f003ffc000000000ffffffc000000001ffffff80000007fffffffc0000"
         "000"
     )),
+    # budgeted like the random sparse hosts of the benchmark; recorded with
+    # the lowest-bit colouring kept below as an oracle
+    ("W8", 2, "max_independent_set", 200, 307, False, 201, W8_T2_MASK),
 ]
-PIN_GRAPHS = {"K5": SimpleGraph.complete(5), "K6": SimpleGraph.complete(6), "C12+3": SPARSE12}
+PIN_GRAPHS = {"K5": SimpleGraph.complete(5), "K6": SimpleGraph.complete(6), "C12+3": SPARSE12,
+              "W8": WHEEL8}
 SEARCHES = {"max_clique": max_clique, "max_independent_set": max_independent_set}
 
 
@@ -412,6 +514,8 @@ PINNED_SYMMETRIC_SEARCHES = [
     ("K6", 4, "max_independent_set", None, 9, True, 5,
      "104004000000000000104004000104004000"),
     ("K6", 2, "max_independent_set", 1000, 144, False, 1001, K6_T2_MASK),
+    # recorded with the lowest-bit colouring kept below as an oracle
+    ("K6", 1, "max_independent_set", 1000, 436, False, 1001, K6_T1_MASK),
 ]
 
 
@@ -607,15 +711,54 @@ def test_search_setup_matches_oracles(adj):
     assert _relabel(adj, reverse) == relabel_oracle(adj, reverse)
 
 
+def lowest_bit_color_sort(P, nadj, kmin):
+    """Reference colouring on unreversed labels: each class takes vertices
+    from the lowest bit up (q & -q), with nadj[v] = ~(adj[v] | 1 << v)."""
+    order, colors = [], []
+    color = 0
+    work = P
+    while work:
+        color += 1
+        q = work
+        if color > kmin:
+            while q:
+                low = q & -q
+                v = low.bit_length() - 1
+                order.append(v)
+                colors.append(color)
+                work ^= low
+                q &= nadj[v]
+        else:
+            while q:
+                low = q & -q
+                work ^= low
+                q &= nadj[low.bit_length() - 1]
+    return order, colors
+
+
+def reverse_bits(x, V):
+    return int(f"{x:0{V}b}"[::-1], 2)
+
+
 @pytest.mark.parametrize("adj", SETUP_CASES[3:], ids=lambda adj: f"V={len(adj)}")
 def test_color_sort_lists_the_classes_above_kmin(adj):
+    # the search colours rows relabelled in reversed order from the top bit
+    # down; under the bit reversal v -> V-1-v that is exactly the lowest-bit
+    # colouring of the original rows
+    V = len(adj)
     nadj = [~(r | 1 << v) for v, r in enumerate(adj)]
-    rng = random.Random(len(adj))
+    radj = relabel_oracle(adj, list(range(V))[::-1])
+    assert radj == [reverse_bits(r, V) for r in adj[::-1]]
+    bit = [1 << v for v in range(V)]
+    full = (1 << V) - 1
+    rnadj = [full ^ (r | b) for r, b in zip(radj, bit)]
+    rng = random.Random(V)
     for _ in range(20):
-        P = rng.getrandbits(len(adj))
+        P = rng.getrandbits(V)
         want_order, want_colors = color_sort_oracle(P, adj)
         for kmin in (0, 1, 3, max(want_colors, default=0)):
             keep = [i for i, c in enumerate(want_colors) if c > kmin]
-            assert _color_sort(P, nadj, kmin) == (
-                [want_order[i] for i in keep], [want_colors[i] for i in keep]
-            )
+            want = ([want_order[i] for i in keep], [want_colors[i] for i in keep])
+            assert lowest_bit_color_sort(P, nadj, kmin) == want
+            order, colors = _color_sort(reverse_bits(P, V), rnadj, kmin, bit)
+            assert ([V - 1 - v for v in order], colors) == want
