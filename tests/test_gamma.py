@@ -381,9 +381,9 @@ SPARSE12 = SimpleGraph(
 @pytest.mark.parametrize("g,t", [
     (SPARSE12, 8), (SPARSE12, 9), (SimpleGraph.complete(5), 1),
     (SimpleGraph.complete(5), 2), (SimpleGraph.complete(5), 3),
+    (SimpleGraph(4, [(1, 2), (3, 4)]), 1),  # disconnected: no trees
     (SimpleGraph.complete(4), 2),  # 16 rows, fewer than one block
     (SimpleGraph.complete(6), 2),  # 1296 rows: many blocks, the last one short
-    (SimpleGraph(4, [(1, 2), (3, 4)]), 1),  # disconnected: no trees
 ])
 def test_gamma_rows_match_pairwise_loop(g, t):
     dg = build_gamma(g, t)
