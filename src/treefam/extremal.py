@@ -32,6 +32,7 @@ from .gamma import (
     DEFAULT_NODE_BUDGET,
     SearchResult,
     SimpleGraph,
+    _edge_perms,
     build_gamma,
     max_independent_set,
 )
@@ -44,9 +45,12 @@ from .trees import (
     _pair_edges,
     cayley_count,
     edge,
+    edge_bit,
     edge_hits,
     edges_to_mask,
     is_d_star_like,
+    iter_forests,
+    mask_to_edges,
     min_pairwise_intersection,
     star_masks,
     tree_mask_array,
@@ -419,7 +423,11 @@ def count_avoiding(
 
 
 class BlockedReport:
-    """Exact D_t with argmin witnesses and the asymptotic-bound context."""
+    """Exact D_t with argmin witnesses and the asymptotic-bound context.
+
+    pairs_checked counts the (F, T_0) pairs scored: the admissible trees of
+    one forest per S_n-orbit of t-edge forests.
+    """
 
     __slots__ = (
         "n",
@@ -462,14 +470,27 @@ def blocked_Dt(n: int, t: int, enum_cap: int = DEFAULT_ENUM_CAP) -> BlockedRepor
     """Exact D_t = min over t-edge forests F and non-star trees T_0 with
     |T_0 and F| < t of |T_n[T_0; F]|, by exhaustive double minimization.
 
+    A relabelling of the vertices maps admissible pairs to admissible pairs
+    and keeps every count, so all forests of one S_n-orbit share a minimum.
+    The scan therefore scores one forest per orbit, the first one met, and
+    skips the rest; pairs_checked counts the pairs it scored.
+
     Ties resolve to the first pair in scan order (forests in lexicographic
     order, trees in tree-index order), which is the lowest canonical
-    serialization.  Needs the full tree universe, so n is capped.
+    serialization; the first forest of the argmin orbit is the one a scan
+    of every forest would return.  Needs the full tree universe, so n is
+    capped.
     """
     import numpy as np
 
-    from .trees import iter_forests
-
+    if isinstance(n, bool) or isinstance(t, bool):
+        raise ValueError(f"n and t must be integers, got {n!r}, {t!r}")
+    try:
+        n, t = operator.index(n), operator.index(t)
+    except TypeError:
+        raise ValueError(f"n and t must be integers, got {n!r}, {t!r}") from None
+    if n < 3:
+        raise ValueError(f"n={n} must be >= 3 (D_t needs 1 <= t <= n - 2)")
     if n > min(enum_cap, 7):
         raise CapExceeded(
             f"blocked_Dt exhaustion needs n <= 7 (and within the enumeration "
@@ -482,13 +503,22 @@ def blocked_Dt(n: int, t: int, enum_cap: int = DEFAULT_ENUM_CAP) -> BlockedRepor
     arr = tree_mask_array(n)
     is_star_arr = np.isin(arr, np.array(star_masks(n), dtype=np.uint64))
     masks = tree_masks(n)
+    u64 = np.uint64
+    # image_bits[g, b]: the single-bit mask of edge b's image under the g-th
+    # vertex relabelling, so an orbit is an OR over a forest's columns
+    image_bits = u64(1) << np.array(_edge_perms(n), dtype=np.uint64)
+    seen = set()
     best = None
     best_forest = None
     best_tree_idx = None
     pairs = 0
-    u64 = np.uint64
     for f_edges in iter_forests(n, max_edges=t, min_edges=t):
-        fmask = u64(edges_to_mask(n, f_edges))
+        fmask = edges_to_mask(n, f_edges)
+        if fmask in seen:
+            continue
+        cols = [edge_bit(n, u, v) for u, v in f_edges]
+        seen.update(np.bitwise_or.reduce(image_bits[:, cols], axis=1).tolist())
+        fmask = u64(fmask)
         pc = np.bitwise_count(arr & fmask)
         admissible = (~is_star_arr) & (pc < t)
         containing = arr[pc == t]
@@ -512,8 +542,6 @@ def blocked_Dt(n: int, t: int, enum_cap: int = DEFAULT_ENUM_CAP) -> BlockedRepor
                 best_tree_idx = int(sel[k])
     if best is None:
         raise ValueError(f"no admissible (F, T_0) pair at n={n}, t={t}")
-    from .trees import mask_to_edges
-
     report = BlockedReport(
         n,
         t,

@@ -389,6 +389,84 @@ def test_blocked_dt_validation():
         blocked_Dt(8, 1)
 
 
+@pytest.mark.parametrize(
+    "n, t", [(5, 1.5), (6, 1.0), (6, True), (True, 1), (6.0, 1), ("6", 1), (6, None)]
+)
+def test_blocked_dt_rejects_non_integers(n, t):
+    with pytest.raises(ValueError, match="must be integers"):
+        blocked_Dt(n, t)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1, 2])
+def test_blocked_dt_names_small_n(n):
+    with pytest.raises(ValueError, match=f"n={n} must be >= 3"):
+        blocked_Dt(n, 1)
+
+
+def _blocked_dt_scan(n, t):
+    """Oracle: D_t by scoring every t-edge forest (in iter_forests order)
+    against its admissible non-star trees (in tree-index order), first
+    strict minimum kept.  Returns (value, argmin forest edges, argmin tree
+    edges)."""
+    import numpy as np
+
+    from treefam.trees import edges_to_mask, mask_to_edges, star_masks, tree_masks
+
+    masks = tree_masks(n)
+    arr = np.array(masks, dtype=np.uint64)
+    non_star = ~np.isin(arr, np.array(star_masks(n), dtype=np.uint64))
+    best = None
+    for f_edges in iter_forests(n, max_edges=t, min_edges=t):
+        fmask = np.uint64(edges_to_mask(n, f_edges))
+        pc = np.bitwise_count(arr & fmask)
+        containing = arr[pc == t]
+        avoids = arr & ~fmask
+        idxs = np.flatnonzero(non_star & (pc < t))
+        for s in range(0, len(idxs), 1024):
+            sel = idxs[s : s + 1024]
+            counts = np.count_nonzero(
+                (containing[None, :] & avoids[sel][:, None]) == 0, axis=1
+            )
+            k = int(np.argmin(counts))
+            if best is None or counts[k] < best[0]:
+                best = (int(counts[k]), f_edges, int(sel[k]))
+    value, f_edges, i = best
+    return value, f_edges, tuple(mask_to_edges(n, masks[i]))
+
+
+@pytest.mark.parametrize(
+    "n, t", [(n, t) for n in (4, 5, 6) for t in range(1, n - 1)] + [(7, 1)]
+)
+def test_blocked_dt_matches_all_forest_scan(n, t):
+    """One forest per S_n-orbit gives the full scan's value and witnesses."""
+    rep = blocked_Dt(n, t)
+    value, f_edges, tree_edges = _blocked_dt_scan(n, t)
+    assert rep.value == value
+    assert rep.argmin_forest.edges == f_edges
+    assert rep.argmin_tree.edges == tree_edges
+
+
+def test_blocked_dt_n7_values_and_witnesses():
+    from treefam.trees import intersection_size, is_star
+
+    values = {}
+    for t in range(1, 6):
+        rep = blocked_Dt(7, t)
+        assert len(rep.argmin_forest) == t
+        assert not is_star(rep.argmin_tree)
+        assert intersection_size(rep.argmin_tree, rep.argmin_forest) < t
+        assert count_avoiding(7, rep.argmin_tree, rep.argmin_forest) == rep.value
+        values[t] = rep.value
+    assert values == {1: 288, 2: 72, 3: 16, 4: 4, 5: 1}
+
+
+def test_blocked_dt_scores_one_forest_per_orbit():
+    """pairs_checked pins the orbit reduction at n = 6: scoring every forest
+    would check 12,900 / 122,550 / 548,250 / 1,386,750 pairs."""
+    pairs = {t: blocked_Dt(6, t).pairs_checked for t in (1, 2, 3, 4)}
+    assert pairs == {1: 860, 2: 2329, 3: 5029, 4: 7701}
+
+
 # -- local lemma ------------------------------------------------------------------
 
 
