@@ -17,7 +17,6 @@ and the lopsided-local-lemma machinery that lower-bounds avoidance counts.
 
 from __future__ import annotations
 
-import operator
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -42,6 +41,7 @@ from .trees import (
     Edge,
     Forest,
     Tree,
+    _as_ints,
     _pair_edges,
     cayley_count,
     edge,
@@ -52,9 +52,9 @@ from .trees import (
     iter_forests,
     mask_to_edges,
     min_pairwise_intersection,
+    pair_blocks,
     star_masks,
     tree_mask_array,
-    tree_masks,
 )
 
 COMPONENT_SHAPES = ("path", "star", "caterpillar")
@@ -121,13 +121,9 @@ class FamilySpec:
     def __init__(self, kind, n, t, edges=None, threshold=None, members=None):
         if kind not in ("trivial", "stars_plus_edge", "threshold", "explicit"):
             raise ValueError(f"unknown family kind {kind!r}")
-        try:
-            self.n, self.t = operator.index(n), operator.index(t)
-            self.threshold = None if threshold is None else operator.index(threshold)
-        except TypeError:
-            raise ValueError(
-                f"n, t and threshold must be integers, got {n!r}, {t!r}, {threshold!r}"
-            ) from None
+        given = (n, t) if threshold is None else (n, t, threshold)
+        self.n, self.t, *rest = _as_ints("n, t and threshold", *given)
+        self.threshold = rest[0] if rest else None
         if members is not None and not isinstance(members, (list, tuple)):
             raise ValueError(f"members must be a list of trees, got {members!r}")
         self.kind = kind
@@ -371,6 +367,7 @@ def conjecture_scan(
     Ties resolve to the smallest j.  When t <= n/2, weak_consistent records
     whether j = 0 (the plain trivial family) wins, as expected for that range.
     """
+    n, t, j_max = _as_ints("n, t and j_max", n, t, j_max)
     if j_max < 0:
         raise ValueError(f"j_max={j_max} must be >= 0")
     if t + 2 * j_max > n - 1:
@@ -483,12 +480,7 @@ def blocked_Dt(n: int, t: int, enum_cap: int = DEFAULT_ENUM_CAP) -> BlockedRepor
     """
     import numpy as np
 
-    if isinstance(n, bool) or isinstance(t, bool):
-        raise ValueError(f"n and t must be integers, got {n!r}, {t!r}")
-    try:
-        n, t = operator.index(n), operator.index(t)
-    except TypeError:
-        raise ValueError(f"n and t must be integers, got {n!r}, {t!r}") from None
+    n, t = _as_ints("n and t", n, t)
     if n < 3:
         raise ValueError(f"n={n} must be >= 3 (D_t needs 1 <= t <= n - 2)")
     if n > min(enum_cap, 7):
@@ -501,16 +493,12 @@ def blocked_Dt(n: int, t: int, enum_cap: int = DEFAULT_ENUM_CAP) -> BlockedRepor
     if not (1 <= t <= n - 2):
         raise ValueError(f"t={t} out of range 1..{n - 2}")
     arr = tree_mask_array(n)
-    is_star_arr = np.isin(arr, np.array(star_masks(n), dtype=np.uint64))
-    masks = tree_masks(n)
-    u64 = np.uint64
+    not_star = ~np.isin(arr, np.array(star_masks(n), dtype=np.uint64))
     # image_bits[g, b]: the single-bit mask of edge b's image under the g-th
     # vertex relabelling, so an orbit is an OR over a forest's columns
-    image_bits = u64(1) << np.array(_edge_perms(n), dtype=np.uint64)
+    image_bits = np.uint64(1) << np.array(_edge_perms(n), dtype=np.uint64)
     seen = set()
-    best = None
-    best_forest = None
-    best_tree_idx = None
+    best = None  # (count, forest edges, tree index)
     pairs = 0
     for f_edges in iter_forests(n, max_edges=t, min_edges=t):
         fmask = edges_to_mask(n, f_edges)
@@ -518,39 +506,22 @@ def blocked_Dt(n: int, t: int, enum_cap: int = DEFAULT_ENUM_CAP) -> BlockedRepor
             continue
         cols = [edge_bit(n, u, v) for u, v in f_edges]
         seen.update(np.bitwise_or.reduce(image_bits[:, cols], axis=1).tolist())
-        fmask = u64(fmask)
+        fmask = np.uint64(fmask)
         pc = np.bitwise_count(arr & fmask)
-        admissible = (~is_star_arr) & (pc < t)
-        containing = arr[pc == t]
-        avoids = arr & ~fmask
-        idxs = np.flatnonzero(admissible)
+        idxs = np.flatnonzero(not_star & (pc < t))
         pairs += len(idxs)
         # count, per admissible T0, trees >= F that miss T0 outside F
-        chunk = 1024
-        for s in range(0, len(idxs), chunk):
-            sel = idxs[s : s + chunk]
-            av = avoids[sel]
-            zero = u64(0)
-            counts = np.count_nonzero(
-                (containing[None, :] & av[:, None]) == zero, axis=1
-            )
+        avoids = (arr[idxs] & ~fmask)[:, None]
+        for lo, block in pair_blocks(avoids, arr[pc == t, None]):
+            counts = np.count_nonzero((block == 0).all(axis=2), axis=1)
             k = int(np.argmin(counts))
-            val = int(counts[k])
-            if best is None or val < best:
-                best = val
-                best_forest = f_edges
-                best_tree_idx = int(sel[k])
+            if best is None or counts[k] < best[0]:
+                best = (int(counts[k]), f_edges, int(idxs[lo + k]))
     if best is None:
         raise ValueError(f"no admissible (F, T_0) pair at n={n}, t={t}")
-    report = BlockedReport(
-        n,
-        t,
-        best,
-        Forest(n, best_forest),
-        Tree(n, mask_to_edges(n, masks[best_tree_idx])),
-        pairs,
-    )
-    return report
+    value, f_edges, idx = best
+    tree = Tree(n, mask_to_edges(n, int(arr[idx])))
+    return BlockedReport(n, t, value, Forest(n, f_edges), tree, pairs)
 
 
 # -- lopsided local lemma ------------------------------------------------------

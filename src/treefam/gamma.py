@@ -12,8 +12,6 @@ maximum independent sets.
 
 from __future__ import annotations
 
-import json
-import operator
 import os
 import struct
 from functools import lru_cache
@@ -24,7 +22,9 @@ from .trees import (
     CapExceeded,
     Edge,
     Tree,
+    _BLOCK_CELLS,
     _DSU,
+    _as_ints,
     _normalize_edges,
     all_edges,
     cayley_count,
@@ -33,24 +33,14 @@ from .trees import (
     mask_matrix,
     mask_to_edges,
     min_pairwise_intersection,
+    pair_blocks,
+    shared_bits,
     tree_masks,
 )
 
 DEFAULT_GAMMA_CAP = 20000
 DEFAULT_NODE_BUDGET = 10_000_000
 _DUMP_MAGIC = b"GAMADJ01"
-# Array cells in the largest temporary of a blocked numpy pass (uint64 cells
-# in _popcount_rows, so 512 KiB; uint8 cells in _relabel).
-_BLOCK_CELLS = 1 << 16
-
-
-def _as_int(value, what: str) -> int:
-    """value as an int via operator.index; a float, string or None is a
-    ValueError rather than a TypeError from deep inside the caller."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 class SimpleGraph:
@@ -182,23 +172,16 @@ def enumerate_spanning_trees(
 def _popcount_rows(masks, t: int) -> List[int]:
     """Bit-packed adjacency rows: bit j of row i set iff trees i,j share < t edges.
 
-    A block of rows is compared with the whole mask matrix in one
-    bitwise_count.  A block is as many rows as keep its (rows, V, W) AND
-    within _BLOCK_CELLS words (at least one row), so the temporaries stay
-    near 512 KiB however large V is, never V x V.
+    pair_blocks ANDs a block of rows at a time against the whole mask
+    matrix, so the temporaries stay near 512 KiB, never V x V.
     """
     import numpy as np
 
     mat = mask_matrix(masks)
-    V, W = mat.shape
-    step = max(1, _BLOCK_CELLS // max(1, V * W))
     rows: List[int] = []
-    for lo in range(0, V, step):
-        block = mat[lo : lo + step]
-        shared = np.bitwise_count(block[:, None, :] & mat[None, :, :]).sum(axis=2)
-        bits = shared < t
-        k = np.arange(len(block))
-        bits[k, lo + k] = False
+    for lo, block in pair_blocks(mat, mat):
+        bits = shared_bits(block) < t
+        np.fill_diagonal(bits[:, lo:], False)
         packed = np.packbits(bits, axis=1, bitorder="little")
         rows.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
     return rows
@@ -293,7 +276,7 @@ class DisjointnessGraph:
 
 def build_gamma(g: SimpleGraph, t: int, cap: int = DEFAULT_GAMMA_CAP) -> DisjointnessGraph:
     """Construct Gamma_t(g) with full bit-packed adjacency."""
-    t = _as_int(t, "t")
+    (t,) = _as_ints("t", t)
     if not (1 <= t <= g.n - 1):
         raise ValueError(f"t={t} out of range 1..{g.n - 1}")
     if g.is_complete():
@@ -318,7 +301,7 @@ class TreeFamily:
     __slots__ = ("gamma", "member_mask")
 
     def __init__(self, gamma: DisjointnessGraph, member_mask: int):
-        member_mask = _as_int(member_mask, "member mask")
+        (member_mask,) = _as_ints("member mask", member_mask)
         if member_mask < 0:
             raise ValueError("member mask must be >= 0")
         if member_mask >> gamma.vertex_count:
@@ -638,7 +621,7 @@ def _search(gamma: DisjointnessGraph, adj: List[int], budget: int) -> Tuple[int,
     """_max_clique_bitset with the vertex relabellings of K_n when the host
     graph is complete; any other host searches without a group.  The budget
     must be an integer >= 0."""
-    budget = _as_int(budget, "node budget")
+    (budget,) = _as_ints("node budget", budget)
     if budget < 0:
         raise ValueError(f"node budget must be >= 0, got {budget}")
     if gamma.graph.is_complete():

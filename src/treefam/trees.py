@@ -495,15 +495,30 @@ def tree_mask_array(n: int):
 
 # -- the mask kernel ------------------------------------------------------------
 # Every sweep over tree masks reduces to "popcount of a & b": the universe
-# sweeps count, per tree, how many edges of one mask it holds (edge_hits), and
-# the pairwise sweeps count shared bits row by row over a mask matrix
-# (overlaps).  numpy is imported inside the functions so that importing the
-# package (and starting the CLI) does not pay for it.
+# sweeps count, per tree, how many edges of one mask it holds (edge_hits); the
+# pairwise sweeps (family checks, Gamma_t rows, D_t) AND blocks of rows of one
+# mask matrix against another (pair_blocks).  numpy is imported inside the
+# functions so that importing the package (and starting the CLI) is cheap.
+
+# uint64 cells in the largest AND block pair_blocks yields (512 KiB)
+_BLOCK_CELLS = 1 << 16
 
 
 def _check_enum_cap(n: int, cap: int) -> None:
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the enumeration cap {cap}", "enum_cap", cap)
+
+
+def _as_ints(what: str, *values) -> Tuple[int, ...]:
+    """The values as Python ints; numpy integers pass.  A bool, float, string
+    or None is a ValueError naming `what` (a raise, so `python -O` keeps it)."""
+    if not any(isinstance(v, bool) for v in values):
+        try:
+            return tuple(map(operator.index, values))
+        except TypeError:
+            pass
+    kind = "an integer" if len(values) == 1 else "integers"
+    raise ValueError(f"{what} must be {kind}, got {', '.join(map(repr, values))}")
 
 
 def edge_hits(n: int, edges: Iterable, cap: int = DEFAULT_ENUM_CAP):
@@ -534,23 +549,52 @@ def mask_matrix(masks: Sequence[int]):
     return np.frombuffer(buf, dtype="<u8").reshape(len(masks), words)
 
 
-def overlaps(mat, row):
-    """Shared-bit count of `row` with every row of the mask matrix `mat`."""
+def pair_blocks(a, b=None):
+    """AND blocks of rows of the (V, W) uint64 mask matrix `a` against `b`.
+
+    Yields (lo, block) with block[i, j] = a[lo + i] & b[j] or, without b,
+    a[lo + i] & a[lo + j] (only j > i is a new pair).  Every block has as
+    many rows as keep it within _BLOCK_CELLS cells, at least one, so the
+    temporaries stay near 512 KiB however many rows there are.
+    """
+    V, W = a.shape
+    step = max(1, _BLOCK_CELLS // max(1, W * (V if b is None else len(b))))
+    for lo in range(0, V, step):
+        yield lo, a[lo : lo + step, None, :] & (a[None, lo:] if b is None else b[None])
+
+
+def shared_bits(block):
+    """Popcounts of a pair_blocks block summed over its words.  The words are
+    added slice by slice: numpy sums a short last axis far more slowly."""
     import numpy as np
 
-    return np.bitwise_count(mat & row).sum(axis=1)
+    counts = np.bitwise_count(block)
+    if counts.shape[2] == 1:
+        return counts[..., 0]
+    return sum(counts[..., w].astype(np.int32) for w in range(counts.shape[2]))
 
 
 def min_pairwise_intersection(masks: Sequence[int]) -> Optional[int]:
     """Smallest edge overlap over all pairs of bitmasks (None if fewer than 2).
 
-    One row against the rows after it at a time, so memory stays O(V W)
-    rather than V x V.
+    A block of rows at a time against the rows from the block on, so memory
+    stays O(V W) rather than V x V.  A disjoint pair ends the sweep at 0.
     """
+    import numpy as np
+
     if len(masks) < 2:
         return None
     mat = mask_matrix(masks)
-    return min(int(overlaps(mat[i + 1 :], mat[i]).min()) for i in range(len(mat) - 1))
+    best = 64 * mat.shape[1]
+    for _, block in pair_blocks(mat):
+        shared = shared_bits(block)
+        k = len(shared)
+        # column j is row lo + j: j <= i is the diagonal or a pair seen already
+        shared[:, :k][np.tri(k, dtype=bool)] = best
+        best = min(best, int(shared.min()))
+        if best == 0:
+            break
+    return best
 
 
 @lru_cache(maxsize=None)

@@ -34,9 +34,13 @@ from treefam.trees import (
     CapExceeded,
     Forest,
     Tree,
+    _BLOCK_CELLS,
     cayley_count,
+    edges_to_mask,
     is_d_star_like,
     iter_forests,
+    mask_matrix,
+    pair_blocks,
     sample_uniform_tree,
 )
 
@@ -113,6 +117,69 @@ def test_min_pairwise_intersection_matches_loop(n):
     assert min_pairwise_intersection([0b111]) is None
 
 
+def _triangle_step(V):
+    """Rows per block of pair_blocks' triangle sweep over V one-word rows."""
+    return max(1, _BLOCK_CELLS // V)
+
+
+# the n = 7 threshold family: 3,332 trees, every pair shares at least one edge
+_THRESHOLD7 = realize_threshold_family(7, balanced_forest(7, 3), 2)
+# prefix lengths of it whose last block is full, and one row short
+_EXACT_V = next(V for V in range(600, 3333) if V % _triangle_step(V) == 0)
+_SHORT_V = next(
+    V for V in range(600, 3333) if V % _triangle_step(V) == _triangle_step(V) - 1
+)
+
+
+@pytest.mark.parametrize("V", [_EXACT_V, _SHORT_V])
+def test_min_pairwise_intersection_across_block_boundaries(V):
+    step = _triangle_step(V)
+    assert V >= 3 * step  # several blocks
+    masks = list(_THRESHOLD7[:V])
+    blocks = [(lo, len(block)) for lo, block in pair_blocks(mask_matrix(masks))]
+    assert blocks[-1][0] + blocks[-1][1] == V
+    assert blocks[-1][1] == (step if V == _EXACT_V else step - 1)
+    assert min_pairwise_intersection(masks) == _min_overlap_loop(masks) == 1
+
+
+def test_min_pairwise_intersection_two_word_masks():
+    rng = random.Random(11)
+    masks = [rng.getrandbits(100) | 1 << 99 for _ in range(300)]
+    assert mask_matrix(masks).shape == (300, 2)
+    assert len(list(pair_blocks(mask_matrix(masks)))) >= 3
+    want = _min_overlap_loop(masks)
+    assert want > 0
+    assert min_pairwise_intersection(masks) == want
+
+
+def test_min_pairwise_intersection_two_masks_and_early_exit():
+    assert min_pairwise_intersection([0b1011, 0b0110]) == 1
+    assert min_pairwise_intersection([0b1011, 0b0100]) == 0
+    assert min_pairwise_intersection([1 << 90 | 1, 1 << 90 | 2]) == 1
+    # F's three edges meet every member in two or more, the other 18 edges
+    # of K_7 in three or more; the pair itself is disjoint, in the last block
+    f = edges_to_mask(7, balanced_forest(7, 3).edges)
+    masks = list(_THRESHOLD7[: _SHORT_V - 2]) + [f, (1 << 21) - 1 & ~f]
+    assert min_pairwise_intersection(masks) == _min_overlap_loop(masks) == 0
+
+
+def test_min_pairwise_intersection_stops_at_a_disjoint_pair(monkeypatch):
+    import treefam.trees as trees
+
+    seen = []
+    blocks = trees.pair_blocks
+
+    def counted(*args):
+        for item in blocks(*args):
+            seen.append(item[0])
+            yield item
+
+    monkeypatch.setattr(trees, "pair_blocks", counted)
+    masks = [0] + list(_THRESHOLD7[: _EXACT_V - 1])
+    assert min_pairwise_intersection(masks) == 0
+    assert seen == [0]
+
+
 def test_realizations_reject_out_of_range_and_duplicate_edges():
     # (2,7) is not an edge of K_6; unchecked, its bit 9 is the edge (3,4)
     with pytest.raises(ValueError, match="out of range"):
@@ -146,6 +213,16 @@ def test_family_spec_roundtrip_and_verify():
         FamilySpec("trivial", 5, 1)  # no edges
     with pytest.raises(ValueError):
         FamilySpec("explicit", 4, 1, members=[[(1, 2)]]).realize()  # not spanning
+
+
+@pytest.mark.parametrize("n, t, threshold", [
+    (6, True, 3), (6, 2, True), (True, 1, 1), (6.0, 2, 3), (6, 2, 2.5),
+])
+def test_family_spec_rejects_non_integers(n, t, threshold):
+    from treefam.extremal import FamilySpec
+
+    with pytest.raises(ValueError, match="n, t and threshold must be integers"):
+        FamilySpec("threshold", n, t, edges=[(1, 2), (2, 3)], threshold=threshold)
 
 
 # -- balanced forests ---------------------------------------------------------
@@ -262,6 +339,23 @@ def test_scan_15_8_balanced_forests():
     assert [r.size for r in rep.rows] == [145_800_000, 74_631_375]
     assert rep.best_j == 0
     assert rep.weak_consistent is None  # t > n/2: the flag does not apply
+
+
+@pytest.mark.parametrize("n, t, j_max", [
+    (9, 2.0, 1), (9, True, 1), (9.0, 2, 1), ("9", 2, 1), (9, 2, True), (9, 2, 1.0),
+])
+def test_scan_rejects_non_integers(n, t, j_max):
+    # (9, 2.0, 1) used to raise a bare TypeError, (9, True, 1) to report t: true
+    with pytest.raises(ValueError, match="n, t and j_max must be integers"):
+        conjecture_scan(n, t, j_max)
+
+
+def test_scan_accepts_numpy_integers():
+    import numpy as np
+
+    rep = conjecture_scan(np.int64(9), np.int64(2), np.int64(1))
+    assert rep.to_dict() == conjecture_scan(9, 2, 1).to_dict()
+    assert type(rep.to_dict()["t"]) is int
 
 
 def test_scan_9_4_table():

@@ -235,6 +235,19 @@ def test_build_gamma_rejects_non_integer_t():
     assert type(dg.t) is int and dg.summary()["t"] == 2
 
 
+def test_bools_are_not_integers_for_gamma():
+    # True used to build Gamma_1 through operator.index
+    k4 = SimpleGraph.complete(4)
+    with pytest.raises(ValueError, match="t must be an integer, got True"):
+        build_gamma(k4, True)
+    dg = build_gamma(k4, 1)
+    with pytest.raises(ValueError, match="member mask must be an integer"):
+        TreeFamily(dg, True)
+    for search in (max_clique, max_independent_set):
+        with pytest.raises(ValueError, match="node budget must be an integer"):
+            search(dg, budget=False)
+
+
 def test_tree_family_rejects_masks_outside_the_vertices():
     dg = build_gamma(SimpleGraph.complete(4), 1)
     for mask in (-1, 1 << 16, 1 << 200):

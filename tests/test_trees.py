@@ -9,6 +9,8 @@ from treefam.trees import (
     CapExceeded,
     Forest,
     Tree,
+    _BLOCK_CELLS,
+    _as_ints,
     all_edges,
     cayley_count,
     components,
@@ -22,6 +24,7 @@ from treefam.trees import (
     iter_forests,
     iter_forests_with_count,
     mask_to_edges,
+    pair_blocks,
     parse_edge_list,
     prufer_decode,
     prufer_encode,
@@ -307,6 +310,54 @@ def test_tree_masks_match_enumeration():
     masks = tree_masks(n)
     for i, t in enumerate(enumerate_trees(n)):
         assert masks[i] == edges_to_mask(n, t.edges)
+
+
+@pytest.mark.parametrize("rows,cols,words", [
+    (1296, None, 1),  # triangle of Gamma_t(K_6)'s matrix
+    (1296, 1296, 1),  # Gamma_t(K_6) rows against the whole matrix
+    (528, 528, 2),  # two-word masks
+    (300, None, 2),
+    (5, 3, 1),  # fewer rows than one block
+    (2, None, 1),
+    (4, 70_000, 1),  # one row against more columns than a block holds
+    (3, None, 40_000),  # a single row wider than a block
+    (0, 7, 1),
+])
+def test_pair_blocks_stay_within_the_cell_budget(rows, cols, words):
+    import numpy as np
+
+    rng = np.random.default_rng(rows)
+    a = rng.integers(0, 1 << 63, size=(rows, words), dtype=np.uint64)
+    b = None
+    if cols is not None:
+        b = rng.integers(0, 1 << 63, size=(cols, words), dtype=np.uint64)
+    next_lo = 0
+    for lo, block in pair_blocks(a, b):
+        k, c, w = block.shape
+        assert k * c * w <= _BLOCK_CELLS or k == 1
+        assert lo == next_lo and w == words
+        other = a[lo:] if b is None else b
+        assert c == len(other)
+        assert np.array_equal(block, a[lo : lo + k, None, :] & other[None, :, :])
+        next_lo = lo + k
+    assert next_lo == rows
+
+
+@pytest.mark.parametrize("value", [True, False, 2.0, 1.5, "3", None, [3]])
+def test_as_ints_rejects_non_integers(value):
+    with pytest.raises(ValueError, match=r"^x must be an integer, got "):
+        _as_ints("x", value)
+    with pytest.raises(ValueError, match=r"^x and y must be integers, got 4, "):
+        _as_ints("x and y", 4, value)
+
+
+def test_as_ints_accepts_python_and_numpy_integers():
+    import numpy as np
+
+    out = _as_ints("n, t and budget", 7, np.int64(3), np.uint8(5))
+    assert out == (7, 3, 5)
+    assert all(type(v) is int for v in out)
+    assert _as_ints("nothing") == ()
 
 
 # -- forest iteration --------------------------------------------------------
