@@ -1,6 +1,7 @@
 """Command-line front end: every workbench operation behind one binary.
 
-Subcommands (see README for the full flag reference and output schemas):
+Subcommands (run `treefam <command> [<sub>] --help` for the flags of each;
+see README for the output schemas):
 
     enumerate                   stream spanning trees of K_n by tree index
     count contain|matching|at-least
@@ -27,7 +28,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -37,18 +37,6 @@ from . import counting, extremal, gamma, spread, trees
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_UNKNOWN_COMMAND = 64
-
-_COMMANDS = {
-    "enumerate": None,
-    "count": ("contain", "matching", "at-least"),
-    "spread": ("check",),
-    "gamma": ("build", "alpha", "omega", "packing"),
-    "family": ("size", "verify", "scan"),
-    "dt": None,
-    "llll": ("check", "notstar"),
-    "search": ("max",),
-    "sample": None,
-}
 
 
 class CLIError(Exception):
@@ -64,72 +52,82 @@ class _Parser(argparse.ArgumentParser):
         raise CLIError(message)
 
 
-@dataclass
-class RunConfig:
-    """Reproducibility knobs shared by every subcommand.
+# Argparse keywords of every flag.  A command's table entry names the flags it
+# reads; "!" marks one required, "=a|b" restricts it to those choices.
+_FLAGS = {
+    "format": dict(choices=("json", "csv", "text"), default="json"),
+    "reproducible": dict(action="store_true"),
+    "seed": dict(type=int, default=0),
+    "enum-cap": dict(type=int),
+    "ie-cap": dict(type=int),
+    "budget": dict(type=int, help="search node budget"),
+    "n": dict(type=int),
+    "t": dict(type=int),
+    "l": dict(type=int),
+    "m": dict(type=int),
+    "j": dict(type=int, default=0),
+    "j-max": dict(type=int),
+    "kind": dict(),
+    "shape": dict(choices=extremal.COMPONENT_SHAPES, default="path"),
+    "edges": dict(),
+    "edges-file": dict(),
+    "start": dict(type=int, default=0),
+    "stop": dict(type=int),
+    "count": dict(type=int, default=1),
+    "r": dict(help="rational, e.g. 3 or 7/2"),
+    "edge-budget": dict(type=int),
+    "witness": dict(action="store_true"),
+    "graph": dict(help="K<n>/C<n>/P<n> or file"),
+    "graph-n": dict(type=int),
+    "cap": dict(type=int, default=gamma.DEFAULT_GAMMA_CAP),
+    "out": dict(help="binary adjacency dump path"),
+    "spec": dict(help="FamilySpec JSON file"),
+    "p": dict(help="comma list of rationals"),
+    "x": dict(help="comma list of rationals"),
+    "graph-edges": dict(
+        default="", help="dependency edges over event indices, e.g. 0-1,1-2"
+    ),
+}
 
-    Caps fall back to TREEFAM_ENUM_CAP / TREEFAM_IE_CAP / TREEFAM_NODE_BUDGET
-    environment variables before the built-in defaults.
-    """
-
-    seed: int = 0
-    enum_cap: int = trees.DEFAULT_ENUM_CAP
-    ie_cap: int = counting.DEFAULT_IE_CAP
-    node_budget: int = gamma.DEFAULT_NODE_BUDGET
-    fmt: str = "json"
-    component_shape: str = "path"
-    reproducible: bool = False
+# Cap flags: argparse dest -> (environment variable, default).
+_CAPS = {
+    "enum_cap": ("TREEFAM_ENUM_CAP", trees.DEFAULT_ENUM_CAP),
+    "ie_cap": ("TREEFAM_IE_CAP", counting.DEFAULT_IE_CAP),
+    "budget": ("TREEFAM_NODE_BUDGET", gamma.DEFAULT_NODE_BUDGET),
+}
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise CLIError(f"environment variable {name}={raw!r} is not an integer")
+def _parser(path: Tuple[str, ...], flags: str) -> _Parser:
+    p = _Parser(prog="treefam " + " ".join(path))
+    for token in ("format", *flags.split(), "reproducible"):
+        token, _, choices = token.partition("=")
+        name = token.rstrip("!")
+        kw = dict(_FLAGS[name])
+        if token.endswith("!"):
+            kw["required"] = True
+        if choices:
+            kw["choices"] = tuple(choices.split("|"))
+        p.add_argument("--" + name, **kw)
+    return p
 
 
-def _common_flags(p: _Parser) -> None:
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--enum-cap", type=int, default=None)
-    p.add_argument("--ie-cap", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None, help="search node budget")
-    p.add_argument("--reproducible", action="store_true")
-
-
-def _config(args) -> RunConfig:
-    cfg = RunConfig(
-        seed=args.seed,
-        enum_cap=(
-            args.enum_cap
-            if args.enum_cap is not None
-            else _env_int("TREEFAM_ENUM_CAP", trees.DEFAULT_ENUM_CAP)
-        ),
-        ie_cap=(
-            args.ie_cap
-            if args.ie_cap is not None
-            else _env_int("TREEFAM_IE_CAP", counting.DEFAULT_IE_CAP)
-        ),
-        node_budget=(
-            args.budget
-            if args.budget is not None
-            else _env_int("TREEFAM_NODE_BUDGET", gamma.DEFAULT_NODE_BUDGET)
-        ),
-        fmt=args.format,
-        component_shape=getattr(args, "shape", "path"),
-        reproducible=args.reproducible,
-    )
-    for name, value in (
-        ("enum-cap", cfg.enum_cap),
-        ("ie-cap", cfg.ie_cap),
-        ("budget", cfg.node_budget),
-    ):
+def _fill_caps(args) -> None:
+    """Each cap the command takes: its flag, else its TREEFAM_* variable, else
+    the default; a non-positive value is a validation error."""
+    for dest, (env, value) in _CAPS.items():
+        if not hasattr(args, dest):
+            continue
+        raw = os.environ.get(env)
+        if getattr(args, dest) is not None:
+            value = getattr(args, dest)
+        elif raw is not None:
+            try:
+                value = int(raw)
+            except ValueError:
+                raise CLIError(f"environment variable {env}={raw!r} is not an integer")
         if value <= 0:
-            raise CLIError(f"--{name} must be positive, got {value}")
-    return cfg
+            raise CLIError(f"--{dest.replace('_', '-')} must be positive, got {value}")
+        setattr(args, dest, value)
 
 
 # -- argument helpers ----------------------------------------------------------
@@ -156,16 +154,18 @@ def _parse_edges_arg(spec: Optional[str], path: Optional[str]) -> List[trees.Edg
     return out
 
 
+def _forest(n: int, edges) -> trees.Forest:
+    try:
+        return trees.Forest(n, edges)
+    except ValueError as e:
+        raise CLIError(f"not a forest: {e}")
+
+
 def _parse_graph_arg(spec: str, n_override: Optional[int]) -> gamma.SimpleGraph:
     """K<n>, C<n>, P<n> aliases, or a path to an edge-list file."""
     if len(spec) >= 2 and spec[0] in "KCP" and spec[1:].isdigit():
-        n = int(spec[1:])
-        kind = spec[0]
-        if kind == "K":
-            return gamma.SimpleGraph.complete(n)
-        if kind == "C":
-            return gamma.SimpleGraph.cycle(n)
-        return gamma.SimpleGraph.path(n)
+        G = gamma.SimpleGraph
+        return {"K": G.complete, "C": G.cycle, "P": G.path}[spec[0]](int(spec[1:]))
     try:
         with open(spec) as fh:
             return gamma.SimpleGraph.from_edge_list_text(fh.read(), n_override)
@@ -190,15 +190,19 @@ def _edges_json(edges) -> list:
     return [list(e) for e in edges]
 
 
+def _trees_json(ts) -> list:
+    return [_edges_json(t.edges) for t in ts]
+
+
 # -- subcommand handlers ---------------------------------------------------
-# Each returns (payload dict, csv (header, rows) or None).
+# Each takes the parsed namespace and returns (payload dict, csv (header,
+# rows) or None).
 
 
-def _cmd_enumerate(args, cfg: RunConfig):
-    stream = trees.enumerate_trees(
-        args.n, cap=cfg.enum_cap, start=args.start, stop=args.stop
+def _cmd_enumerate(args):
+    out = _trees_json(
+        trees.enumerate_trees(args.n, cap=args.enum_cap, start=args.start, stop=args.stop)
     )
-    out = [_edges_json(t.edges) for t in stream]
     payload = {
         "n": args.n,
         "start": args.start,
@@ -209,20 +213,20 @@ def _cmd_enumerate(args, cfg: RunConfig):
     return payload, (("n", "tree_index", "edges"), rows)
 
 
-def _cmd_count_contain(args, cfg: RunConfig):
+def _cmd_count_contain(args):
     edges = _parse_edges_arg(args.edges, args.edges_file)
     count = counting.count_trees_containing(args.n, edges)
     return {"n": args.n, "edges": _edges_json(edges), "count": str(count)}, None
 
 
-def _cmd_count_matching(args, cfg: RunConfig):
+def _cmd_count_matching(args):
     count = counting.count_matching_family(args.n, args.l)
     return {"n": args.n, "l": args.l, "count": str(count)}, None
 
 
-def _cmd_count_at_least(args, cfg: RunConfig):
+def _cmd_count_at_least(args):
     edges = _parse_edges_arg(args.edges, args.edges_file)
-    count = counting.count_at_least(args.n, edges, args.m, ie_cap=cfg.ie_cap)
+    count = counting.count_at_least(args.n, edges, args.m, ie_cap=args.ie_cap)
     return {
         "n": args.n,
         "edges": _edges_json(edges),
@@ -231,7 +235,7 @@ def _cmd_count_at_least(args, cfg: RunConfig):
     }, None
 
 
-def _cmd_spread_check(args, cfg: RunConfig):
+def _cmd_spread_check(args):
     r = _parse_rational(args.r)
     if args.t is None:
         report = spread.verify_r_spread(args.n, r, args.edge_budget)
@@ -248,7 +252,7 @@ def _cmd_spread_check(args, cfg: RunConfig):
     return payload, None
 
 
-def _cmd_gamma_build(args, cfg: RunConfig):
+def _cmd_gamma_build(args):
     g = _parse_graph_arg(args.graph, args.graph_n)
     dg = gamma.build_gamma(g, args.t, cap=args.cap)
     payload = dg.summary()
@@ -258,71 +262,60 @@ def _cmd_gamma_build(args, cfg: RunConfig):
     return payload, None
 
 
-def _cmd_gamma_alpha(args, cfg: RunConfig):
-    return _gamma_search(args, cfg, independent=True)
-
-
-def _cmd_gamma_omega(args, cfg: RunConfig):
-    return _gamma_search(args, cfg, independent=False)
-
-
-def _gamma_search(args, cfg: RunConfig, independent: bool):
-    g = _parse_graph_arg(args.graph, args.graph_n)
-    dg = gamma.build_gamma(g, args.t, cap=args.cap)
-    if independent:
-        res = gamma.max_independent_set(dg, budget=cfg.node_budget)
-    else:
-        res = gamma.max_clique(dg, budget=cfg.node_budget)
-    payload = {
-        "n": g.n,
-        "t": args.t,
-        "kind": "independent_set" if independent else "clique",
+def _search_payload(head: dict, res, **tail) -> dict:
+    """A search result: `head`, then size, optimal and nodes, `tail`, trees."""
+    return {
+        **head,
         "size": res.size,
         "optimal": res.optimal,
         "nodes": res.nodes,
-        "trees": [_edges_json(t.edges) for t in res.family.trees()],
+        **tail,
+        "trees": _trees_json(res.family.trees()),
     }
-    return payload, None
 
 
-def _cmd_gamma_packing(args, cfg: RunConfig):
+def _cmd_gamma_search(args, independent: bool):
     g = _parse_graph_arg(args.graph, args.graph_n)
-    res = gamma.packing_number(g)
-    return res.to_dict(), None
+    dg = gamma.build_gamma(g, args.t, cap=args.cap)
+    search = gamma.max_independent_set if independent else gamma.max_clique
+    kind = "independent_set" if independent else "clique"
+    res = search(dg, budget=args.budget)
+    return _search_payload({"n": g.n, "t": args.t, "kind": kind}, res), None
 
 
-def _cmd_family_size(args, cfg: RunConfig):
-    kind = args.kind
+def _cmd_gamma_packing(args):
+    g = _parse_graph_arg(args.graph, args.graph_n)
+    return gamma.packing_number(g).to_dict(), None
+
+
+def _cmd_family_size(args):
+    kind, n = args.kind, args.n
     if kind == "trivial":
         edges = _parse_edges_arg(args.edges, args.edges_file)
-        try:
-            f = trees.Forest(args.n, edges)
-        except ValueError as e:
-            raise CLIError(f"not a forest: {e}")
-        size = extremal.trivial_family_size(args.n, f)
-        return {"kind": kind, "n": args.n, "t": len(edges), "size": str(size)}, None
+        size = extremal.trivial_family_size(n, _forest(n, edges))
+        return {"kind": kind, "n": n, "t": len(edges), "size": str(size)}, None
     if kind == "stars-plus-edge":
-        size = extremal.stars_plus_edge_size(args.n)
-        return {"kind": kind, "n": args.n, "t": 1, "size": str(size)}, None
+        size = extremal.stars_plus_edge_size(n)
+        return {"kind": kind, "n": n, "t": 1, "size": str(size)}, None
+    if args.t is None:
+        raise CLIError(f"--t is required with --kind {kind}")
     if kind == "ntj":
         size = extremal.family_F_ntj_size(
-            args.n, args.t, args.j, shape=cfg.component_shape, ie_cap=cfg.ie_cap
+            n, args.t, args.j, shape=args.shape, ie_cap=args.ie_cap
         )
         return {
             "kind": kind,
-            "n": args.n,
+            "n": n,
             "t": args.t,
             "j": args.j,
-            "shape": cfg.component_shape,
+            "shape": args.shape,
             "size": str(size),
         }, None
-    if kind == "example":
-        rep = extremal.example_closed_form(args.n, args.t)
-        return {"kind": kind, **rep.to_dict()}, None
-    raise CLIError(f"unknown family kind {kind!r}")
+    rep = extremal.example_closed_form(n, args.t)
+    return {"kind": kind, **rep.to_dict()}, None
 
 
-def _cmd_family_verify(args, cfg: RunConfig):
+def _cmd_family_verify(args):
     if args.spec is not None:
         try:
             with open(args.spec) as fh:
@@ -335,7 +328,7 @@ def _cmd_family_verify(args, cfg: RunConfig):
     else:
         kind = args.kind
         fs = _family_spec_from_flags(args)
-    ok, mpi, size = fs.verify(cap=cfg.enum_cap)
+    ok, mpi, size = fs.verify(cap=args.enum_cap)
     return {
         "kind": kind,
         "n": fs.n,
@@ -355,10 +348,7 @@ def _family_spec_from_flags(args) -> extremal.FamilySpec:
     edges = None
     if args.kind == "trivial":
         edges = _parse_edges_arg(args.edges, args.edges_file)
-        try:
-            trees.Forest(args.n, edges)
-        except ValueError as e:
-            raise CLIError(f"not a forest: {e}")
+        _forest(args.n, edges)
         claimed = len(edges)
     elif args.kind == "stars-plus-edge":
         claimed = 1
@@ -374,24 +364,19 @@ def _family_spec_from_flags(args) -> extremal.FamilySpec:
     return extremal.FamilySpec(kind, args.n, claimed, edges=edges, threshold=args.m)
 
 
-def _cmd_family_scan(args, cfg: RunConfig):
+def _cmd_family_scan(args):
     rep = extremal.conjecture_scan(
-        args.n, args.t, args.j_max, shape=cfg.component_shape, ie_cap=cfg.ie_cap
+        args.n, args.t, args.j_max, shape=args.shape, ie_cap=args.ie_cap
     )
-    payload = rep.to_dict()
-    rows = [
-        (r.n, r.t, r.j, str(r.size), int(r.winner))
-        for r in rep.rows
-    ]
-    return payload, (("n", "t", "j", "size", "winner"), rows)
+    rows = [(r.n, r.t, r.j, str(r.size), int(r.winner)) for r in rep.rows]
+    return rep.to_dict(), (("n", "t", "j", "size", "winner"), rows)
 
 
-def _cmd_dt(args, cfg: RunConfig):
-    rep = extremal.blocked_Dt(args.n, args.t, enum_cap=cfg.enum_cap)
-    return rep.to_dict(), None
+def _cmd_dt(args):
+    return extremal.blocked_Dt(args.n, args.t, enum_cap=args.enum_cap).to_dict(), None
 
 
-def _cmd_llll_check(args, cfg: RunConfig):
+def _cmd_llll_check(args):
     p = _parse_rational_list(args.p)
     x = _parse_rational_list(args.x)
     adjacency: List[List[int]] = [[] for _ in p]
@@ -412,240 +397,149 @@ def _cmd_llll_check(args, cfg: RunConfig):
     return rep.to_dict(), None
 
 
-def _cmd_llll_notstar(args, cfg: RunConfig):
+def _cmd_llll_notstar(args):
     t0 = trees.Forest(args.n, _parse_edges_arg(args.edges, args.edges_file))
     rep = extremal.lemma_notstar_check(
-        args.n, t0, ie_cap=cfg.ie_cap, enum_cap=cfg.enum_cap
+        args.n, t0, ie_cap=args.ie_cap, enum_cap=args.enum_cap
     )
     return rep.to_dict(), None
 
 
-def _cmd_search_max(args, cfg: RunConfig):
+def _cmd_search_max(args):
     res, comparison = extremal.brute_force_max_t_intersecting(
-        args.n, args.t, node_budget=cfg.node_budget
+        args.n, args.t, node_budget=args.budget
     )
-    payload = {
-        "n": args.n,
-        "t": args.t,
-        "size": res.size,
-        "optimal": res.optimal,
-        "nodes": res.nodes,
-        "comparison": {
-            k: (str(v) if isinstance(v, int) and not isinstance(v, bool) else v)
-            for k, v in comparison.items()
-        },
-        "trees": [_edges_json(t.edges) for t in res.family.trees()],
+    comparison = {
+        k: (str(v) if isinstance(v, int) and not isinstance(v, bool) else v)
+        for k, v in comparison.items()
     }
-    return payload, None
+    return _search_payload({"n": args.n, "t": args.t}, res, comparison=comparison), None
 
 
-def _cmd_sample(args, cfg: RunConfig):
-    ts = trees.sample_uniform_trees(args.n, cfg.seed, args.count)
+def _cmd_sample(args):
+    ts = trees.sample_uniform_trees(args.n, args.seed, args.count)
     payload = {
         "n": args.n,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "count": str(len(ts)),
-        "trees": [_edges_json(t.edges) for t in ts],
+        "trees": _trees_json(ts),
     }
     return payload, None
 
 
-# -- parser table ----------------------------------------------------------
+# -- command table -------------------------------------------------------------
+# (command, subcommand) -> (handler, the flags it reads besides --format and
+# --reproducible).  Routing, parsing and the subcommand errors all read this.
 
-
-def _build_parser(path: Tuple[str, ...]) -> Tuple[_Parser, object]:
-    prog = "treefam " + " ".join(path)
-    p = _Parser(prog=prog, add_help=True)
-    _common_flags(p)
-    if path == ("enumerate",):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--start", type=int, default=0)
-        p.add_argument("--stop", type=int, default=None)
-        return p, _cmd_enumerate
-    if path == ("count", "contain"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--edges", default=None)
-        p.add_argument("--edges-file", default=None)
-        return p, _cmd_count_contain
-    if path == ("count", "matching"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--l", type=int, required=True)
-        return p, _cmd_count_matching
-    if path == ("count", "at-least"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--edges", default=None)
-        p.add_argument("--edges-file", default=None)
-        p.add_argument("--m", type=int, required=True)
-        return p, _cmd_count_at_least
-    if path == ("spread", "check"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--r", required=True, help="rational, e.g. 3 or 7/2")
-        p.add_argument("--t", type=int, default=None)
-        p.add_argument("--edge-budget", type=int, default=None)
-        p.add_argument("--witness", action="store_true")
-        return p, _cmd_spread_check
-    if path[0] == "gamma":
-        p.add_argument("--graph", required=True, help="K<n>/C<n>/P<n> or file")
-        p.add_argument("--graph-n", type=int, default=None)
-        if path[1] != "packing":
-            p.add_argument("--t", type=int, required=True)
-            p.add_argument("--cap", type=int, default=gamma.DEFAULT_GAMMA_CAP)
-        if path[1] == "build":
-            p.add_argument("--out", default=None, help="binary adjacency dump path")
-            return p, _cmd_gamma_build
-        if path[1] == "alpha":
-            return p, _cmd_gamma_alpha
-        if path[1] == "omega":
-            return p, _cmd_gamma_omega
-        return p, _cmd_gamma_packing
-    if path == ("family", "size"):
-        p.add_argument(
-            "--kind",
-            required=True,
-            choices=("trivial", "stars-plus-edge", "ntj", "example"),
-        )
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--t", type=int, default=None)
-        p.add_argument("--j", type=int, default=0)
-        p.add_argument("--edges", default=None)
-        p.add_argument("--edges-file", default=None)
-        p.add_argument("--shape", choices=extremal.COMPONENT_SHAPES, default="path")
-        return p, _cmd_family_size
-    if path == ("family", "verify"):
-        p.add_argument(
-            "--kind",
-            default=None,
-            choices=("trivial", "stars-plus-edge", "threshold"),
-        )
-        p.add_argument("--spec", default=None, help="FamilySpec JSON file")
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--t", type=int, default=None, help="claimed intersection")
-        p.add_argument("--m", type=int, default=None, help="threshold")
-        p.add_argument("--edges", default=None)
-        p.add_argument("--edges-file", default=None)
-        return p, _cmd_family_verify
-    if path == ("family", "scan"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--t", type=int, required=True)
-        p.add_argument("--j-max", type=int, required=True)
-        p.add_argument("--shape", choices=extremal.COMPONENT_SHAPES, default="path")
-        return p, _cmd_family_scan
-    if path == ("dt",):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--t", type=int, required=True)
-        return p, _cmd_dt
-    if path == ("llll", "check"):
-        p.add_argument("--p", required=True, help="comma list of rationals")
-        p.add_argument("--x", required=True, help="comma list of rationals")
-        p.add_argument(
-            "--graph-edges",
-            default="",
-            help="dependency edges over event indices, e.g. 0-1,1-2",
-        )
-        return p, _cmd_llll_check
-    if path == ("llll", "notstar"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--edges", default=None)
-        p.add_argument("--edges-file", default=None)
-        return p, _cmd_llll_notstar
-    if path == ("search", "max"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--t", type=int, required=True)
-        return p, _cmd_search_max
-    if path == ("sample",):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--count", type=int, default=1)
-        return p, _cmd_sample
-    raise AssertionError(f"no parser for {path}")
+COMMANDS = {
+    ("enumerate",): (_cmd_enumerate, "n! start stop enum-cap"),
+    ("count", "contain"): (_cmd_count_contain, "n! edges edges-file"),
+    ("count", "matching"): (_cmd_count_matching, "n! l!"),
+    ("count", "at-least"): (_cmd_count_at_least, "n! edges edges-file m! ie-cap"),
+    ("spread", "check"): (_cmd_spread_check, "n! r! t edge-budget witness"),
+    ("gamma", "build"): (_cmd_gamma_build, "graph! graph-n t! cap out"),
+    ("gamma", "alpha"): (
+        lambda args: _cmd_gamma_search(args, independent=True),
+        "graph! graph-n t! cap budget",
+    ),
+    ("gamma", "omega"): (
+        lambda args: _cmd_gamma_search(args, independent=False),
+        "graph! graph-n t! cap budget",
+    ),
+    ("gamma", "packing"): (_cmd_gamma_packing, "graph! graph-n"),
+    ("family", "size"): (
+        _cmd_family_size,
+        "kind!=trivial|stars-plus-edge|ntj|example n! t j edges edges-file shape ie-cap",
+    ),
+    ("family", "verify"): (
+        _cmd_family_verify,
+        "kind=trivial|stars-plus-edge|threshold spec n t m edges edges-file enum-cap",
+    ),
+    ("family", "scan"): (_cmd_family_scan, "n! t! j-max! shape ie-cap"),
+    ("dt",): (_cmd_dt, "n! t! enum-cap"),
+    ("llll", "check"): (_cmd_llll_check, "p! x! graph-edges"),
+    ("llll", "notstar"): (_cmd_llll_notstar, "n! edges edges-file ie-cap enum-cap"),
+    ("search", "max"): (_cmd_search_max, "n! t! budget"),
+    ("sample",): (_cmd_sample, "n! count seed"),
+}
 
 
 # -- rendering ---------------------------------------------------------------
 
 
-def _flatten_for_csv(payload: dict) -> Tuple[Tuple[str, ...], list]:
-    rows = []
-    for k, v in payload.items():
-        if isinstance(v, (dict, list)):
-            rows.append((k, json.dumps(v)))
-        else:
-            rows.append((k, v))
-    return ("key", "value"), rows
-
-
-def _render(payload: dict, csv_spec, cfg: RunConfig) -> str:
-    if cfg.fmt == "json":
-        body = dict(payload)
-        if not cfg.reproducible:
-            body["generated_at"] = datetime.now(timezone.utc).isoformat()
+def _render(payload: dict, csv_spec, args) -> str:
+    stamp = None if args.reproducible else datetime.now(timezone.utc).isoformat()
+    if args.format == "json":
+        body = payload if stamp is None else {**payload, "generated_at": stamp}
         return json.dumps(body, indent=2) + "\n"
-    if cfg.fmt == "csv":
-        header, rows = csv_spec if csv_spec is not None else _flatten_for_csv(payload)
+    flat = [
+        (k, json.dumps(v) if isinstance(v, (dict, list)) else v)
+        for k, v in payload.items()
+    ]
+    if args.format == "csv":
+        header, rows = (("key", "value"), flat) if csv_spec is None else csv_spec
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
         return buf.getvalue()
-    lines = []
-    for k, v in payload.items():
-        if isinstance(v, (dict, list)):
-            lines.append(f"{k}: {json.dumps(v)}")
-        else:
-            lines.append(f"{k}: {v}")
-    if not cfg.reproducible:
-        lines.append(f"generated_at: {datetime.now(timezone.utc).isoformat()}")
-    return "\n".join(lines) + "\n"
+    if stamp is not None:
+        flat.append(("generated_at", stamp))
+    return "".join(f"{k}: {v}\n" for k, v in flat)
 
 
-def _error_object(message: str, cap: Optional[str] = None) -> str:
+def _fail(message: str, code: int = EXIT_VALIDATION, cap: Optional[str] = None) -> int:
+    """Write the JSON error object and return the exit code."""
     err = {"message": message}
     if cap is not None:
         err["cap"] = cap
-    return json.dumps({"error": err}) + "\n"
+    sys.stdout.write(json.dumps({"error": err}) + "\n")
+    return code
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    # exact counts outgrow CPython's 4300-digit int/str limit; lift it for
+    # this call only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: List[str]) -> int:
     if not argv or argv[0] in ("-h", "--help"):
         print(__doc__.strip())
         return EXIT_OK if argv else EXIT_VALIDATION
-    top = argv[0]
-    if top not in _COMMANDS:
-        sys.stdout.write(_error_object(f"unknown subcommand {top!r}"))
-        return EXIT_UNKNOWN_COMMAND
-    subs = _COMMANDS[top]
-    if subs is None:
-        path: Tuple[str, ...] = (top,)
-        rest = argv[1:]
-    else:
+    path = tuple(argv[:1])
+    if path not in COMMANDS:
+        top = argv[0]
+        subs = [p[1] for p in COMMANDS if p[0] == top]
+        if not subs:
+            return _fail(f"unknown subcommand {top!r}", EXIT_UNKNOWN_COMMAND)
         if len(argv) < 2 or argv[1].startswith("-"):
-            sys.stdout.write(
-                _error_object(f"{top} needs a subcommand: {', '.join(subs)}")
-            )
-            return EXIT_VALIDATION
-        if argv[1] not in subs:
-            sys.stdout.write(
-                _error_object(f"unknown subcommand {top} {argv[1]!r}")
-            )
-            return EXIT_UNKNOWN_COMMAND
-        path = (top, argv[1])
-        rest = argv[2:]
-    parser, handler = _build_parser(path)
+            return _fail(f"{top} needs a subcommand: {', '.join(subs)}")
+        path = tuple(argv[:2])
+        if path not in COMMANDS:
+            return _fail(f"unknown subcommand {top} {argv[1]!r}", EXIT_UNKNOWN_COMMAND)
+    handler, flags = COMMANDS[path]
     try:
-        args = parser.parse_args(rest)
-        cfg = _config(args)
-        payload, csv_spec = handler(args, cfg)
+        args = _parser(path, flags).parse_args(argv[len(path):])
+        _fill_caps(args)
+        payload, csv_spec = handler(args)
     except CLIError as e:
-        sys.stdout.write(_error_object(str(e), e.cap))
-        return EXIT_VALIDATION
+        return _fail(str(e), cap=e.cap)
     except trees.CapExceeded as e:
-        sys.stdout.write(_error_object(str(e), e.cap_name))
-        return EXIT_VALIDATION
+        return _fail(str(e), cap=e.cap_name)
     except ValueError as e:
-        sys.stdout.write(_error_object(str(e)))
-        return EXIT_VALIDATION
+        return _fail(str(e))
     except SystemExit as e:  # argparse --help
         return int(e.code or 0)
-    sys.stdout.write(_render(payload, csv_spec, cfg))
+    sys.stdout.write(_render(payload, csv_spec, args))
     return EXIT_OK
 
 

@@ -501,10 +501,10 @@ def blocked_Dt(n: int, t: int, enum_cap: int = DEFAULT_ENUM_CAP) -> BlockedRepor
     best = None  # (count, forest edges, tree index)
     pairs = 0
     for f_edges in iter_forests(n, max_edges=t, min_edges=t):
-        fmask = edges_to_mask(n, f_edges)
+        cols = [edge_bit(n, u, v) for u, v in f_edges]
+        fmask = sum(1 << b for b in cols)
         if fmask in seen:
             continue
-        cols = [edge_bit(n, u, v) for u, v in f_edges]
         seen.update(np.bitwise_or.reduce(image_bits[:, cols], axis=1).tolist())
         fmask = np.uint64(fmask)
         pc = np.bitwise_count(arr & fmask)

@@ -51,12 +51,16 @@ def edge(u: int, v: int) -> Edge:
 def _pair_edges(entries) -> Tuple[Edge, ...]:
     """Canonical edges of a list of [u, v] integer pairs, in the given order.
 
-    Anything else (a non-list, a triple, a bare number, a float or string
-    label) is a ValueError, as is a loop.
+    Anything else (a non-list, a triple, a bare number, a float, bool or
+    string label) is a ValueError, as is a loop.
     """
     index = operator.index
+    pairs = []
     try:
-        pairs = [(index(u), index(v)) for u, v in entries]
+        for u, v in entries:
+            if type(u) is bool or type(v) is bool:
+                raise TypeError
+            pairs.append((index(u), index(v)))
     except (TypeError, ValueError):
         raise ValueError(
             f"expected a list of [u, v] integer pairs, got {entries!r}"

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import treefam
-from treefam.cli import EXIT_OK, EXIT_UNKNOWN_COMMAND, EXIT_VALIDATION, main
+from treefam.cli import COMMANDS, EXIT_OK, EXIT_UNKNOWN_COMMAND, EXIT_VALIDATION, main
 
 
 def run(capsys, *argv):
@@ -176,6 +176,17 @@ def test_family_size_kinds(capsys):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("kind", ["ntj", "example"])
+def test_family_size_without_t_is_a_validation_error(capsys, kind):
+    # used to crash with a TypeError traceback (exit 1)
+    code, out = run(capsys, "family", "size", "--kind", kind, "--n", "15",
+                    "--reproducible")
+    assert code == EXIT_VALIDATION
+    assert json.loads(out) == {
+        "error": {"message": f"--t is required with --kind {kind}"}
+    }
+
+
 def test_family_verify(capsys):
     code, data = run_json(capsys, "family", "verify", "--kind", "stars-plus-edge",
                           "--n", "5", "--reproducible")
@@ -241,6 +252,7 @@ def test_family_verify_spec_payloads(capsys, tmp_path, spec, want):
     ({"kind": "explicit", "n": 4, "t": 1, "members": [[1, 2]]}, "integer pairs"),
     ({"kind": "explicit", "n": 4, "t": 1, "members": 5}, "list of trees"),
     ([1], "JSON object"),
+    ({"kind": "trivial", "n": 4, "t": 1, "edges": [[True, 2]]}, "integer pairs"),
 ])
 def test_family_verify_rejects_malformed_spec(capsys, tmp_path, spec, message):
     # these used to crash with a traceback (exit 1), or, for threshold 1.5,
@@ -423,3 +435,44 @@ def test_counts_never_json_numbers(capsys):
                  "--reproducible")
     data = json.loads(out)
     assert isinstance(data["count"], str)
+
+
+def test_count_longer_than_the_int_str_limit(capsys):
+    # 2 * 2000^1997 has 6,593 digits, past CPython's default 4,300; main lifts
+    # the limit for its own call and puts back whatever limit was set
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    get = sys.get_int_max_str_digits
+    before = get()
+    try:
+        sys.set_int_max_str_digits(0)
+        want = str(2 * 2000 ** 1997)
+        sys.set_int_max_str_digits(4300)
+        code, out = run(capsys, "count", "matching", "--n", "2000", "--l", "1",
+                        "--reproducible")
+        assert get() == 4300
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert code == EXIT_OK
+    assert len(want) == 6593
+    assert out == json.dumps({"n": 2000, "l": 1, "count": want}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    *[(*path, "--help") for path in COMMANDS],
+    ("count", "matching", "--n", "6", "--l", "1", "--seed", "4"),
+    ("dt", "--n", "6", "--t", "1", "--budget", "5"),
+    ("spread", "check", "--n", "5", "--r", "3", "--enum-cap", "3"),
+    ("gamma", "packing", "--graph", "K4", "--ie-cap", "2"),
+], ids=" ".join)
+def test_command_table(capsys, argv):
+    # every table entry builds a parser; a flag its command does not read is
+    # rejected like any unknown flag
+    code, out = run(capsys, *argv, "--reproducible")
+    if argv[-1] == "--help":
+        assert code == EXIT_OK and out.startswith("usage: treefam " + argv[0])
+    else:
+        assert code == EXIT_VALIDATION
+        assert json.loads(out) == {
+            "error": {"message": f"unrecognized arguments: {' '.join(argv[-2:])}"}
+        }

@@ -58,7 +58,7 @@ def test_forest_rejects_cycles_loops_duplicates():
 
 
 @pytest.mark.parametrize("bad", [
-    [(1.5, 2)], [(1.0, 2)], [("1", "2")], [(1, 2, 3)], [1, 2], 5,
+    [(1.5, 2)], [(1.0, 2)], [("1", "2")], [(1, 2, 3)], [1, 2], 5, [[True, 2]],
 ])
 def test_edges_must_be_integer_pairs(bad):
     # int() used to truncate 1.5 to 1 and accept "1"
