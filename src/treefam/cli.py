@@ -65,10 +65,10 @@ _FLAGS = {
     "t": dict(type=int),
     "l": dict(type=int),
     "m": dict(type=int),
-    "j": dict(type=int, default=0),
+    "j": dict(type=int),
     "j-max": dict(type=int),
     "kind": dict(),
-    "shape": dict(choices=extremal.COMPONENT_SHAPES, default="path"),
+    "shape": dict(choices=extremal.COMPONENT_SHAPES),
     "edges": dict(),
     "edges-file": dict(),
     "start": dict(type=int, default=0),
@@ -288,8 +288,24 @@ def _cmd_gamma_packing(args):
     return gamma.packing_number(g).to_dict(), None
 
 
+# The flags of `family size` that only some kinds read, by kind.
+_SIZE_KIND_FLAGS = {
+    "trivial": ("edges", "edges_file"),
+    "stars-plus-edge": (),
+    "ntj": ("t", "j", "shape"),
+    "example": ("t",),
+}
+
+
 def _cmd_family_size(args):
     kind, n = args.kind, args.n
+    unread = [
+        "--" + dest.replace("_", "-")
+        for dest in ("t", "j", "shape", "edges", "edges_file")
+        if getattr(args, dest) is not None and dest not in _SIZE_KIND_FLAGS[kind]
+    ]
+    if unread:
+        raise CLIError(f"--kind {kind} does not read {', '.join(unread)}")
     if kind == "trivial":
         edges = _parse_edges_arg(args.edges, args.edges_file)
         size = extremal.trivial_family_size(n, _forest(n, edges))
@@ -300,15 +316,14 @@ def _cmd_family_size(args):
     if args.t is None:
         raise CLIError(f"--t is required with --kind {kind}")
     if kind == "ntj":
-        size = extremal.family_F_ntj_size(
-            n, args.t, args.j, shape=args.shape, ie_cap=args.ie_cap
-        )
+        j, shape = args.j or 0, args.shape or "path"
+        size = extremal.family_F_ntj_size(n, args.t, j, shape=shape, ie_cap=args.ie_cap)
         return {
             "kind": kind,
             "n": n,
             "t": args.t,
-            "j": args.j,
-            "shape": args.shape,
+            "j": j,
+            "shape": shape,
             "size": str(size),
         }, None
     rep = extremal.example_closed_form(n, args.t)
@@ -366,7 +381,7 @@ def _family_spec_from_flags(args) -> extremal.FamilySpec:
 
 def _cmd_family_scan(args):
     rep = extremal.conjecture_scan(
-        args.n, args.t, args.j_max, shape=args.shape, ie_cap=args.ie_cap
+        args.n, args.t, args.j_max, shape=args.shape or "path", ie_cap=args.ie_cap
     )
     rows = [(r.n, r.t, r.j, str(r.size), int(r.winner)) for r in rep.rows]
     return rep.to_dict(), (("n", "t", "j", "size", "winner"), rows)
@@ -380,16 +395,14 @@ def _cmd_llll_check(args):
     p = _parse_rational_list(args.p)
     x = _parse_rational_list(args.x)
     adjacency: List[List[int]] = [[] for _ in p]
-    if args.graph_edges:
-        for part in args.graph_edges.split(","):
-            bits = part.strip().split("-")
-            if len(bits) != 2:
-                raise CLIError(f"bad event edge {part!r}, expected 'i-j'")
-            i, j = int(bits[0]), int(bits[1])
-            if not (0 <= i < len(p) and 0 <= j < len(p)):
-                raise CLIError(f"event edge {part!r} out of range 0..{len(p) - 1}")
-            adjacency[i].append(j)
-            adjacency[j].append(i)
+    pairs = _parse_edges_arg(args.graph_edges, None)  # no loops, i < j
+    if len(set(pairs)) < len(pairs):
+        raise CLIError(f"--graph-edges repeats an event pair: {args.graph_edges!r}")
+    for i, j in pairs:
+        if j >= len(p):
+            raise CLIError(f"event edge {i}-{j} out of range 0..{len(p) - 1}")
+        adjacency[i].append(j)
+        adjacency[j].append(i)
     try:
         rep = extremal.llll_condition_check(p, x, adjacency)
     except ValueError as e:

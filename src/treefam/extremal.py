@@ -31,7 +31,7 @@ from .gamma import (
     DEFAULT_NODE_BUDGET,
     SearchResult,
     SimpleGraph,
-    _edge_perms,
+    _edge_image_bits,
     build_gamma,
     max_independent_set,
 )
@@ -494,9 +494,7 @@ def blocked_Dt(n: int, t: int, enum_cap: int = DEFAULT_ENUM_CAP) -> BlockedRepor
         raise ValueError(f"t={t} out of range 1..{n - 2}")
     arr = tree_mask_array(n)
     not_star = ~np.isin(arr, np.array(star_masks(n), dtype=np.uint64))
-    # image_bits[g, b]: the single-bit mask of edge b's image under the g-th
-    # vertex relabelling, so an orbit is an OR over a forest's columns
-    image_bits = np.uint64(1) << np.array(_edge_perms(n), dtype=np.uint64)
+    image_bits = _edge_image_bits(n)
     seen = set()
     best = None  # (count, forest edges, tree index)
     pairs = 0

@@ -87,14 +87,7 @@ class SimpleGraph:
         return len(self.edges) == self.n * (self.n - 1) // 2
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        dsu = _DSU(self.n)
-        parts = self.n
-        for u, v in self.edges:
-            if dsu.union(u, v):
-                parts -= 1
-        return parts == 1
+        return _DSU(self.n).merges(self.edges) == self.n - 1
 
 
 def enumerate_spanning_trees(
@@ -118,20 +111,9 @@ def enumerate_spanning_trees(
         )
     n = g.n
     produced = 0
+    dsu = _DSU(n)  # every rec call leaves it as it found it
 
-    def classes_connected(avail, dsu, nclasses):
-        if nclasses == 1:
-            return True
-        probe = _DSU(n)
-        merges = 0
-        for u, v in avail:
-            if probe.union(dsu.find(u), dsu.find(v)):
-                merges += 1
-                if merges == nclasses - 1:
-                    return True
-        return False
-
-    def rec(avail, chosen, dsu, nclasses):
+    def rec(avail, chosen, nclasses):
         nonlocal produced
         if nclasses == 1:
             produced += 1
@@ -141,29 +123,18 @@ def enumerate_spanning_trees(
                 )
             yield Tree(n, chosen)
             return
-        # first edge crossing two classes; earlier edges are internal forever
-        pick = None
-        rest = []
-        for i, (u, v) in enumerate(avail):
-            if dsu.find(u) != dsu.find(v):
-                pick = (u, v)
-                rest = [e for e in avail[i + 1 :] if dsu.find(e[0]) != dsu.find(e[1])]
-                break
-        if pick is None:
-            return
-        u, v = pick
+        # avail holds the edges between two classes and connects them all
+        pick, rest = avail[0], avail[1:]
         # include (contract)
-        sub = _DSU(n)
-        sub.parent = dsu.parent[:]
-        sub.size = dsu.size[:]
-        sub.union(u, v)
-        inc_avail = [e for e in rest if sub.find(e[0]) != sub.find(e[1])]
-        yield from rec(inc_avail, chosen + [pick], sub, nclasses - 1)
+        r = dsu.union(*pick)
+        inc_avail = [e for e in rest if dsu.find(e[0]) != dsu.find(e[1])]
+        yield from rec(inc_avail, chosen + [pick], nclasses - 1)
+        dsu.undo(r)
         # exclude (delete) -- only if the remaining edges still connect everything
-        if classes_connected(rest, dsu, nclasses):
-            yield from rec(rest, chosen, dsu, nclasses)
+        if dsu.merges(rest) == nclasses - 1:
+            yield from rec(rest, chosen, nclasses)
 
-    yield from rec(list(g.edges), [], _DSU(n), n)
+    yield from rec(list(g.edges), [], n)
 
 
 # -- disjointness graph -------------------------------------------------------
@@ -494,6 +465,18 @@ def _edge_perms(n: int) -> Tuple[Tuple[int, ...], ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _edge_image_bits(n: int):
+    """_edge_perms(n) as a read-only (n!, C(n,2)) uint64 array of single-bit
+    masks: [g, b] is the bit of edge b's image under the g-th relabelling, so
+    OR-ing a forest's columns gives its orbit."""
+    import numpy as np
+
+    bits = np.uint64(1) << np.array(_edge_perms(n), dtype=np.uint64)
+    bits.flags.writeable = False
+    return bits
+
+
 def _orbit_and_stabiliser(
     group: Sequence[Tuple[int, ...]], v: int, vmask: int, index: dict
 ) -> Tuple[int, list]:
@@ -734,78 +717,46 @@ def _find_edge_disjoint_trees(g: SimpleGraph, l: int) -> Optional[List[Tree]]:
     """
     n = g.n
     m = len(g.edges)
-    need = l * (n - 1)
-    if m < need or l <= 0:
+    if m < l * (n - 1) or l <= 0:
         return [] if l == 0 else None
-    # suffix[i] = edges i..m-1, used for completability probes
     edges = list(g.edges)
     forests = [_DSU(n) for _ in range(l)]
-    counts = [0] * l
-    assignment: List[int] = []
+    chosen: List[List[Edge]] = [[] for _ in range(l)]  # forest k's edges
 
     def completable(start: int) -> bool:
-        rest = edges[start:]
-        if sum(n - 1 - c for c in counts) > m - start:
+        if sum(n - 1 - len(es) for es in chosen) > m - start:
             return False
-        for f, c in zip(forests, counts):
-            if c == n - 1:
-                continue
-            probe = _DSU(n)
-            probe.parent = f.parent[:]
-            probe.size = f.size[:]
-            parts = n - c
-            for u, v in rest:
-                if probe.union(u, v):
-                    parts -= 1
-                    if parts == 1:
-                        break
-            if parts != 1:
-                return False
-        return True
+        rest = edges[start:]
+        return all(
+            len(es) == n - 1 or f.merges(rest) == n - 1 - len(es)
+            for f, es in zip(forests, chosen)
+        )
 
     def rec(i: int) -> bool:
-        if all(c == n - 1 for c in counts):
+        if all(len(es) == n - 1 for es in chosen):
             return True
         if i == m or not completable(i):
             return False
-        u, v = edges[i]
         first_empty = True
-        for k in range(l):
-            if counts[k] == 0:
+        for f, es in zip(forests, chosen):
+            if not es:
                 if not first_empty:
                     break  # symmetry: empty forests are interchangeable
                 first_empty = False
-            if counts[k] == n - 1:
+            if len(es) == n - 1:
                 continue
-            f = forests[k]
-            ru, rv = f.find(u), f.find(v)
-            if ru == rv:
+            r = f.union(*edges[i])
+            if not r:
                 continue
-            su, sv = f.size[ru], f.size[rv]
-            f.parent[ru] = rv
-            f.size[rv] = su + sv
-            counts[k] += 1
-            assignment.append(k)
+            es.append(edges[i])
             if rec(i + 1):
                 return True
-            assignment.pop()
-            counts[k] -= 1
-            f.size[rv] = sv
-            f.parent[ru] = ru
+            es.pop()
+            f.undo(r)
         # skip this edge if the remainder can still supply everyone
-        assignment.append(-1)
-        if rec(i + 1):
-            return True
-        assignment.pop()
-        return False
+        return rec(i + 1)
 
-    if not rec(0):
-        return None
-    tree_edges: List[List[Edge]] = [[] for _ in range(l)]
-    for e, k in zip(edges, assignment):
-        if k >= 0:
-            tree_edges[k].append(e)
-    return [Tree(n, es) for es in tree_edges]
+    return [Tree(n, es) for es in chosen] if rec(0) else None
 
 
 def packing_number(g: SimpleGraph) -> PackingResult:

@@ -176,6 +176,32 @@ def test_family_size_kinds(capsys):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("argv,unread", [
+    (["--kind", "trivial", "--n", "6", "--t", "5"], "--t"),
+    (["--kind", "stars-plus-edge", "--n", "6", "--t", "3", "--shape", "star"],
+     "--t, --shape"),
+    (["--kind", "example", "--n", "15", "--t", "8", "--j", "0"], "--j"),
+    (["--kind", "ntj", "--n", "9", "--t", "4", "--edges", "1-2"], "--edges"),
+], ids=["trivial-t", "stars-plus-edge-t-shape", "example-j", "ntj-edges"])
+def test_family_size_rejects_flags_its_kind_does_not_read(capsys, argv, unread):
+    # these used to print a size with exit 0, ignoring the flag
+    code, out = run(capsys, "family", "size", *argv)
+    assert code == EXIT_VALIDATION
+    kind = argv[1]
+    assert json.loads(out) == {
+        "error": {"message": f"--kind {kind} does not read {unread}"}
+    }
+
+
+def test_family_size_ntj_defaults_match_explicit_flags(capsys):
+    _, bare = run(capsys, "family", "size", "--kind", "ntj", "--n", "12",
+                  "--t", "2", "--reproducible")
+    _, explicit = run(capsys, "family", "size", "--kind", "ntj", "--n", "12",
+                      "--t", "2", "--j", "0", "--shape", "path", "--reproducible")
+    assert bare == explicit
+    assert json.loads(bare)["j"] == 0 and json.loads(bare)["shape"] == "path"
+
+
 @pytest.mark.parametrize("kind", ["ntj", "example"])
 def test_family_size_without_t_is_a_validation_error(capsys, kind):
     # used to crash with a TypeError traceback (exit 1)
@@ -365,6 +391,17 @@ def test_gamma_commands(capsys, tmp_path):
     assert code == EXIT_OK and data["size"] == 1  # any two C5 trees share edges
 
 
+def test_gamma_packing_of_a_graph_file(capsys, tmp_path):
+    # this graph used to exit 2 with "edge set contains a cycle"
+    g = tmp_path / "g.txt"
+    g.write_text("1 2\n1 3\n1 4\n1 5\n2 3\n2 4\n3 4\n4 5\n")
+    code, data = run_json(capsys, "gamma", "packing", "--graph", str(g),
+                          "--reproducible")
+    assert code == EXIT_OK
+    assert data["packing"] == 2 and data["partition"] == [[1, 2, 3, 4], [5]]
+    assert len(data["witness"]) == 2
+
+
 def test_dt_command(capsys):
     code, data = run_json(capsys, "dt", "--n", "6", "--t", "1", "--reproducible")
     assert code == EXIT_OK and data["value"] == "30"
@@ -385,6 +422,22 @@ def test_llll_commands(capsys):
     code, out = run(capsys, "llll", "notstar", "--n", "7",
                     "--edges", "1-2,2-3,3-4,4-5,5-6,6-7")
     assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("p,x,graph_edges,code,ok", [
+    ("1/4,1/4", "1/2,1/2", "0-1", EXIT_OK, True),
+    ("1/4,1/4", "1/2,1/2", "", EXIT_OK, True),
+    ("1/4,1/4", "1/2,1/2", "0-1,1-0", EXIT_VALIDATION, None),
+    ("1/2", "1/2", "0-0", EXIT_VALIDATION, None),
+    ("1/2", "1/2", "0-1", EXIT_VALIDATION, None),
+])
+def test_llll_check_takes_a_simple_dependency_graph(capsys, p, x, graph_edges, code, ok):
+    # a repeated pair or a self-loop used to change the verdict silently
+    got, out = run(capsys, "llll", "check", "--p", p, "--x", x,
+                   "--graph-edges", graph_edges, "--reproducible")
+    assert got == code
+    data = json.loads(out)
+    assert data["ok"] is ok if code == EXIT_OK else "error" in data
 
 
 def test_search_max(capsys):

@@ -301,6 +301,48 @@ def test_packing_cap():
         packing_number(SimpleGraph.complete(11))
 
 
+def check_packing_certificate(g, res):
+    """Independent check of a packing result: the witness trees are pairwise
+    edge-disjoint spanning trees of g, and the partition's cross-edge bound
+    floor(cross / (k - 1)) equals their number, so neither can improve."""
+    graph_edges = set(g.edges)
+    used = set()
+    for tr in res.witness:
+        es = tr.edges
+        assert len(es) == g.n - 1 and set(es) <= graph_edges
+        assert not used & set(es)
+        used |= set(es)
+        reached = {1}
+        for _ in range(g.n):
+            reached |= {b for u, v in es for a, b in ((u, v), (v, u)) if a in reached}
+        assert reached == set(range(1, g.n + 1))
+    assert len(res.witness) == res.number
+    label = {x: i for i, block in enumerate(res.partition) for x in block}
+    assert sorted(label) == list(range(1, g.n + 1))
+    cross = sum(1 for u, v in g.edges if label[u] != label[v])
+    assert res.cross_edges == cross
+    assert cross // (len(res.partition) - 1) == res.number
+
+
+def test_packing_of_a_graph_once_refused():
+    # undoing unions by hand on a path-compressed union-find left stale
+    # pointers here, and the search raised "edge set contains a cycle"
+    g = SimpleGraph(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 4), (4, 5)])
+    res = packing_number(g)
+    assert res.number == 2
+    assert res.partition == [(1, 2, 3, 4), (5,)]
+    check_packing_certificate(g, res)
+
+
+def test_packing_of_random_graphs_is_certified():
+    rng = random.Random(2026)
+    for _ in range(1000):
+        n = rng.randint(3, 7)
+        density = rng.uniform(0.3, 0.95)
+        g = SimpleGraph(n, [e for e in all_edges(n) if rng.random() < density])
+        check_packing_certificate(g, packing_number(g))
+
+
 # -- exact search ------------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Tree/forest representations, the Prufer bijection, enumeration, predicates."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -10,6 +11,7 @@ from treefam.trees import (
     Forest,
     Tree,
     _BLOCK_CELLS,
+    _DSU,
     _as_ints,
     all_edges,
     cayley_count,
@@ -358,6 +360,47 @@ def test_as_ints_accepts_python_and_numpy_integers():
     assert out == (7, 3, 5)
     assert all(type(v) is int for v in out)
     assert _as_ints("nothing") == ()
+
+
+# -- union-find ----------------------------------------------------------------
+
+
+def test_dsu_undo_restores_the_lists_exactly():
+    rng = random.Random(7)
+    for n in (2, 5, 9, 16):
+        dsu = _DSU(n)
+        for _ in range(20):
+            snapshots, roots = [], []
+            for _ in range(rng.randint(0, 2 * n)):
+                u, v = rng.sample(range(1, n + 1), 2)
+                before = (dsu.parent[:], dsu.size[:])
+                r = dsu.union(u, v)
+                assert (r == 0) == (before[0] == dsu.parent)
+                if r:
+                    snapshots.append(before)
+                    roots.append(r)
+            for r, (parent, size) in zip(reversed(roots), reversed(snapshots)):
+                dsu.undo(r)
+                assert (dsu.parent, dsu.size) == (parent, size)
+            assert (dsu.parent, dsu.size) == (list(range(n + 1)), [1] * (n + 1))
+
+
+def test_dsu_merges_counts_unions_and_leaves_the_classes():
+    rng = random.Random(8)
+    for n in (3, 6, 10):
+        dsu = _DSU(n)
+        for u, v in rng.sample(all_edges(n), n // 2):
+            dsu.union(u, v)
+        before = (dsu.parent[:], dsu.size[:])
+        classes = len({dsu.find(x) for x in range(1, n + 1)})
+        for _ in range(20):
+            es = rng.sample(all_edges(n), rng.randint(0, len(all_edges(n))))
+            probe = _DSU(n)
+            probe.parent, probe.size = dsu.parent[:], dsu.size[:]
+            expected = sum(1 for u, v in es if probe.union(u, v))
+            assert dsu.merges(es) == expected
+            assert (dsu.parent, dsu.size) == before
+        assert dsu.merges(all_edges(n)) == classes - 1
 
 
 # -- forest iteration --------------------------------------------------------
