@@ -6,7 +6,6 @@ against enumeration oracles at desk scale.
 """
 
 from .counting import (
-    DEFAULT_IE_CAP,
     containment_lower_bound,
     count_at_least,
     count_exactly,

@@ -59,7 +59,6 @@ _FLAGS = {
     "reproducible": dict(action="store_true"),
     "seed": dict(type=int, default=0),
     "enum-cap": dict(type=int),
-    "ie-cap": dict(type=int),
     "budget": dict(type=int, help="search node budget"),
     "n": dict(type=int),
     "t": dict(type=int),
@@ -92,7 +91,6 @@ _FLAGS = {
 # Cap flags: argparse dest -> (environment variable, default).
 _CAPS = {
     "enum_cap": ("TREEFAM_ENUM_CAP", trees.DEFAULT_ENUM_CAP),
-    "ie_cap": ("TREEFAM_IE_CAP", counting.DEFAULT_IE_CAP),
     "budget": ("TREEFAM_NODE_BUDGET", gamma.DEFAULT_NODE_BUDGET),
 }
 
@@ -226,7 +224,7 @@ def _cmd_count_matching(args):
 
 def _cmd_count_at_least(args):
     edges = _parse_edges_arg(args.edges, args.edges_file)
-    count = counting.count_at_least(args.n, edges, args.m, ie_cap=args.ie_cap)
+    count = counting.count_at_least(args.n, edges, args.m)
     return {
         "n": args.n,
         "edges": _edges_json(edges),
@@ -288,24 +286,39 @@ def _cmd_gamma_packing(args):
     return gamma.packing_number(g).to_dict(), None
 
 
-# The flags of `family size` that only some kinds read, by kind.
-_SIZE_KIND_FLAGS = {
-    "trivial": ("edges", "edges_file"),
-    "stars-plus-edge": (),
-    "ntj": ("t", "j", "shape"),
-    "example": ("t",),
+# The flags that only some kinds of `family size` and `family verify` read:
+# (subcommand, kind) -> the ones that kind reads, "!" marking one it requires.
+_KIND_FLAGS = {
+    ("size", "trivial"): "edges edges-file",
+    ("size", "stars-plus-edge"): "",
+    ("size", "ntj"): "t! j shape",
+    ("size", "example"): "t!",
+    ("verify", "trivial"): "t edges edges-file",
+    ("verify", "stars-plus-edge"): "t",
+    ("verify", "threshold"): "t m! edges edges-file",
 }
 
 
-def _cmd_family_size(args):
-    kind, n = args.kind, args.n
-    unread = [
-        "--" + dest.replace("_", "-")
-        for dest in ("t", "j", "shape", "edges", "edges_file")
-        if getattr(args, dest) is not None and dest not in _SIZE_KIND_FLAGS[kind]
+def _check_kind_flags(args, sub: str) -> None:
+    """Reject the kind flags --kind does not read; require those it must have."""
+    flags = _KIND_FLAGS[sub, args.kind].split()
+    every = " ".join(fs for (s, _), fs in _KIND_FLAGS.items() if s == sub)
+    given = [
+        f
+        for f in dict.fromkeys(every.replace("!", "").split())
+        if getattr(args, f.replace("-", "_")) is not None
     ]
+    unread = [f"--{f}" for f in given if f not in flags and f + "!" not in flags]
     if unread:
-        raise CLIError(f"--kind {kind} does not read {', '.join(unread)}")
+        raise CLIError(f"--kind {args.kind} does not read {', '.join(unread)}")
+    for f in flags:
+        if f.endswith("!") and f[:-1] not in given:
+            raise CLIError(f"--{f[:-1]} is required with --kind {args.kind}")
+
+
+def _cmd_family_size(args):
+    _check_kind_flags(args, "size")
+    kind, n = args.kind, args.n
     if kind == "trivial":
         edges = _parse_edges_arg(args.edges, args.edges_file)
         size = extremal.trivial_family_size(n, _forest(n, edges))
@@ -313,19 +326,10 @@ def _cmd_family_size(args):
     if kind == "stars-plus-edge":
         size = extremal.stars_plus_edge_size(n)
         return {"kind": kind, "n": n, "t": 1, "size": str(size)}, None
-    if args.t is None:
-        raise CLIError(f"--t is required with --kind {kind}")
     if kind == "ntj":
         j, shape = args.j or 0, args.shape or "path"
-        size = extremal.family_F_ntj_size(n, args.t, j, shape=shape, ie_cap=args.ie_cap)
-        return {
-            "kind": kind,
-            "n": n,
-            "t": args.t,
-            "j": j,
-            "shape": shape,
-            "size": str(size),
-        }, None
+        size = str(extremal.family_F_ntj_size(n, args.t, j, shape=shape))
+        return dict(kind=kind, n=n, t=args.t, j=j, shape=shape, size=size), None
     rep = extremal.example_closed_form(n, args.t)
     return {"kind": kind, **rep.to_dict()}, None
 
@@ -360,18 +364,15 @@ def _family_spec_from_flags(args) -> extremal.FamilySpec:
         raise CLIError("give --kind or --spec")
     if args.n is None:
         raise CLIError("--n is required with --kind")
+    _check_kind_flags(args, "verify")
     edges = None
-    if args.kind == "trivial":
+    if args.kind != "stars-plus-edge":
         edges = _parse_edges_arg(args.edges, args.edges_file)
-        _forest(args.n, edges)
-        claimed = len(edges)
+    if args.kind == "trivial":
+        claimed = len(_forest(args.n, edges).edges)
     elif args.kind == "stars-plus-edge":
         claimed = 1
-    else:
-        edges = _parse_edges_arg(args.edges, args.edges_file)
-        if args.m is None:
-            raise CLIError("--m is required for threshold families")
-        # two members share >= 2m - |s| edges of s
+    else:  # two members share >= 2m - |s| edges of s
         claimed = max(2 * args.m - len(edges), 0)
     if args.t is not None:
         claimed = args.t
@@ -380,9 +381,7 @@ def _family_spec_from_flags(args) -> extremal.FamilySpec:
 
 
 def _cmd_family_scan(args):
-    rep = extremal.conjecture_scan(
-        args.n, args.t, args.j_max, shape=args.shape or "path", ie_cap=args.ie_cap
-    )
+    rep = extremal.conjecture_scan(args.n, args.t, args.j_max, shape=args.shape or "path")
     rows = [(r.n, r.t, r.j, str(r.size), int(r.winner)) for r in rep.rows]
     return rep.to_dict(), (("n", "t", "j", "size", "winner"), rows)
 
@@ -412,9 +411,7 @@ def _cmd_llll_check(args):
 
 def _cmd_llll_notstar(args):
     t0 = trees.Forest(args.n, _parse_edges_arg(args.edges, args.edges_file))
-    rep = extremal.lemma_notstar_check(
-        args.n, t0, ie_cap=args.ie_cap, enum_cap=args.enum_cap
-    )
+    rep = extremal.lemma_notstar_check(args.n, t0, enum_cap=args.enum_cap)
     return rep.to_dict(), None
 
 
@@ -448,7 +445,7 @@ COMMANDS = {
     ("enumerate",): (_cmd_enumerate, "n! start stop enum-cap"),
     ("count", "contain"): (_cmd_count_contain, "n! edges edges-file"),
     ("count", "matching"): (_cmd_count_matching, "n! l!"),
-    ("count", "at-least"): (_cmd_count_at_least, "n! edges edges-file m! ie-cap"),
+    ("count", "at-least"): (_cmd_count_at_least, "n! edges edges-file m!"),
     ("spread", "check"): (_cmd_spread_check, "n! r! t edge-budget witness"),
     ("gamma", "build"): (_cmd_gamma_build, "graph! graph-n t! cap out"),
     ("gamma", "alpha"): (
@@ -462,16 +459,16 @@ COMMANDS = {
     ("gamma", "packing"): (_cmd_gamma_packing, "graph! graph-n"),
     ("family", "size"): (
         _cmd_family_size,
-        "kind!=trivial|stars-plus-edge|ntj|example n! t j edges edges-file shape ie-cap",
+        "kind!=trivial|stars-plus-edge|ntj|example n! t j edges edges-file shape",
     ),
     ("family", "verify"): (
         _cmd_family_verify,
         "kind=trivial|stars-plus-edge|threshold spec n t m edges edges-file enum-cap",
     ),
-    ("family", "scan"): (_cmd_family_scan, "n! t! j-max! shape ie-cap"),
+    ("family", "scan"): (_cmd_family_scan, "n! t! j-max! shape"),
     ("dt",): (_cmd_dt, "n! t! enum-cap"),
     ("llll", "check"): (_cmd_llll_check, "p! x! graph-edges"),
-    ("llll", "notstar"): (_cmd_llll_notstar, "n! edges edges-file ie-cap enum-cap"),
+    ("llll", "notstar"): (_cmd_llll_notstar, "n! edges edges-file enum-cap"),
     ("search", "max"): (_cmd_search_max, "n! t! budget"),
     ("sample",): (_cmd_sample, "n! count seed"),
 }

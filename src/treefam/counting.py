@@ -5,19 +5,19 @@ containing a fixed forest F with component sizes q_1..q_m,
 
     q_1 q_2 ... q_m * n^(n - 2 - sum(q_i - 1)),
 
-plus one inclusion-exclusion engine, exact_k_distribution, for "contains a
-forced forest and exactly k edges of a set S", and an enumeration oracle that
-recounts any of it by streaming all n^(n-2) trees.  Every count is an exact
-Python int; nothing here touches floats.
+plus one matrix-tree kernel, exact_k_distribution, for "contains a forced
+forest and exactly k edges of a set S" (exact Bareiss determinants, no cap on
+|S|), and an enumeration oracle that recounts any of it by streaming all
+n^(n-2) trees.  Every count is an exact Python int; nothing here touches
+floats.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import prod
 from typing import Callable, List, Tuple
 
 from .trees import (
-    CapExceeded,
     DEFAULT_ENUM_CAP,
     Edge,
     Forest,
@@ -28,9 +28,6 @@ from .trees import (
     edge_hits,
     enumerate_trees,
 )
-
-DEFAULT_IE_CAP = 24
-
 
 def _edges(n: int, f) -> Tuple[Edge, ...]:
     """The canonical edge tuple of a Forest or of a validated edge iterable;
@@ -102,87 +99,116 @@ def is_lower_bound_vacuous(n: int, t: int) -> bool:
     return t > n - 2
 
 
-def exact_k_distribution(
-    n: int, s, forced=(), ie_cap: int = DEFAULT_IE_CAP
-) -> List[int]:
+def exact_k_distribution(n: int, s, forced=()) -> List[int]:
     """[N_0, ..., N_|s|]: N_k counts the trees of K_n that contain every edge
-    of `forced` and exactly k edges of `s`.
+    of `forced` and exactly k edges of `s` (Forests or edge iterables, which
+    must be disjoint).
 
-    The one inclusion-exclusion engine: with S_j the number of trees holding
-    `forced` plus some j-subset of `s` (cyclic unions contribute 0),
-    N_k = sum_j (-1)^(j-k) C(j,k) S_j.  One depth-first walk visits the
-    acyclic unions, at most 2^|s| of them; the IE cap still bounds |s|.
-    s and forced may be Forests or edge iterables and must be disjoint.
+    The one matrix-tree kernel.  Contract `forced` into classes of sizes a (a
+    cyclic `forced` counts 0); an edge of `s` inside a class drops out, and
+    with weight x on the others, n^2 sum_k N_k x^k = det(n diag(a) +
+    (x - 1) L), L their Laplacian between classes.  The determinant factors
+    over the blocks of L; a block on k classes has degree < k, so it is
+    evaluated at x = 1..k and interpolated, all in exact integers.
     """
     edges, base = _edges(n, s), _edges(n, forced)
     if set(edges) & set(base):
         raise ValueError("s and forced must be disjoint edge sets")
-    m = len(edges)
-    if m > ie_cap:
-        raise CapExceeded(
-            f"|s|={m} exceeds the inclusion-exclusion cap {ie_cap}",
-            "ie_cap",
-            ie_cap,
-        )
-    dsu = _DSU(n)
-    prod = _merge(dsu, base)
-    if not prod:
-        return [0] * (m + 1)
-    # Find, union and undo are inlined on the DSU's own lists: the method
-    # calls per visited subset make the walk ~1.6x slower.  prod is the
-    # product of all component sizes, updated exactly per union.
-    parent, size = dsu.parent, dsu.size
-    # prods[j]: the component-size products of the acyclic j-subset unions
-    # summed; count_from_component_product is linear in prod, so S_j is one
-    # call on that sum.
-    prods = [0] * (m + 1)
-
-    def walk(i: int, j: int, prod: int) -> None:
-        prods[j] += prod
-        for e in range(i, m):
-            ru, rv = edges[e]
-            while parent[ru] != ru:
-                ru = parent[ru]
-            while parent[rv] != rv:
-                rv = parent[rv]
-            if ru == rv:
-                continue  # every superset holds this cycle too
-            a, b = size[ru], size[rv]
-            if a < b:
-                ru, rv = rv, ru
-            parent[rv] = ru
-            size[ru] = a + b
-            walk(e + 1, j + 1, prod * (a + b) // (a * b))
-            parent[rv] = rv
-            size[ru] -= size[rv]
-
-    walk(0, 0, prod)
-    sums = [
-        count_from_component_product(n, prods[j], len(base) + j)
-        for j in range(m + 1)
-    ]
-    return [
-        sum((-1) ** (j - k) * comb(j, k) * sums[j] for j in range(k, m + 1))
-        for k in range(m + 1)
-    ]
+    classes = _DSU(n)
+    if not _merge(classes, base):
+        return [0] * (len(edges) + 1)
+    find, size = classes.find, classes.size
+    adjacent: dict = {}  # class -> the classes its edges of s reach, repeats kept
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            adjacent.setdefault(ru, []).append(rv)
+            adjacent.setdefault(rv, []).append(ru)
+    roots = [r for r in range(1, n + 1) if classes.parent[r] == r]
+    poly = [prod(n * size[r] for r in roots if r not in adjacent)]
+    seen: set = set()
+    for block in ([r] for r in adjacent if r not in seen):
+        seen.add(block[0])
+        for c in block:  # breadth first, growing as it goes
+            for d in adjacent[c]:
+                if d not in seen:
+                    seen.add(d)
+                    block.append(d)
+        block.reverse()  # a tree's leaves first: elimination then fills nothing
+        lap = [
+            [len(adjacent[c])] + [-adjacent[c].count(d) for d in block[i + 1 :]]
+            for i, c in enumerate(block)
+        ]
+        poly = _times_block(poly, [n * size[c] for c in block], lap)
+    if any(c % (n * n) for c in poly):
+        raise ArithmeticError(f"n^2 = {n * n} does not divide the determinant")
+    return [c // (n * n) for c in poly] + [0] * (len(edges) + 1 - len(poly))
 
 
-def count_exactly(n: int, s, k: int, ie_cap: int = DEFAULT_IE_CAP) -> int:
-    """Trees containing exactly k edges of the edge set s (inclusion-exclusion)."""
+def _times_block(poly: List[int], diag: List[int], lap: List[List[int]]) -> List[int]:
+    """poly times det(diag(diag) + (x - 1) L), L given by its upper-triangle
+    rows: the determinant at x = 1..k, Newton's divided differences, Horner."""
+    k = len(diag)
+    coef = [prod(diag)]
+    for y in range(1, k):
+        rows = [[y * e for e in row] for row in lap]
+        for row, d in zip(rows, diag):
+            row[0] += d
+        coef.append(_det_spd(rows))
+    for j in range(1, k):
+        for i in range(k - 1, j - 1, -1):
+            coef[i], rem = divmod(coef[i] - coef[i - 1], j)
+            if rem:
+                raise ArithmeticError("a divided difference of a block is not integral")
+    out = [coef[-1] * a for a in poly]
+    for j in range(k - 2, -1, -1):  # out * (x - j - 1) + coef[j] * poly
+        out = [a - (j + 1) * b for a, b in zip([0] + out, out + [0])]
+        for i, a in enumerate(poly):
+            out[i] += coef[j] * a
+    return out
+
+
+def _det_spd(rows: List[List[int]]) -> int:
+    """Determinant of a symmetric positive definite integer matrix, given by
+    its upper-triangle rows: Bareiss elimination, whose pivots are leading
+    principal minors, so it needs no pivoting.  A row with a zero below the
+    pivot would only scale by pivot / prev, and those factors telescope: it
+    is rescaled from the pivot it was last exact at when next read."""
+    prev = 1
+    exact_at = [1] * len(rows)
+    for i in range(len(rows) - 1):
+        top = rows[i]
+        if exact_at[i] != prev:
+            top = [a * prev // exact_at[i] for a in top]
+        pivot = top[0]
+        for r in range(i + 1, len(rows)):
+            f = top[r - i]
+            if f:
+                row, e = rows[r], exact_at[r]
+                if e != prev:
+                    row = [a * prev // e for a in row]
+                rows[r] = [(pivot * a - f * b) // prev for a, b in zip(row, top[r - i :])]
+                exact_at[r] = pivot
+        prev = pivot
+    return rows[-1][0] * prev // exact_at[-1]
+
+
+def count_exactly(n: int, s, k: int) -> int:
+    """Trees containing exactly k edges of the edge set s."""
     edges = _edges(n, s)
     if not (0 <= k <= len(edges)):
         return 0
-    return exact_k_distribution(n, edges, ie_cap=ie_cap)[k]
+    return exact_k_distribution(n, edges)[k]
 
 
-def count_at_least(n: int, s, m: int, ie_cap: int = DEFAULT_IE_CAP) -> int:
+def count_at_least(n: int, s, m: int) -> int:
     """Trees containing at least m edges of the edge set s."""
     edges = _edges(n, s)
     if m <= 0:
         return cayley_count(n)
     if m > len(edges):
         return 0
-    return sum(exact_k_distribution(n, edges, ie_cap=ie_cap)[m:])
+    return sum(exact_k_distribution(n, edges)[m:])
 
 
 def verify_by_enumeration(

@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .counting import (
-    DEFAULT_IE_CAP,
     count_at_least,
     count_trees_containing,
     exact_k_distribution,
@@ -242,13 +241,7 @@ def example_forest(n: int, t: int) -> Forest:
     return Forest(n, edges)
 
 
-def family_F_ntj_size(
-    n: int,
-    t: int,
-    j: int,
-    shape: str = "path",
-    ie_cap: int = DEFAULT_IE_CAP,
-) -> int:
+def family_F_ntj_size(n: int, t: int, j: int, shape: str = "path") -> int:
     """Size of the threshold family: trees with >= t+j of the t+2j edges of
     the balanced forest F_{n, t+2j}.  At j = 0 this is the trivial family."""
     if t < 1 or j < 0:
@@ -258,7 +251,7 @@ def family_F_ntj_size(
     f = balanced_forest(n, t + 2 * j, shape)
     if j == 0:
         return trivial_family_size(n, f)
-    return count_at_least(n, f, t + j, ie_cap=ie_cap)
+    return count_at_least(n, f, t + j)
 
 
 class ExampleReport:
@@ -355,13 +348,7 @@ class ScanReport:
         }
 
 
-def conjecture_scan(
-    n: int,
-    t: int,
-    j_max: int,
-    shape: str = "path",
-    ie_cap: int = DEFAULT_IE_CAP,
-) -> ScanReport:
+def conjecture_scan(n: int, t: int, j_max: int, shape: str = "path") -> ScanReport:
     """Tabulate |F_{n,t,j}| for j = 0..j_max and record the argmax.
 
     Ties resolve to the smallest j.  When t <= n/2, weak_consistent records
@@ -372,10 +359,7 @@ def conjecture_scan(
         raise ValueError(f"j_max={j_max} must be >= 0")
     if t + 2 * j_max > n - 1:
         raise ValueError(f"t + 2*j_max = {t + 2 * j_max} exceeds n-1 = {n - 1}")
-    rows = [
-        ScanRow(n, t, j, family_F_ntj_size(n, t, j, shape, ie_cap))
-        for j in range(j_max + 1)
-    ]
+    rows = [ScanRow(n, t, j, family_F_ntj_size(n, t, j, shape)) for j in range(j_max + 1)]
     best = max(range(len(rows)), key=lambda i: (rows[i].size, -i))
     rows[best].winner = True
     weak = rows[best].j == 0 if 2 * t <= n else None
@@ -386,21 +370,15 @@ def conjecture_scan(
 
 
 def count_avoiding(
-    n: int,
-    t0: Forest,
-    f: Forest,
-    method: str = "ie",
-    ie_cap: int = DEFAULT_IE_CAP,
-    enum_cap: int = DEFAULT_ENUM_CAP,
+    n: int, t0: Forest, f: Forest, method: str = "ie", enum_cap: int = DEFAULT_ENUM_CAP
 ) -> int:
     """|T_n[T_0; F]|: trees containing every edge of f and no edge of t0
     outside f.
 
-    method "ie" reads N_0 of exact_k_distribution(n, t0 \\ f, forced=f): any
-    n, one walk over the acyclic unions (at most 2^|t0 \\ f|), with
-    |t0 \\ f| bounded by the IE cap; method "enum" recounts by scanning
-    the full tree universe (n within the enumeration cap).  The two paths must
-    agree; tests hold them to that.
+    method "ie" reads N_0 of exact_k_distribution(n, t0 \\ f, forced=f), the
+    matrix-tree kernel, at any n; method "enum" recounts by scanning the full
+    tree universe (n within the enumeration cap).  The two paths must agree;
+    tests hold them to that.
     """
     if not isinstance(t0, Forest):
         t0 = Forest(n, t0)
@@ -411,7 +389,7 @@ def count_avoiding(
     base = f.edges
     avoid = tuple(sorted(set(t0.edges) - set(base)))
     if method == "ie":
-        return exact_k_distribution(n, avoid, f, ie_cap)[0]
+        return exact_k_distribution(n, avoid, f)[0]
     if method == "enum":
         keep = edge_hits(n, base, enum_cap) == len(base)
         keep &= edge_hits(n, avoid, enum_cap) == 0
@@ -642,16 +620,13 @@ class NotstarReport:
 
 
 def lemma_notstar_check(
-    n: int,
-    t0: Forest,
-    ie_cap: int = DEFAULT_IE_CAP,
-    enum_cap: int = DEFAULT_ENUM_CAP,
+    n: int, t0: Forest, enum_cap: int = DEFAULT_ENUM_CAP
 ) -> NotstarReport:
     """Verify the avoidance lower bounds for a non-6-star-like forest T_0.
 
     6-star-like inputs are rejected with the witness edge in the message.
-    The avoid count is exact (inclusion-exclusion; cross-checked against the
-    enumeration path when n is within the cap).
+    The avoid count is exact (the matrix-tree kernel; cross-checked against
+    the enumeration path when n is within the cap).
     """
     if n < 5:
         raise ValueError(f"n={n} must be >= 5")
@@ -665,7 +640,7 @@ def lemma_notstar_check(
             f"{deg[witness[0]] + deg[witness[1]] - 2} >= (n-1)/6 other edges"
         )
     empty = Forest(n)
-    count = count_avoiding(n, t0, empty, method="ie", ie_cap=ie_cap)
+    count = count_avoiding(n, t0, empty, method="ie")
     if n <= enum_cap:
         other = count_avoiding(n, t0, empty, method="enum", enum_cap=enum_cap)
         if other != count:

@@ -766,6 +766,8 @@ def packing_number(g: SimpleGraph) -> PackingResult:
     partitions, so n <= 10), certified from below by an explicitly found
     packing of that many trees.
     """
+    if g.n < 2:
+        raise ValueError(f"packing needs n >= 2 vertices, got n={g.n}")
     if g.n > 10:
         raise CapExceeded(
             f"partition enumeration needs n <= 10, got {g.n}", "packing_cap", 10

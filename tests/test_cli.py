@@ -115,12 +115,44 @@ def test_cap_violation_names_the_cap(capsys):
     # caps are configurable per invocation
     code, out = run(capsys, "enumerate", "--n", "4", "--enum-cap", "3")
     assert code == EXIT_VALIDATION
-    code, out = run(capsys, "llll", "notstar", "--n", "7", "--edges", "1-2,3-4,5-6",
-                    "--ie-cap", "2")
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "at-least", "--n", "6", "--edges", "1-2", "--m", "1"),
+    ("family", "size", "--kind", "ntj", "--n", "9", "--t", "4", "--j", "1"),
+    ("family", "scan", "--n", "12", "--t", "3", "--j-max", "1"),
+    ("llll", "notstar", "--n", "7", "--edges", "1-2,3-4,5-6"),
+], ids=" ".join)
+def test_ie_cap_is_retired(capsys, monkeypatch, argv):
+    # the determinant kernel has no inclusion-exclusion cap: the flag is an
+    # unknown argument and the variable is ignored
+    code, out = run(capsys, *argv, "--ie-cap", "2")
     assert code == EXIT_VALIDATION
-    assert json.loads(out)["error"] == {
-        "message": "|s|=3 exceeds the inclusion-exclusion cap 2", "cap": "ie_cap"
-    }
+    assert json.loads(out) == {"error": {"message": "unrecognized arguments: --ie-cap 2"}}
+    monkeypatch.setenv("TREEFAM_IE_CAP", "0")
+    code, out = run(capsys, *argv, "--reproducible")
+    assert code == EXIT_OK, out
+
+
+def test_count_at_least_past_the_old_cap(capsys):
+    # ten 4-vertex paths, 30 edges: the subset sums factor over the paths,
+    # so sum_k N_k x^k = 40^8 (n^3 + 6n^2 y + 10n y^2 + 4y^3)^10, y = x - 1
+    n, m = 40, 20
+    edges = [(4 * i + a, 4 * i + a + 1) for i in range(10) for a in (1, 2, 3)]
+    path = [n ** 3 - 6 * n ** 2 + 10 * n - 4, 6 * n ** 2 - 20 * n + 12, 10 * n - 12, 4]
+    dist = [n ** 8]
+    for _ in range(10):
+        out = [0] * (len(dist) + 3)
+        for i, a in enumerate(dist):
+            for j, b in enumerate(path):
+                out[i + j] += a * b
+        dist = out
+    assert sum(dist) == n ** (n - 2)
+    code, data = run_json(capsys, "count", "at-least", "--n", str(n), "--edges",
+                          ",".join(f"{u}-{v}" for u, v in edges), "--m", str(m),
+                          "--reproducible")
+    assert code == EXIT_OK
+    assert data["count"] == str(sum(dist[m:]))
 
 
 def test_env_cap_override(capsys, monkeypatch):
@@ -248,6 +280,21 @@ def test_family_verify_kind_payloads(capsys, argv, want):
     code, out = run(capsys, "family", "verify", *argv, "--reproducible")
     assert code == EXIT_OK
     assert out == json.dumps(want, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--kind", "stars-plus-edge", "--n", "5", "--edges", "1-2", "--m", "3"],
+     "--kind stars-plus-edge does not read --edges, --m"),
+    (["--kind", "trivial", "--n", "5", "--edges", "1-2", "--m", "3"],
+     "--kind trivial does not read --m"),
+    (["--kind", "threshold", "--n", "6", "--edges", "1-2,3-4"],
+     "--m is required with --kind threshold"),
+], ids=["stars-plus-edge-edges-m", "trivial-m", "threshold-no-m"])
+def test_family_verify_checks_the_flags_of_its_kind(capsys, argv, message):
+    # the first two used to print verified true with exit 0, dropping flags
+    code, out = run(capsys, "family", "verify", *argv, "--reproducible")
+    assert code == EXIT_VALIDATION
+    assert json.loads(out) == {"error": {"message": message}}
 
 
 @pytest.mark.parametrize("spec,want", [
@@ -400,6 +447,19 @@ def test_gamma_packing_of_a_graph_file(capsys, tmp_path):
     assert code == EXIT_OK
     assert data["packing"] == 2 and data["partition"] == [[1, 2, 3, 4], [5]]
     assert len(data["witness"]) == 2
+
+
+@pytest.mark.parametrize("graph", ["K1", "P1", "empty file"])
+def test_gamma_packing_of_one_vertex(capsys, tmp_path, graph):
+    # used to crash with a TypeError traceback (exit 1)
+    if graph == "empty file":
+        graph = tmp_path / "g.txt"
+        graph.write_text("")
+    code, out = run(capsys, "gamma", "packing", "--graph", str(graph))
+    assert code == EXIT_VALIDATION
+    assert json.loads(out) == {
+        "error": {"message": "packing needs n >= 2 vertices, got n=1"}
+    }
 
 
 def test_dt_command(capsys):

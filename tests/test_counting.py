@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from treefam.counting import (
-    CapExceeded,
     containment_lower_bound,
     count_at_least,
     count_exactly,
@@ -21,6 +20,7 @@ from treefam.counting import (
 )
 from treefam.extremal import balanced_forest
 from treefam.trees import (
+    CapExceeded,
     Forest,
     all_edges,
     cayley_count,
@@ -250,6 +250,63 @@ def test_exact_k_distribution_pinned_at_18_edges():
     ]
 
 
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def test_exact_k_distribution_past_the_old_cap_matches_enumeration():
+    # |S| >= 25 meant over 2^25 subset visits for inclusion-exclusion
+    n = 8
+    tri = [(1, 2), (2, 3), (1, 3)]
+    rest = [e for e in all_edges(n) if e not in tri]
+    pool = all_edges(n)
+    random.Random(2608).shuffle(pool)
+    cases = [
+        (all_edges(n), []),
+        (rest, []),
+        (rest, tri[:2]),  # an acyclic forced path
+        (rest, tri),  # a cyclic forced triangle: every N_k is 0
+        (pool[:26], pool[26:]),
+    ]
+    for s, forced in cases:
+        dist = exact_k_distribution(n, s, forced)
+        holds = edge_hits(n, forced) == len(forced)
+        hist = np.bincount(edge_hits(n, s)[holds], minlength=len(s) + 1)
+        assert dist == hist.tolist(), (s, forced)
+    assert exact_k_distribution(n, all_edges(n))[n - 1] == cayley_count(n)
+    assert exact_k_distribution(n, rest, tri) == [0] * 26
+
+
+def test_exact_k_distribution_pinned_at_40_edges():
+    # 16 paths on 3 vertices and 8 single edges.  For a forest S the subset
+    # sums factor over its components, and sum_k N_k x^k is
+    # 64^22 (62 + 2x)^8 ((63 + x)(61 + 3x))^16.
+    want = [64 ** 22]
+    for factor, power in (([62, 2], 8), ([63, 1], 16), ([61, 3], 16)):
+        for _ in range(power):
+            want = _times(want, factor)
+    dist = exact_k_distribution(64, balanced_forest(64, 40))
+    assert dist == want
+    assert sum(dist) == 64 ** 62
+    assert dist[40] == 64 ** 22 * 2 ** 8 * 3 ** 16
+
+
+def test_kernel_exactness_checks_raise(monkeypatch):
+    # a wrong determinant must fail loudly, under python -O too
+    import treefam.counting as counting
+
+    monkeypatch.setattr(counting, "_det_spd", lambda rows: 1)
+    with pytest.raises(ArithmeticError, match="not integral"):
+        exact_k_distribution(6, [(1, 2), (2, 3)])
+    monkeypatch.setattr(counting, "_det_spd", lambda rows: 6 ** 2 + 1)
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        exact_k_distribution(6, [(1, 2), (3, 4), (5, 6)])
+
+
 @pytest.mark.parametrize("count", [
     lambda: exact_k_distribution(-3, []),
     lambda: exact_k_distribution(0, []),
@@ -273,13 +330,6 @@ def test_exact_k_distribution_reads_forests_and_defaults():
     ]
     with pytest.raises(ValueError, match="disjoint"):
         exact_k_distribution(6, [(1, 2), (2, 3)], [(3, 2)])
-
-
-def test_ie_cap():
-    s = [(1, k) for k in range(2, 9)]
-    with pytest.raises(CapExceeded) as ei:
-        count_at_least(20, s, 2, ie_cap=5)
-    assert ei.value.cap_name == "ie_cap"
 
 
 def test_big_counts_stay_exact():

@@ -1,7 +1,6 @@
 """Extremal family constructions, avoidance counts, D_t, local-lemma checks."""
 
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -31,7 +30,6 @@ from treefam.extremal import (
     trivial_family_size,
 )
 from treefam.trees import (
-    CapExceeded,
     Forest,
     Tree,
     _BLOCK_CELLS,
@@ -383,16 +381,6 @@ def test_count_avoiding_star_blocks_everything():
 def test_count_avoiding_t0_equals_f():
     p = Forest(6, [(1, 2), (2, 3)])
     assert count_avoiding(6, p, p) == count_trees_containing(6, p)
-
-
-def test_count_avoiding_over_ie_cap_names_the_cap():
-    t0 = Forest(8, [(1, 2), (3, 4), (5, 6), (7, 8)])
-    with pytest.raises(CapExceeded) as ei:
-        count_avoiding(8, t0, Forest(8, [(1, 2)]), ie_cap=2)
-    assert (ei.value.cap_name, ei.value.cap_value) == ("ie_cap", 2)
-    # the same engine, so the same message as count_at_least
-    with pytest.raises(CapExceeded, match=re.escape(str(ei.value))):
-        count_at_least(8, t0.edges[1:], 1, ie_cap=2)
 
 
 def test_count_avoiding_dual_paths_on_path6():

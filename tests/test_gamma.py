@@ -296,6 +296,13 @@ def test_packing_partition_certificate():
     assert res.cross_edges // (k - 1) == res.number
 
 
+@pytest.mark.parametrize("g", [SimpleGraph.complete(1), SimpleGraph.path(1)])
+def test_packing_needs_two_vertices(g):
+    # no partition of one vertex has two blocks to bound the packing by
+    with pytest.raises(ValueError, match="n >= 2"):
+        packing_number(g)
+
+
 def test_packing_cap():
     with pytest.raises(CapExceeded):
         packing_number(SimpleGraph.complete(11))
