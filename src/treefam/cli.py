@@ -26,7 +26,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -42,10 +41,6 @@ EXIT_UNKNOWN_COMMAND = 64
 class CLIError(Exception):
     """Validation failure; rendered as the JSON error object, exit 2."""
 
-    def __init__(self, message: str, cap: Optional[str] = None):
-        super().__init__(message)
-        self.cap = cap
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit; surface as validation
@@ -58,8 +53,7 @@ _FLAGS = {
     "format": dict(choices=("json", "csv", "text"), default="json"),
     "reproducible": dict(action="store_true"),
     "seed": dict(type=int, default=0),
-    "enum-cap": dict(type=int),
-    "budget": dict(type=int, help="search node budget"),
+    "budget": dict(type=int, default=gamma.DEFAULT_NODE_BUDGET, help="search node budget"),
     "n": dict(type=int),
     "t": dict(type=int),
     "l": dict(type=int),
@@ -78,7 +72,6 @@ _FLAGS = {
     "witness": dict(action="store_true"),
     "graph": dict(help="K<n>/C<n>/P<n> or file"),
     "graph-n": dict(type=int),
-    "cap": dict(type=int, default=gamma.DEFAULT_GAMMA_CAP),
     "out": dict(help="binary adjacency dump path"),
     "spec": dict(help="FamilySpec JSON file"),
     "p": dict(help="comma list of rationals"),
@@ -86,12 +79,6 @@ _FLAGS = {
     "graph-edges": dict(
         default="", help="dependency edges over event indices, e.g. 0-1,1-2"
     ),
-}
-
-# Cap flags: argparse dest -> (environment variable, default).
-_CAPS = {
-    "enum_cap": ("TREEFAM_ENUM_CAP", trees.DEFAULT_ENUM_CAP),
-    "budget": ("TREEFAM_NODE_BUDGET", gamma.DEFAULT_NODE_BUDGET),
 }
 
 
@@ -107,25 +94,6 @@ def _parser(path: Tuple[str, ...], flags: str) -> _Parser:
             kw["choices"] = tuple(choices.split("|"))
         p.add_argument("--" + name, **kw)
     return p
-
-
-def _fill_caps(args) -> None:
-    """Each cap the command takes: its flag, else its TREEFAM_* variable, else
-    the default; a non-positive value is a validation error."""
-    for dest, (env, value) in _CAPS.items():
-        if not hasattr(args, dest):
-            continue
-        raw = os.environ.get(env)
-        if getattr(args, dest) is not None:
-            value = getattr(args, dest)
-        elif raw is not None:
-            try:
-                value = int(raw)
-            except ValueError:
-                raise CLIError(f"environment variable {env}={raw!r} is not an integer")
-        if value <= 0:
-            raise CLIError(f"--{dest.replace('_', '-')} must be positive, got {value}")
-        setattr(args, dest, value)
 
 
 # -- argument helpers ----------------------------------------------------------
@@ -198,9 +166,7 @@ def _trees_json(ts) -> list:
 
 
 def _cmd_enumerate(args):
-    out = _trees_json(
-        trees.enumerate_trees(args.n, cap=args.enum_cap, start=args.start, stop=args.stop)
-    )
+    out = _trees_json(trees.enumerate_trees(args.n, start=args.start, stop=args.stop))
     payload = {
         "n": args.n,
         "start": args.start,
@@ -252,7 +218,7 @@ def _cmd_spread_check(args):
 
 def _cmd_gamma_build(args):
     g = _parse_graph_arg(args.graph, args.graph_n)
-    dg = gamma.build_gamma(g, args.t, cap=args.cap)
+    dg = gamma.build_gamma(g, args.t)
     payload = dg.summary()
     if args.out:
         dg.save_adjacency(args.out)
@@ -274,7 +240,7 @@ def _search_payload(head: dict, res, **tail) -> dict:
 
 def _cmd_gamma_search(args, independent: bool):
     g = _parse_graph_arg(args.graph, args.graph_n)
-    dg = gamma.build_gamma(g, args.t, cap=args.cap)
+    dg = gamma.build_gamma(g, args.t)
     search = gamma.max_independent_set if independent else gamma.max_clique
     kind = "independent_set" if independent else "clique"
     res = search(dg, budget=args.budget)
@@ -336,6 +302,10 @@ def _cmd_family_size(args):
 
 def _cmd_family_verify(args):
     if args.spec is not None:
+        flags = ("kind", "n", "t", "m", "edges", "edges-file")
+        given = [f"--{f}" for f in flags if getattr(args, f.replace("-", "_")) is not None]
+        if given:
+            raise CLIError(f"--spec does not read {', '.join(given)}")
         try:
             with open(args.spec) as fh:
                 fs = extremal.FamilySpec.from_json(fh.read())
@@ -347,7 +317,7 @@ def _cmd_family_verify(args):
     else:
         kind = args.kind
         fs = _family_spec_from_flags(args)
-    ok, mpi, size = fs.verify(cap=args.enum_cap)
+    ok, mpi, size = fs.verify()
     return {
         "kind": kind,
         "n": fs.n,
@@ -387,7 +357,7 @@ def _cmd_family_scan(args):
 
 
 def _cmd_dt(args):
-    return extremal.blocked_Dt(args.n, args.t, enum_cap=args.enum_cap).to_dict(), None
+    return extremal.blocked_Dt(args.n, args.t).to_dict(), None
 
 
 def _cmd_llll_check(args):
@@ -411,7 +381,7 @@ def _cmd_llll_check(args):
 
 def _cmd_llll_notstar(args):
     t0 = trees.Forest(args.n, _parse_edges_arg(args.edges, args.edges_file))
-    rep = extremal.lemma_notstar_check(args.n, t0, enum_cap=args.enum_cap)
+    rep = extremal.lemma_notstar_check(args.n, t0)
     return rep.to_dict(), None
 
 
@@ -442,19 +412,19 @@ def _cmd_sample(args):
 # --reproducible).  Routing, parsing and the subcommand errors all read this.
 
 COMMANDS = {
-    ("enumerate",): (_cmd_enumerate, "n! start stop enum-cap"),
+    ("enumerate",): (_cmd_enumerate, "n! start stop"),
     ("count", "contain"): (_cmd_count_contain, "n! edges edges-file"),
     ("count", "matching"): (_cmd_count_matching, "n! l!"),
     ("count", "at-least"): (_cmd_count_at_least, "n! edges edges-file m!"),
     ("spread", "check"): (_cmd_spread_check, "n! r! t edge-budget witness"),
-    ("gamma", "build"): (_cmd_gamma_build, "graph! graph-n t! cap out"),
+    ("gamma", "build"): (_cmd_gamma_build, "graph! graph-n t! out"),
     ("gamma", "alpha"): (
         lambda args: _cmd_gamma_search(args, independent=True),
-        "graph! graph-n t! cap budget",
+        "graph! graph-n t! budget",
     ),
     ("gamma", "omega"): (
         lambda args: _cmd_gamma_search(args, independent=False),
-        "graph! graph-n t! cap budget",
+        "graph! graph-n t! budget",
     ),
     ("gamma", "packing"): (_cmd_gamma_packing, "graph! graph-n"),
     ("family", "size"): (
@@ -463,12 +433,12 @@ COMMANDS = {
     ),
     ("family", "verify"): (
         _cmd_family_verify,
-        "kind=trivial|stars-plus-edge|threshold spec n t m edges edges-file enum-cap",
+        "kind=trivial|stars-plus-edge|threshold spec n t m edges edges-file",
     ),
     ("family", "scan"): (_cmd_family_scan, "n! t! j-max! shape"),
-    ("dt",): (_cmd_dt, "n! t! enum-cap"),
+    ("dt",): (_cmd_dt, "n! t!"),
     ("llll", "check"): (_cmd_llll_check, "p! x! graph-edges"),
-    ("llll", "notstar"): (_cmd_llll_notstar, "n! edges edges-file enum-cap"),
+    ("llll", "notstar"): (_cmd_llll_notstar, "n! edges edges-file"),
     ("search", "max"): (_cmd_search_max, "n! t! budget"),
     ("sample",): (_cmd_sample, "n! count seed"),
 }
@@ -498,11 +468,13 @@ def _render(payload: dict, csv_spec, args) -> str:
     return "".join(f"{k}: {v}\n" for k, v in flat)
 
 
-def _fail(message: str, code: int = EXIT_VALIDATION, cap: Optional[str] = None) -> int:
+def _fail(
+    message: str, code: int = EXIT_VALIDATION, cap_name: Optional[str] = None
+) -> int:
     """Write the JSON error object and return the exit code."""
     err = {"message": message}
-    if cap is not None:
-        err["cap"] = cap
+    if cap_name is not None:
+        err["cap"] = cap_name
     sys.stdout.write(json.dumps({"error": err}) + "\n")
     return code
 
@@ -539,12 +511,13 @@ def _run(argv: List[str]) -> int:
     handler, flags = COMMANDS[path]
     try:
         args = _parser(path, flags).parse_args(argv[len(path):])
-        _fill_caps(args)
+        if getattr(args, "budget", 1) <= 0:
+            raise CLIError(f"--budget must be positive, got {args.budget}")
         payload, csv_spec = handler(args)
     except CLIError as e:
-        return _fail(str(e), cap=e.cap)
+        return _fail(str(e))
     except trees.CapExceeded as e:
-        return _fail(str(e), cap=e.cap_name)
+        return _fail(str(e), cap_name=e.cap_name)
     except ValueError as e:
         return _fail(str(e))
     except SystemExit as e:  # argparse --help

@@ -18,11 +18,11 @@ from math import prod
 from typing import Callable, List, Tuple
 
 from .trees import (
-    DEFAULT_ENUM_CAP,
     Edge,
     Forest,
     Tree,
     _DSU,
+    _as_ints,
     _normalize_edges,
     cayley_count,
     edge_hits,
@@ -73,6 +73,7 @@ def count_from_component_product(n: int, prod: int, k: int) -> int:
 
 def count_matching_family(n: int, l: int) -> int:
     """2^l * n^(n-2-l): trees containing a fixed matching of l disjoint edges."""
+    n, l = _as_ints("n and l", n, l)
     if n < 2:
         raise ValueError(f"n={n} must be >= 2")
     if not (0 <= l <= n // 2):
@@ -86,6 +87,7 @@ def containment_lower_bound(n: int, t: int) -> int:
     For t = n-1 the bound would be n^(-1) < 1; the integral answer is 0 and
     the bound is vacuous (see is_lower_bound_vacuous).
     """
+    n, t = _as_ints("n and t", n, t)
     if n < 2:
         raise ValueError(f"n={n} must be >= 2")
     if not (0 <= t <= n - 1):
@@ -211,19 +213,17 @@ def count_at_least(n: int, s, m: int) -> int:
     return sum(exact_k_distribution(n, edges)[m:])
 
 
-def verify_by_enumeration(
-    n: int, predicate: Callable[[Tree], bool], cap: int = DEFAULT_ENUM_CAP
-) -> int:
+def verify_by_enumeration(n: int, predicate: Callable[[Tree], bool]) -> int:
     """Independent oracle: count trees satisfying `predicate` by streaming
     the full enumeration of T_n."""
-    return sum(1 for t in enumerate_trees(n, cap=cap) if predicate(t))
+    return sum(1 for t in enumerate_trees(n) if predicate(t))
 
 
-def enumeration_count_containing(n: int, edges, cap: int = DEFAULT_ENUM_CAP) -> int:
+def enumeration_count_containing(n: int, edges) -> int:
     """Enumeration-oracle count of trees containing `edges` (bitmask sweep).
 
     Same answer as verify_by_enumeration(n, lambda t: edges <= t.edge_set())
     but vectorized over the cached tree-mask universe.
     """
     es = _edges(n, edges)
-    return int((edge_hits(n, es, cap) == len(es)).sum())
+    return int((edge_hits(n, es) == len(es)).sum())

@@ -75,34 +75,31 @@ def stars_plus_edge_size(n: int) -> int:
     The two stars whose centre is an endpoint of the edge already contain it,
     hence the n - 2 (not n) star term.
     """
+    (n,) = _as_ints("n", n)
     if n < 3:
         raise ValueError(f"n={n} must be >= 3")
     return 2 * n ** (n - 3) + (n - 2)
 
 
-def realize_stars_plus_edge(
-    n: int, e: Edge = (1, 2), cap: int = DEFAULT_ENUM_CAP
-) -> List[int]:
+def realize_stars_plus_edge(n: int, e: Edge = (1, 2)) -> List[int]:
     """The stars-plus-fixed-edge family as tree bitmasks, ascending tree index."""
     import numpy as np
 
-    keep = edge_hits(n, [e], cap) >= 1
+    keep = edge_hits(n, [e]) >= 1
     arr = tree_mask_array(n)
     keep |= np.isin(arr, np.array(star_masks(n), dtype=np.uint64))
     return arr[keep].tolist()
 
 
-def realize_trivial_family(n: int, f: Forest, cap: int = DEFAULT_ENUM_CAP) -> List[int]:
+def realize_trivial_family(n: int, f: Forest) -> List[int]:
     """T_n[F] as tree bitmasks, ascending tree index."""
-    keep = edge_hits(n, f.edges, cap) == len(f)
+    keep = edge_hits(n, f.edges) == len(f)
     return tree_mask_array(n)[keep].tolist()
 
 
-def realize_threshold_family(
-    n: int, s, m: int, cap: int = DEFAULT_ENUM_CAP
-) -> List[int]:
+def realize_threshold_family(n: int, s, m: int) -> List[int]:
     """Trees containing at least m edges of the edge set s, as bitmasks."""
-    keep = edge_hits(n, s.edges if isinstance(s, Forest) else s, cap) >= m
+    keep = edge_hits(n, s.edges if isinstance(s, Forest) else s) >= m
     return tree_mask_array(n)[keep].tolist()
 
 
@@ -135,23 +132,23 @@ class FamilySpec:
         if kind == "explicit" and self.members is None:
             raise ValueError("explicit families need members")
 
-    def realize(self, cap: int = DEFAULT_ENUM_CAP) -> List[int]:
+    def realize(self) -> List[int]:
         if self.kind == "trivial":
-            return realize_trivial_family(self.n, Forest(self.n, self.edges), cap)
+            return realize_trivial_family(self.n, Forest(self.n, self.edges))
         if self.kind == "stars_plus_edge":
             e = self.edges[0] if self.edges else (1, 2)
-            return realize_stars_plus_edge(self.n, e, cap)
+            return realize_stars_plus_edge(self.n, e)
         if self.kind == "threshold":
-            return realize_threshold_family(self.n, self.edges, self.threshold, cap)
+            return realize_threshold_family(self.n, self.edges, self.threshold)
         out = []
         for tr in self.members:
             Tree(self.n, tr)  # each member must be a spanning tree
             out.append(edges_to_mask(self.n, tr))
         return out
 
-    def verify(self, cap: int = DEFAULT_ENUM_CAP) -> Tuple[bool, Optional[int], int]:
+    def verify(self) -> Tuple[bool, Optional[int], int]:
         """(claim holds, min pairwise intersection, size) at small n."""
-        masks = self.realize(cap)
+        masks = self.realize()
         mpi = min_pairwise_intersection(masks)
         return (mpi is None or mpi >= self.t), mpi, len(masks)
 
@@ -293,6 +290,7 @@ def example_closed_form(n: int, t: int) -> ExampleReport:
     The threshold family wins exactly when n^2 - (4+2t)n + 3t + 3 < 0, which
     holds throughout the admissible window.
     """
+    n, t = _as_ints("n and t", n, t)
     if t % 2 != 0 or t < 2:
         raise ValueError(f"t={t} must be a positive even integer")
     if not (3 * (t + 2) // 2 <= n < 2 * t):
@@ -369,9 +367,7 @@ def conjecture_scan(n: int, t: int, j_max: int, shape: str = "path") -> ScanRepo
 # -- avoidance counts and the blocked quantity D_t -----------------------------
 
 
-def count_avoiding(
-    n: int, t0: Forest, f: Forest, method: str = "ie", enum_cap: int = DEFAULT_ENUM_CAP
-) -> int:
+def count_avoiding(n: int, t0: Forest, f: Forest, method: str = "ie") -> int:
     """|T_n[T_0; F]|: trees containing every edge of f and no edge of t0
     outside f.
 
@@ -391,8 +387,8 @@ def count_avoiding(
     if method == "ie":
         return exact_k_distribution(n, avoid, f)[0]
     if method == "enum":
-        keep = edge_hits(n, base, enum_cap) == len(base)
-        keep &= edge_hits(n, avoid, enum_cap) == 0
+        keep = edge_hits(n, base) == len(base)
+        keep &= edge_hits(n, avoid) == 0
         return int(keep.sum())
     raise ValueError(f"unknown method {method!r} (want 'ie' or 'enum')")
 
@@ -441,7 +437,7 @@ class BlockedReport:
         }
 
 
-def blocked_Dt(n: int, t: int, enum_cap: int = DEFAULT_ENUM_CAP) -> BlockedReport:
+def blocked_Dt(n: int, t: int) -> BlockedReport:
     """Exact D_t = min over t-edge forests F and non-star trees T_0 with
     |T_0 and F| < t of |T_n[T_0; F]|, by exhaustive double minimization.
 
@@ -461,13 +457,8 @@ def blocked_Dt(n: int, t: int, enum_cap: int = DEFAULT_ENUM_CAP) -> BlockedRepor
     n, t = _as_ints("n and t", n, t)
     if n < 3:
         raise ValueError(f"n={n} must be >= 3 (D_t needs 1 <= t <= n - 2)")
-    if n > min(enum_cap, 7):
-        raise CapExceeded(
-            f"blocked_Dt exhaustion needs n <= 7 (and within the enumeration "
-            f"cap); got n={n}",
-            "enum_cap",
-            min(enum_cap, 7),
-        )
+    if n > 7:
+        raise CapExceeded(f"blocked_Dt exhaustion needs n <= 7, got n={n}", "enum_cap", 7)
     if not (1 <= t <= n - 2):
         raise ValueError(f"t={t} out of range 1..{n - 2}")
     arr = tree_mask_array(n)
@@ -619,9 +610,7 @@ class NotstarReport:
         }
 
 
-def lemma_notstar_check(
-    n: int, t0: Forest, enum_cap: int = DEFAULT_ENUM_CAP
-) -> NotstarReport:
+def lemma_notstar_check(n: int, t0: Forest) -> NotstarReport:
     """Verify the avoidance lower bounds for a non-6-star-like forest T_0.
 
     6-star-like inputs are rejected with the witness edge in the message.
@@ -641,8 +630,8 @@ def lemma_notstar_check(
         )
     empty = Forest(n)
     count = count_avoiding(n, t0, empty, method="ie")
-    if n <= enum_cap:
-        other = count_avoiding(n, t0, empty, method="enum", enum_cap=enum_cap)
+    if n <= DEFAULT_ENUM_CAP:
+        other = count_avoiding(n, t0, empty, method="enum")
         if other != count:
             raise AssertionError(
                 f"avoidance paths disagree at n={n}: ie={count}, enum={other}"

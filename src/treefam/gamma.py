@@ -38,6 +38,7 @@ from .trees import (
     tree_masks,
 )
 
+# Fixed limit, not a setting: the most vertices (spanning trees) a Gamma_t has.
 DEFAULT_GAMMA_CAP = 20000
 DEFAULT_NODE_BUDGET = 10_000_000
 _DUMP_MAGIC = b"GAMADJ01"
@@ -90,26 +91,18 @@ class SimpleGraph:
         return _DSU(self.n).merges(self.edges) == self.n - 1
 
 
-def enumerate_spanning_trees(
-    g: SimpleGraph, cap: int = DEFAULT_GAMMA_CAP
-) -> Iterator[Tree]:
+def enumerate_spanning_trees(g: SimpleGraph) -> Iterator[Tree]:
     """All spanning trees of g, each exactly once, deterministic order.
 
     Recursive deletion-contraction on the first edge joining two contraction
     classes: the include branch (contract) comes first, then the exclude
     branch (delete), which is pruned when the edge is a bridge of the
     contracted graph.  Disconnected g yields nothing.  Raises CapExceeded
-    lazily once more than `cap` trees have been produced.
+    lazily once more than DEFAULT_GAMMA_CAP trees have been produced.
     """
     if not g.is_connected():
         return
-    if g.is_complete() and cayley_count(g.n) > cap:
-        raise CapExceeded(
-            f"K_{g.n} has {cayley_count(g.n)} spanning trees, over cap {cap}",
-            "gamma_cap",
-            cap,
-        )
-    n = g.n
+    n, cap = g.n, DEFAULT_GAMMA_CAP
     produced = 0
     dsu = _DSU(n)  # every rec call leaves it as it found it
 
@@ -245,13 +238,14 @@ class DisjointnessGraph:
         return n, t, rows
 
 
-def build_gamma(g: SimpleGraph, t: int, cap: int = DEFAULT_GAMMA_CAP) -> DisjointnessGraph:
-    """Construct Gamma_t(g) with full bit-packed adjacency."""
+def build_gamma(g: SimpleGraph, t: int) -> DisjointnessGraph:
+    """Construct Gamma_t(g) with full bit-packed adjacency, on at most
+    DEFAULT_GAMMA_CAP vertices."""
     (t,) = _as_ints("t", t)
     if not (1 <= t <= g.n - 1):
         raise ValueError(f"t={t} out of range 1..{g.n - 1}")
     if g.is_complete():
-        total = cayley_count(g.n)
+        total, cap = cayley_count(g.n), DEFAULT_GAMMA_CAP
         if total > cap:
             raise CapExceeded(
                 f"Gamma over K_{g.n} needs {total} vertices, over cap {cap}",
@@ -260,9 +254,7 @@ def build_gamma(g: SimpleGraph, t: int, cap: int = DEFAULT_GAMMA_CAP) -> Disjoin
             )
         masks = tree_masks(g.n)
     else:
-        masks = [
-            edges_to_mask(g.n, tr.edges) for tr in enumerate_spanning_trees(g, cap)
-        ]
+        masks = [edges_to_mask(g.n, tr.edges) for tr in enumerate_spanning_trees(g)]
     return DisjointnessGraph(g, t, masks, _popcount_rows(masks, t))
 
 

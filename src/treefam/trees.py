@@ -29,11 +29,13 @@ from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 Edge = Tuple[int, int]
 
+# Fixed limit, not a setting: the largest n whose n^(n-2) trees are enumerated.
 DEFAULT_ENUM_CAP = 8
 
 
 class CapExceeded(ValueError):
-    """A configured combinatorial cap (enumeration, IE subsets, ...) was hit."""
+    """A fixed limit on exhaustive work (tree enumeration, Gamma vertices,
+    search or packing size) was hit; cap_name and cap_value name it."""
 
     def __init__(self, message: str, cap_name: str, cap_value: int):
         super().__init__(message)
@@ -388,16 +390,14 @@ def tree_from_index(n: int, idx: int) -> Tree:
 
 def cayley_count(n: int) -> int:
     """n^(n-2), the number of labelled spanning trees of K_n."""
+    (n,) = _as_ints("n", n)
     if n < 2:
         raise ValueError(f"n={n} must be >= 2")
     return n ** (n - 2)
 
 
 def enumerate_trees(
-    n: int,
-    cap: int = DEFAULT_ENUM_CAP,
-    start: int = 0,
-    stop: Optional[int] = None,
+    n: int, *, start: int = 0, stop: Optional[int] = None
 ) -> Iterator[Tree]:
     """All spanning trees of K_n in ascending tree-index order.
 
@@ -406,7 +406,7 @@ def enumerate_trees(
     """
     if n < 2:
         raise ValueError(f"n={n} must be >= 2")
-    _check_enum_cap(n, cap)
+    _check_enum_cap(n)
     total = cayley_count(n)
     if stop is None:
         stop = total
@@ -490,7 +490,8 @@ def mask_to_edges(n: int, mask: int) -> list:
 def tree_masks(n: int) -> tuple:
     """Edge bitmasks of every spanning tree of K_n, indexed by tree index.
 
-    Cached; cap enforcement is the caller's job (enumerate_trees applies it).
+    Cached; the caller enforces the enumeration cap (enumerate_trees and
+    edge_hits apply it).
     """
     if n < 2:
         raise ValueError(f"n={n} must be >= 2")
@@ -529,7 +530,8 @@ def tree_mask_array(n: int):
 _BLOCK_CELLS = 1 << 16
 
 
-def _check_enum_cap(n: int, cap: int) -> None:
+def _check_enum_cap(n: int) -> None:
+    cap = DEFAULT_ENUM_CAP
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the enumeration cap {cap}", "enum_cap", cap)
 
@@ -546,7 +548,7 @@ def _as_ints(what: str, *values) -> Tuple[int, ...]:
     raise ValueError(f"{what} must be {kind}, got {', '.join(map(repr, values))}")
 
 
-def edge_hits(n: int, edges: Iterable, cap: int = DEFAULT_ENUM_CAP):
+def edge_hits(n: int, edges: Iterable):
     """How many of `edges` each spanning tree of K_n contains, in tree-index order.
 
     A uint8 array over the cached tree universe; refuses n above the
@@ -555,7 +557,7 @@ def edge_hits(n: int, edges: Iterable, cap: int = DEFAULT_ENUM_CAP):
     """
     import numpy as np
 
-    _check_enum_cap(n, cap)
+    _check_enum_cap(n)
     mask = np.uint64(edges_to_mask(n, edges))
     return np.bitwise_count(tree_mask_array(n) & mask)
 

@@ -112,9 +112,47 @@ def test_cap_violation_names_the_cap(capsys):
     code, out = run(capsys, "enumerate", "--n", "12")
     assert code == EXIT_VALIDATION
     assert json.loads(out)["error"]["cap"] == "enum_cap"
-    # caps are configurable per invocation
+    # caps are fixed limits: the old per-invocation flag is an unknown argument
     code, out = run(capsys, "enumerate", "--n", "4", "--enum-cap", "3")
     assert code == EXIT_VALIDATION
+    assert json.loads(out) == {"error": {"message": "unrecognized arguments: --enum-cap 3"}}
+
+
+@pytest.mark.parametrize("argv, cap, value", [
+    (("enumerate", "--n", "9"), "enum_cap", 8),
+    (("family", "verify", "--kind", "trivial", "--n", "9", "--edges", "1-2"), "enum_cap", 8),
+    (("dt", "--n", "8", "--t", "1"), "enum_cap", 7),
+    (("gamma", "build", "--graph", "K8", "--t", "1"), "gamma_cap", 20000),
+    (("search", "max", "--n", "7", "--t", "1"), "search_cap", 6),
+    (("gamma", "packing", "--graph", "K11"), "packing_cap", 10),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_each_limit_fires_past_its_boundary(capsys, argv, cap, value):
+    code, out = run(capsys, *argv, "--reproducible")
+    assert code == EXIT_VALIDATION
+    err = json.loads(out)["error"]
+    assert err["cap"] == cap and str(value) in err["message"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("enumerate", "--n", "4"), "--enum-cap"),
+    (("family", "verify", "--kind", "trivial", "--n", "5", "--edges", "1-2"), "--enum-cap"),
+    (("dt", "--n", "5", "--t", "1"), "--enum-cap"),
+    (("llll", "notstar", "--n", "7", "--edges", "1-2,3-4,5-6"), "--enum-cap"),
+    (("gamma", "build", "--graph", "K4", "--t", "1"), "--cap"),
+    (("gamma", "alpha", "--graph", "K4", "--t", "1"), "--cap"),
+    (("gamma", "omega", "--graph", "K4", "--t", "1"), "--cap"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_cap_flags_are_retired(capsys, argv, flag):
+    code, out = run(capsys, *argv, flag, "9", "--reproducible")
+    assert code == EXIT_VALIDATION
+    assert json.loads(out) == {"error": {"message": f"unrecognized arguments: {flag} 9"}}
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_budget_must_be_positive(capsys, budget):
+    code, out = run(capsys, "search", "max", "--n", "4", "--t", "1", "--budget", budget)
+    assert code == EXIT_VALIDATION
+    assert json.loads(out) == {"error": {"message": f"--budget must be positive, got {budget}"}}
 
 
 @pytest.mark.parametrize("argv", [
@@ -156,12 +194,18 @@ def test_count_at_least_past_the_old_cap(capsys):
 
 
 def test_env_cap_override(capsys, monkeypatch):
-    monkeypatch.setenv("TREEFAM_ENUM_CAP", "3")
-    code, out = run(capsys, "enumerate", "--n", "4")
-    assert code == EXIT_VALIDATION
-    monkeypatch.setenv("TREEFAM_ENUM_CAP", "junk")
-    code, out = run(capsys, "enumerate", "--n", "4")
-    assert code == EXIT_VALIDATION
+    # the TREEFAM_* variables are retired: neither a value that would lower a
+    # limit nor one that is not a number changes a result
+    want = {argv: run(capsys, *argv, "--reproducible")
+            for argv in [("enumerate", "--n", "4"), ("search", "max", "--n", "4", "--t", "1")]}
+    for value in ("3", "0", "junk"):
+        monkeypatch.setenv("TREEFAM_ENUM_CAP", value)
+        monkeypatch.setenv("TREEFAM_NODE_BUDGET", value)
+        for argv, (code, out) in want.items():
+            assert code == EXIT_OK
+            assert run(capsys, *argv, "--reproducible") == (code, out)
+    code, out = run(capsys, "enumerate", "--n", "9")
+    assert json.loads(out)["error"]["cap"] == "enum_cap"
 
 
 def test_reproducible_output_is_byte_identical(capsys):
@@ -379,6 +423,25 @@ def test_family_verify_spec_file(capsys, tmp_path):
     code, out = run(capsys, "family", "verify", "--spec", str(spec))
     assert code == EXIT_VALIDATION
     assert json.loads(out)["error"]["cap"] == "enum_cap"
+
+
+def test_family_verify_spec_rejects_the_flags_it_ignores(capsys, tmp_path):
+    from treefam.extremal import FamilySpec
+
+    # the spec file fixes kind, n, t and edges: flags that would describe a
+    # different family were silently dropped, printing the file's verdict
+    spec = tmp_path / "trivial6.json"
+    spec.write_text(FamilySpec("trivial", 6, 2, edges=[(1, 2), (3, 4)]).to_json())
+    code, out = run(capsys, "family", "verify", "--spec", str(spec), "--n", "5",
+                    "--kind", "threshold", "--m", "3", "--t", "4", "--reproducible")
+    assert code == EXIT_VALIDATION
+    assert json.loads(out) == {
+        "error": {"message": "--spec does not read --kind, --n, --t, --m"}
+    }
+    for flags in (["--edges", "1-2"], ["--edges-file", str(spec)]):
+        code, out = run(capsys, "family", "verify", "--spec", str(spec), *flags)
+        assert code == EXIT_VALIDATION
+        assert json.loads(out)["error"]["message"] == f"--spec does not read {flags[0]}"
 
 
 def test_spread_check_with_witness(capsys):

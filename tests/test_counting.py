@@ -18,7 +18,7 @@ from treefam.counting import (
     is_lower_bound_vacuous,
     verify_by_enumeration,
 )
-from treefam.extremal import balanced_forest
+from treefam.extremal import balanced_forest, example_closed_form, stars_plus_edge_size
 from treefam.trees import (
     CapExceeded,
     Forest,
@@ -77,6 +77,20 @@ def test_count_matching_family():
     assert count_matching_family(2, 1) == 1  # the single tree on 2 vertices
     with pytest.raises(ValueError):
         count_matching_family(5, 3)  # no 3-matching fits in K_5
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: count_matching_family(6.0, 2), "n and l"),
+    (lambda: count_matching_family(6, True), "n and l"),
+    (lambda: stars_plus_edge_size(6.0), "n"),
+    (lambda: example_closed_form(15.0, 8), "n and t"),
+    (lambda: containment_lower_bound(6.5, 2), "n and t"),
+    (lambda: cayley_count(5.5), "n"),
+], ids=["matching", "matching-bool", "stars-plus-edge", "example", "lower-bound", "cayley"])
+def test_closed_forms_take_only_integers(call, what):
+    # these used to return floats: 144.0, 436.0, 74631375.0, 107.71..., 390.18...
+    with pytest.raises(ValueError, match=f"^{what} must be"):
+        call()
 
 
 def test_matching_maximality():

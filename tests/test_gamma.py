@@ -81,8 +81,16 @@ def test_enumerate_spanning_trees_matches_cayley():
 
 
 def test_enumerate_spanning_trees_cap():
-    with pytest.raises(CapExceeded):
-        list(enumerate_spanning_trees(SimpleGraph.complete(4), cap=10))
+    # the stream yields exactly the fixed 20,000 trees of K_8, then refuses
+    stream = enumerate_spanning_trees(SimpleGraph.complete(8))
+    got = 0
+    with pytest.raises(CapExceeded) as ei:
+        for _ in stream:
+            got += 1
+    assert got == 20000
+    assert (ei.value.cap_name, ei.value.cap_value) == ("gamma_cap", 20000)
+    with pytest.raises(TypeError):
+        enumerate_spanning_trees(SimpleGraph.complete(4), cap=10)
 
 
 # -- disjointness graph ---------------------------------------------------------
@@ -121,8 +129,11 @@ def test_stars_are_universal_non_neighbors_at_t1():
 
 def test_gamma_respects_cap():
     with pytest.raises(CapExceeded) as ei:
-        build_gamma(SimpleGraph.complete(8), 1, cap=1000)
-    assert ei.value.cap_name == "gamma_cap"
+        build_gamma(SimpleGraph.complete(8), 1)
+    assert (ei.value.cap_name, ei.value.cap_value) == ("gamma_cap", 20000)
+    assert "262144 vertices" in str(ei.value)
+    with pytest.raises(TypeError):
+        build_gamma(SimpleGraph.complete(4), 1, cap=1000)
 
 
 def test_gamma_dump_roundtrip(tmp_path):

@@ -1,11 +1,16 @@
 """Tree/forest representations, the Prufer bijection, enumeration, predicates."""
 
+import inspect
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import treefam
+import treefam.cli
+from treefam.extremal import blocked_Dt, brute_force_max_t_intersecting
+from treefam.gamma import SimpleGraph, build_gamma, enumerate_spanning_trees, packing_number
 from treefam.trees import (
     CapExceeded,
     Forest,
@@ -18,6 +23,7 @@ from treefam.trees import (
     components,
     edge,
     edge_bit,
+    edge_hits,
     edges_to_mask,
     enumerate_trees,
     intersection_size,
@@ -165,9 +171,47 @@ def test_enumerate_trees_n8_distinct():
 def test_enumerate_trees_cap():
     with pytest.raises(CapExceeded) as ei:
         next(enumerate_trees(9))
-    assert ei.value.cap_name == "enum_cap"
-    # the cap is configurable
-    assert sum(1 for _ in enumerate_trees(3, cap=3)) == 3
+    assert (ei.value.cap_name, ei.value.cap_value) == ("enum_cap", 8)
+    # the cap is a fixed limit, and start/stop are keyword-only, so an old
+    # positional cap cannot turn into a start index
+    with pytest.raises(TypeError):
+        enumerate_trees(3, cap=3)
+    with pytest.raises(TypeError):
+        enumerate_trees(5, 8)
+
+
+K8 = SimpleGraph.complete(8)
+
+
+@pytest.mark.parametrize("over, under, name, value", [
+    (lambda: next(enumerate_trees(9)), lambda: next(enumerate_trees(8)), "enum_cap", 8),
+    (lambda: edge_hits(9, [(1, 2)]), lambda: edge_hits(8, [(1, 2)]), "enum_cap", 8),
+    (lambda: blocked_Dt(8, 1), lambda: blocked_Dt(7, 5), "enum_cap", 7),
+    (lambda: build_gamma(K8, 1), None, "gamma_cap", 20000),
+    (lambda: list(enumerate_spanning_trees(K8)), None, "gamma_cap", 20000),
+    (lambda: brute_force_max_t_intersecting(7, 1), None, "search_cap", 6),
+    (lambda: packing_number(SimpleGraph.complete(11)), None, "packing_cap", 10),
+], ids=["enumerate_trees", "edge_hits", "blocked_Dt", "build_gamma",
+        "spanning_tree_stream", "search", "packing"])
+def test_each_limit_fires_past_its_boundary(over, under, name, value):
+    if under is not None:
+        under()
+    with pytest.raises(CapExceeded) as ei:
+        over()
+    assert (ei.value.cap_name, ei.value.cap_value) == (name, value)
+
+
+def test_no_function_takes_a_cap():
+    # every limit is a module constant: no library signature can move one
+    funcs = []
+    for name in ("cli", "counting", "extremal", "gamma", "spread", "trees"):
+        mod = getattr(treefam, name)
+        for obj in vars(mod).values():
+            members = vars(obj).values() if isinstance(obj, type) else [obj]
+            funcs += [f for f in members if inspect.isfunction(f) and f.__module__ == mod.__name__]
+    assert len(funcs) > 100
+    for f in funcs:
+        assert not {"cap", "enum_cap"} & set(inspect.signature(f).parameters), f.__qualname__
 
 
 # -- predicates --------------------------------------------------------------
