@@ -7,7 +7,8 @@ containing a fixed forest F with component sizes q_1..q_m,
 
 plus one matrix-tree kernel, exact_k_distribution, for "contains a forced
 forest and exactly k edges of a set S" (exact Bareiss determinants, no cap on
-|S|), and an enumeration oracle that recounts any of it by streaming all
+|S|), whose k = 0 term _containing_avoiding reads from one determinant
+per block, and an enumeration oracle that recounts any of it by streaming all
 n^(n-2) trees.  Every count is an exact Python int; nothing here touches
 floats.
 """
@@ -30,23 +31,13 @@ from .trees import (
 )
 
 def _edges(n: int, f) -> Tuple[Edge, ...]:
-    """The canonical edge tuple of a Forest or of a validated edge iterable;
-    every count here reads its edges through this, so n >= 2 is checked once."""
-    if n < 2:
-        raise ValueError(f"n={n} must be >= 2")
-    return f.edges if isinstance(f, Forest) else _normalize_edges(n, f)
-
-
-def _merge(dsu: _DSU, edges) -> int:
-    """Union the edges into a fresh dsu; the product of the component sizes
-    they form, or 0 if they hold a cycle."""
-    for u, v in edges:
-        if not dsu.union(u, v):
-            return 0
-    prod = 1
-    for r in {dsu.find(u) for u, _ in edges}:
-        prod *= dsu.size[r]
-    return prod
+    """The canonical edge tuple of a Forest on n vertices or of a validated
+    edge iterable; every count here reads its edges through this."""
+    if not isinstance(f, Forest):
+        return _normalize_edges(n, f)
+    if f.n != n:
+        raise ValueError(f"the forest lives on n={f.n}, not n={n}")
+    return f.edges
 
 
 def count_trees_containing(n: int, f) -> int:
@@ -55,8 +46,8 @@ def count_trees_containing(n: int, f) -> int:
     f may be a Forest or any iterable of edges; an edge set with a cycle is
     contained in no tree, so it counts 0 (not an error).
     """
-    edges = _edges(n, f)
-    return count_from_component_product(n, _merge(_DSU(n), edges), len(edges))
+    (n,) = _as_ints("n", n, low=(2,))
+    return _over_n2(n, _contract(n, (), _edges(n, f))[0])
 
 
 def count_from_component_product(n: int, prod: int, k: int) -> int:
@@ -73,10 +64,8 @@ def count_from_component_product(n: int, prod: int, k: int) -> int:
 
 def count_matching_family(n: int, l: int) -> int:
     """2^l * n^(n-2-l): trees containing a fixed matching of l disjoint edges."""
-    n, l = _as_ints("n and l", n, l)
-    if n < 2:
-        raise ValueError(f"n={n} must be >= 2")
-    if not (0 <= l <= n // 2):
+    n, l = _as_ints("n and l", n, l, low=(2, 0))
+    if l > n // 2:
         raise ValueError(f"no matching with l={l} edges fits in K_{n}")
     return count_from_component_product(n, 2 ** l, l)
 
@@ -87,10 +76,8 @@ def containment_lower_bound(n: int, t: int) -> int:
     For t = n-1 the bound would be n^(-1) < 1; the integral answer is 0 and
     the bound is vacuous (see is_lower_bound_vacuous).
     """
-    n, t = _as_ints("n and t", n, t)
-    if n < 2:
-        raise ValueError(f"n={n} must be >= 2")
-    if not (0 <= t <= n - 1):
+    n, t = _as_ints("n and t", n, t, low=(2, 0))
+    if t > n - 1:
         raise ValueError(f"t={t} out of range 0..{n - 1}")
     if t > n - 2:
         return 0
@@ -98,6 +85,7 @@ def containment_lower_bound(n: int, t: int) -> int:
 
 
 def is_lower_bound_vacuous(n: int, t: int) -> bool:
+    n, t = _as_ints("n and t", n, t)
     return t > n - 2
 
 
@@ -113,21 +101,50 @@ def exact_k_distribution(n: int, s, forced=()) -> List[int]:
     over the blocks of L; a block on k classes has degree < k, so it is
     evaluated at x = 1..k and interpolated, all in exact integers.
     """
+    (n,) = _as_ints("n", n, low=(2,))
     edges, base = _edges(n, s), _edges(n, forced)
     if set(edges) & set(base):
         raise ValueError("s and forced must be disjoint edge sets")
+    free, blocks = _contract(n, edges, base)
+    poly = [free]
+    for diag, lap in blocks:
+        poly = _times_block(poly, diag, lap)
+    return [_over_n2(n, c) for c in poly] + [0] * (len(edges) + 1 - len(poly))
+
+
+def _containing_avoiding(n: int, s, forced) -> int:
+    """N_0 of exact_k_distribution(n, s, forced) for checked, disjoint edge
+    tuples: one determinant per block, det(n diag(a) - L), at x = 0.
+
+    That matrix is L' + a a^T, L' the Laplacian of the classes over the
+    edges of K_n outside s: positive semidefinite, and singular when every
+    tree meets s.  For an acyclic s only the last pivot can then be 0, as
+    _det_spd needs: two classes with every outward edge in s would close a
+    cycle.
+    """
+    det, blocks = _contract(n, s, forced)
+    for diag, lap in blocks:
+        det *= _det_spd(_shifted(diag, lap, -1))
+    return _over_n2(n, det)
+
+
+def _contract(n: int, s, forced):
+    """The factors of det(n diag(a) + (x - 1) L): the product of n a over the
+    classes no edge of s reaches (0 if `forced` holds a cycle), and per block
+    of L its diagonal n a and upper-triangle rows, a tree's leaves first."""
     classes = _DSU(n)
-    if not _merge(classes, base):
-        return [0] * (len(edges) + 1)
+    if not all(classes.union(u, v) for u, v in forced):
+        return 0, []
     find, size = classes.find, classes.size
     adjacent: dict = {}  # class -> the classes its edges of s reach, repeats kept
-    for u, v in edges:
+    for u, v in s:
         ru, rv = find(u), find(v)
         if ru != rv:
             adjacent.setdefault(ru, []).append(rv)
             adjacent.setdefault(rv, []).append(ru)
     roots = [r for r in range(1, n + 1) if classes.parent[r] == r]
-    poly = [prod(n * size[r] for r in roots if r not in adjacent)]
+    free = prod(n * size[r] for r in roots if r not in adjacent)
+    blocks = []
     seen: set = set()
     for block in ([r] for r in adjacent if r not in seen):
         seen.add(block[0])
@@ -141,22 +158,27 @@ def exact_k_distribution(n: int, s, forced=()) -> List[int]:
             [len(adjacent[c])] + [-adjacent[c].count(d) for d in block[i + 1 :]]
             for i, c in enumerate(block)
         ]
-        poly = _times_block(poly, [n * size[c] for c in block], lap)
-    if any(c % (n * n) for c in poly):
+        blocks.append(([n * size[c] for c in block], lap))
+    return free, blocks
+
+
+def _over_n2(n: int, det: int) -> int:
+    q, r = divmod(det, n * n)
+    if r:
         raise ArithmeticError(f"n^2 = {n * n} does not divide the determinant")
-    return [c // (n * n) for c in poly] + [0] * (len(edges) + 1 - len(poly))
+    return q
+
+
+def _shifted(diag: List[int], lap: List[List[int]], y: int) -> List[List[int]]:
+    """Upper-triangle rows of diag(diag) + y L."""
+    return [[d + y * row[0]] + [y * e for e in row[1:]] for d, row in zip(diag, lap)]
 
 
 def _times_block(poly: List[int], diag: List[int], lap: List[List[int]]) -> List[int]:
     """poly times det(diag(diag) + (x - 1) L), L given by its upper-triangle
     rows: the determinant at x = 1..k, Newton's divided differences, Horner."""
     k = len(diag)
-    coef = [prod(diag)]
-    for y in range(1, k):
-        rows = [[y * e for e in row] for row in lap]
-        for row, d in zip(rows, diag):
-            row[0] += d
-        coef.append(_det_spd(rows))
+    coef = [prod(diag)] + [_det_spd(_shifted(diag, lap, y)) for y in range(1, k)]
     for j in range(1, k):
         for i in range(k - 1, j - 1, -1):
             coef[i], rem = divmod(coef[i] - coef[i - 1], j)
@@ -171,11 +193,13 @@ def _times_block(poly: List[int], diag: List[int], lap: List[List[int]]) -> List
 
 
 def _det_spd(rows: List[List[int]]) -> int:
-    """Determinant of a symmetric positive definite integer matrix, given by
-    its upper-triangle rows: Bareiss elimination, whose pivots are leading
-    principal minors, so it needs no pivoting.  A row with a zero below the
-    pivot would only scale by pivot / prev, and those factors telescope: it
-    is rescaled from the pivot it was last exact at when next read."""
+    """Determinant of a symmetric integer matrix whose leading principal
+    minors are positive, bar perhaps the last (positive definite, or
+    semidefinite and singular only as a whole), given by its upper-triangle
+    rows: Bareiss elimination, whose pivots are those minors, so it needs no
+    pivoting.  A row with a zero below the pivot would only scale by pivot /
+    prev, and those factors telescope: it is rescaled from the pivot it was
+    last exact at when next read."""
     prev = 1
     exact_at = [1] * len(rows)
     for i in range(len(rows) - 1):
@@ -197,14 +221,14 @@ def _det_spd(rows: List[List[int]]) -> int:
 
 def count_exactly(n: int, s, k: int) -> int:
     """Trees containing exactly k edges of the edge set s."""
+    n, k = _as_ints("n and k", n, k, low=(2,))
     edges = _edges(n, s)
-    if not (0 <= k <= len(edges)):
-        return 0
-    return exact_k_distribution(n, edges)[k]
+    return exact_k_distribution(n, edges)[k] if 0 <= k <= len(edges) else 0
 
 
 def count_at_least(n: int, s, m: int) -> int:
     """Trees containing at least m edges of the edge set s."""
+    n, m = _as_ints("n and m", n, m, low=(2,))
     edges = _edges(n, s)
     if m <= 0:
         return cayley_count(n)
@@ -225,5 +249,6 @@ def enumeration_count_containing(n: int, edges) -> int:
     Same answer as verify_by_enumeration(n, lambda t: edges <= t.edge_set())
     but vectorized over the cached tree-mask universe.
     """
+    (n,) = _as_ints("n", n, low=(2,))
     es = _edges(n, edges)
     return int((edge_hits(n, es) == len(es)).sum())

@@ -21,11 +21,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .counting import (
-    count_at_least,
-    count_trees_containing,
-    exact_k_distribution,
-)
+from .counting import _containing_avoiding, count_at_least, count_trees_containing
 from .gamma import (
     DEFAULT_NODE_BUDGET,
     SearchResult,
@@ -75,9 +71,7 @@ def stars_plus_edge_size(n: int) -> int:
     The two stars whose centre is an endpoint of the edge already contain it,
     hence the n - 2 (not n) star term.
     """
-    (n,) = _as_ints("n", n)
-    if n < 3:
-        raise ValueError(f"n={n} must be >= 3")
+    (n,) = _as_ints("n", n, low=(3,))
     return 2 * n ** (n - 3) + (n - 2)
 
 
@@ -93,12 +87,12 @@ def realize_stars_plus_edge(n: int, e: Edge = (1, 2)) -> List[int]:
 
 def realize_trivial_family(n: int, f: Forest) -> List[int]:
     """T_n[F] as tree bitmasks, ascending tree index."""
-    keep = edge_hits(n, f.edges) == len(f)
-    return tree_mask_array(n)[keep].tolist()
+    return realize_threshold_family(n, f.edges, len(f))
 
 
 def realize_threshold_family(n: int, s, m: int) -> List[int]:
     """Trees containing at least m edges of the edge set s, as bitmasks."""
+    (m,) = _as_ints("m", m)
     keep = edge_hits(n, s.edges if isinstance(s, Forest) else s) >= m
     return tree_mask_array(n)[keep].tolist()
 
@@ -209,7 +203,8 @@ def balanced_forest(n: int, l: int, shape: str = "path") -> Forest:
     the rest floor(n/c).  Components live on consecutive label blocks, larger
     blocks first, each shaped per `shape` (paths by default).
     """
-    if not (0 <= l <= n - 1):
+    n, l = _as_ints("n and l", n, l, low=(1, 0))
+    if l > n - 1:
         raise ValueError(f"l={l} out of range 0..{n - 1}")
     c = n - l
     big = n % c
@@ -226,6 +221,7 @@ def balanced_forest(n: int, l: int, shape: str = "path") -> Forest:
 
 def example_forest(n: int, t: int) -> Forest:
     """t/2 + 1 disjoint 3-vertex paths on consecutive labels (t even)."""
+    n, t = _as_ints("n and t", n, t)
     if t % 2 != 0 or t < 2:
         raise ValueError(f"t={t} must be a positive even integer")
     paths = t // 2 + 1
@@ -241,8 +237,7 @@ def example_forest(n: int, t: int) -> Forest:
 def family_F_ntj_size(n: int, t: int, j: int, shape: str = "path") -> int:
     """Size of the threshold family: trees with >= t+j of the t+2j edges of
     the balanced forest F_{n, t+2j}.  At j = 0 this is the trivial family."""
-    if t < 1 or j < 0:
-        raise ValueError(f"need t >= 1 and j >= 0, got t={t}, j={j}")
+    n, t, j = _as_ints("n, t and j", n, t, j, low=(2, 1, 0))
     if t + 2 * j > n - 1:
         raise ValueError(f"t+2j = {t + 2 * j} exceeds n-1 = {n - 1}")
     f = balanced_forest(n, t + 2 * j, shape)
@@ -352,9 +347,7 @@ def conjecture_scan(n: int, t: int, j_max: int, shape: str = "path") -> ScanRepo
     Ties resolve to the smallest j.  When t <= n/2, weak_consistent records
     whether j = 0 (the plain trivial family) wins, as expected for that range.
     """
-    n, t, j_max = _as_ints("n, t and j_max", n, t, j_max)
-    if j_max < 0:
-        raise ValueError(f"j_max={j_max} must be >= 0")
+    n, t, j_max = _as_ints("n, t and j_max", n, t, j_max, low=(2, 1, 0))
     if t + 2 * j_max > n - 1:
         raise ValueError(f"t + 2*j_max = {t + 2 * j_max} exceeds n-1 = {n - 1}")
     rows = [ScanRow(n, t, j, family_F_ntj_size(n, t, j, shape)) for j in range(j_max + 1)]
@@ -371,21 +364,19 @@ def count_avoiding(n: int, t0: Forest, f: Forest, method: str = "ie") -> int:
     """|T_n[T_0; F]|: trees containing every edge of f and no edge of t0
     outside f.
 
-    method "ie" reads N_0 of exact_k_distribution(n, t0 \\ f, forced=f), the
-    matrix-tree kernel, at any n; method "enum" recounts by scanning the full
-    tree universe (n within the enumeration cap).  The two paths must agree;
+    method "ie" reads N_0 of the matrix-tree kernel, one determinant per
+    block, at any n; method "enum" recounts by scanning the full tree
+    universe (n within the enumeration cap).  The two paths must agree;
     tests hold them to that.
     """
-    if not isinstance(t0, Forest):
-        t0 = Forest(n, t0)
-    if not isinstance(f, Forest):
-        f = Forest(n, f)
+    (n,) = _as_ints("n", n, low=(2,))
+    t0, f = (x if isinstance(x, Forest) else Forest(n, x) for x in (t0, f))
     if t0.n != n or f.n != n:
         raise ValueError("t0 and f must live on the same n")
     base = f.edges
     avoid = tuple(sorted(set(t0.edges) - set(base)))
     if method == "ie":
-        return exact_k_distribution(n, avoid, f)[0]
+        return _containing_avoiding(n, avoid, base)
     if method == "enum":
         keep = edge_hits(n, base) == len(base)
         keep &= edge_hits(n, avoid) == 0
@@ -454,12 +445,10 @@ def blocked_Dt(n: int, t: int) -> BlockedReport:
     """
     import numpy as np
 
-    n, t = _as_ints("n and t", n, t)
-    if n < 3:
-        raise ValueError(f"n={n} must be >= 3 (D_t needs 1 <= t <= n - 2)")
+    n, t = _as_ints("n and t", n, t, low=(3, 1))
     if n > 7:
         raise CapExceeded(f"blocked_Dt exhaustion needs n <= 7, got n={n}", "enum_cap", 7)
-    if not (1 <= t <= n - 2):
+    if t > n - 2:
         raise ValueError(f"t={t} out of range 1..{n - 2}")
     arr = tree_mask_array(n)
     not_star = ~np.isin(arr, np.array(star_masks(n), dtype=np.uint64))
@@ -617,8 +606,7 @@ def lemma_notstar_check(n: int, t0: Forest) -> NotstarReport:
     The avoid count is exact (the matrix-tree kernel; cross-checked against
     the enumeration path when n is within the cap).
     """
-    if n < 5:
-        raise ValueError(f"n={n} must be >= 5")
+    (n,) = _as_ints("n", n, low=(5,))
     if not isinstance(t0, Forest):
         t0 = Forest(n, t0)
     if is_d_star_like(t0, 6):
@@ -667,11 +655,12 @@ def brute_force_max_t_intersecting(
     returns the search result plus a comparison against the construction
     sizes (matching-based trivial family; stars-plus-edge at t = 1).
     """
+    n, t = _as_ints("n and t", n, t, low=(2, 1))
     if n > 6:
         raise CapExceeded(
             f"brute-force search is capped at n <= 6, got n={n}", "search_cap", 6
         )
-    if not (1 <= t <= n - 1):
+    if t > n - 1:
         raise ValueError(f"t={t} out of range 1..{n - 1}")
     gamma = build_gamma(SimpleGraph.complete(n), t)
     result = max_independent_set(gamma, budget=node_budget)

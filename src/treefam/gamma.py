@@ -50,8 +50,7 @@ class SimpleGraph:
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable = ()):
-        if n < 1:
-            raise ValueError(f"vertex count n={n} must be >= 1")
+        (n,) = _as_ints("n", n, low=(1,))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", _normalize_edges(n, edges))
 
@@ -63,16 +62,17 @@ class SimpleGraph:
 
     @classmethod
     def complete(cls, n: int) -> "SimpleGraph":
+        (n,) = _as_ints("n", n, low=(1,))
         return cls(n, all_edges(n))
 
     @classmethod
     def cycle(cls, n: int) -> "SimpleGraph":
-        if n < 3:
-            raise ValueError("cycles need n >= 3")
+        (n,) = _as_ints("n", n, low=(3,))
         return cls(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
 
     @classmethod
     def path(cls, n: int) -> "SimpleGraph":
+        (n,) = _as_ints("n", n, low=(1,))
         return cls(n, [(i, i + 1) for i in range(1, n)])
 
     @classmethod
@@ -241,8 +241,8 @@ class DisjointnessGraph:
 def build_gamma(g: SimpleGraph, t: int) -> DisjointnessGraph:
     """Construct Gamma_t(g) with full bit-packed adjacency, on at most
     DEFAULT_GAMMA_CAP vertices."""
-    (t,) = _as_ints("t", t)
-    if not (1 <= t <= g.n - 1):
+    (t,) = _as_ints("t", t, low=(1,))
+    if t > g.n - 1:
         raise ValueError(f"t={t} out of range 1..{g.n - 1}")
     if g.is_complete():
         total, cap = cayley_count(g.n), DEFAULT_GAMMA_CAP
@@ -264,9 +264,7 @@ class TreeFamily:
     __slots__ = ("gamma", "member_mask")
 
     def __init__(self, gamma: DisjointnessGraph, member_mask: int):
-        (member_mask,) = _as_ints("member mask", member_mask)
-        if member_mask < 0:
-            raise ValueError("member mask must be >= 0")
+        (member_mask,) = _as_ints("member mask", member_mask, low=(0,))
         if member_mask >> gamma.vertex_count:
             raise ValueError(
                 f"member mask has bit {member_mask.bit_length() - 1}, but the "
@@ -596,9 +594,7 @@ def _search(gamma: DisjointnessGraph, adj: List[int], budget: int) -> Tuple[int,
     """_max_clique_bitset with the vertex relabellings of K_n when the host
     graph is complete; any other host searches without a group.  The budget
     must be an integer >= 0."""
-    (budget,) = _as_ints("node budget", budget)
-    if budget < 0:
-        raise ValueError(f"node budget must be >= 0, got {budget}")
+    (budget,) = _as_ints("node budget", budget, low=(0,))
     if gamma.graph.is_complete():
         return _max_clique_bitset(adj, budget, gamma.masks, _edge_perms(gamma.n))
     return _max_clique_bitset(adj, budget)
@@ -639,8 +635,7 @@ def max_independent_set(
 
 def iter_set_partitions(n: int) -> Iterator[Tuple[int, ...]]:
     """Restricted-growth strings: block label of each of n items, a[0] = 0."""
-    if n == 0:
-        return
+    (n,) = _as_ints("n", n, low=(0,))
     a = [0] * n
 
     def rec(i, mx):
@@ -651,7 +646,7 @@ def iter_set_partitions(n: int) -> Iterator[Tuple[int, ...]]:
             a[i] = v
             yield from rec(i + 1, max(mx, v))
 
-    yield from rec(1, 0)
+    return rec(1, 0) if n else iter(())
 
 
 class PackingResult:

@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .counting import count_from_component_product, count_trees_containing
+from .trees import _as_ints
 
 
 class SpreadReport:
@@ -72,18 +73,6 @@ class SpreadReport:
         return json.dumps(self.to_dict())
 
 
-def _check_args(n: int, r, edge_budget: Optional[int]):
-    """Validated (r as a Fraction, edge budget clamped to n-1)."""
-    if n < 2:
-        raise ValueError(f"n={n} must be >= 2")
-    r = Fraction(r)
-    if r <= 1:
-        raise ValueError(f"r={r} must exceed 1")
-    if edge_budget is None:
-        return r, n - 1
-    if edge_budget < 0:
-        raise ValueError(f"edge_budget={edge_budget} must be >= 0")
-    return r, min(edge_budget, n - 1)
 
 
 def _extend(best: list, e: int):
@@ -203,9 +192,12 @@ def verify_rt_spread(
     paths on consecutive vertex blocks and T as prefixes of those paths.
     Budget handling is as in verify_r_spread.
     """
-    r, edge_budget = _check_args(n, r, edge_budget)
-    if t < 0:
-        raise ValueError(f"t={t} must be >= 0")
+    n, t = _as_ints("n and t", n, t, low=(2, 0))
+    budget = n - 1 if edge_budget is None else edge_budget
+    edge_budget = min(_as_ints("edge_budget", budget, low=(0,))[0], n - 1)
+    r = Fraction(r)
+    if r <= 1:
+        raise ValueError(f"r={r} must exceed 1")
     p, q = r.numerator, r.denominator
     checked = 0
     for ku in range(edge_budget + 1):

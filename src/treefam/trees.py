@@ -24,7 +24,7 @@ import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 Edge = Tuple[int, int]
@@ -134,10 +134,10 @@ class Forest:
     """An acyclic edge set on {1, ..., n}, stored in canonical sorted form."""
 
     __slots__ = ("n", "edges")
+    _least_n = 1
 
     def __init__(self, n: int, edges: Iterable = ()):
-        if n < 1:
-            raise ValueError(f"vertex count n={n} must be >= 1")
+        (n,) = _as_ints("n", n, low=(self._least_n,))
         es = _normalize_edges(n, edges)
         dsu = _DSU(n)
         for u, v in es:
@@ -230,14 +230,12 @@ class Forest:
 class Tree(Forest):
     """A spanning tree of K_n: an acyclic edge set with exactly n - 1 edges."""
 
+    _least_n = 2
+
     def __init__(self, n: int, edges: Iterable):
-        if n < 2:
-            raise ValueError(f"spanning trees need n >= 2, got n={n}")
         super().__init__(n, edges)
-        if len(self.edges) != n - 1:
-            raise ValueError(
-                f"not a spanning tree: {len(self.edges)} edges on {n} vertices"
-            )
+        if len(self.edges) != self.n - 1:
+            raise ValueError(f"not a spanning tree: {len(self)} edges on {self.n} vertices")
 
 
 def parse_edge_list(text: str) -> list:
@@ -352,9 +350,8 @@ def _decode_edges(n: int, code: Sequence[int]) -> list:
 
 def prufer_decode(n: int, code: Sequence[int]) -> Tree:
     """The unique spanning tree whose Prufer code is `code`."""
-    if n < 2:
-        raise ValueError(f"n={n} must be >= 2")
-    code = tuple(int(c) for c in code)
+    (n,) = _as_ints("n", n, low=(2,))
+    code = _as_ints("code", *code)
     if len(code) != n - 2:
         raise ValueError(f"code length {len(code)} != n-2 = {n - 2}")
     for c in code:
@@ -374,8 +371,9 @@ def tree_index(t: Tree) -> int:
 
 def index_to_code(n: int, idx: int) -> Tuple[int, ...]:
     """Inverse of the base-n digit packing (most significant digit first)."""
+    n, idx = _as_ints("n and idx", n, idx, low=(2, 0))
     total = n ** (n - 2)
-    if not (0 <= idx < total):
+    if idx >= total:
         raise ValueError(f"tree index {idx} out of range [0, {total})")
     code = []
     for _ in range(n - 2):
@@ -385,14 +383,12 @@ def index_to_code(n: int, idx: int) -> Tuple[int, ...]:
 
 
 def tree_from_index(n: int, idx: int) -> Tree:
-    return prufer_decode(n, index_to_code(n, idx))
+    return Tree(n, _decode_edges(n, index_to_code(n, idx)))
 
 
 def cayley_count(n: int) -> int:
     """n^(n-2), the number of labelled spanning trees of K_n."""
-    (n,) = _as_ints("n", n)
-    if n < 2:
-        raise ValueError(f"n={n} must be >= 2")
+    (n,) = _as_ints("n", n, low=(2,))
     return n ** (n - 2)
 
 
@@ -402,22 +398,17 @@ def enumerate_trees(
     """All spanning trees of K_n in ascending tree-index order.
 
     `start`/`stop` select a tree-index interval, so iteration can be
-    range-partitioned.  Refuses n above the enumeration cap.
+    range-partitioned.  Refuses n above the enumeration cap (at the call,
+    not at the first tree).
     """
-    if n < 2:
-        raise ValueError(f"n={n} must be >= 2")
+    (n,) = _as_ints("n", n, low=(2,))
     _check_enum_cap(n)
-    total = cayley_count(n)
-    if stop is None:
-        stop = total
+    total = n ** (n - 2)
+    start, stop = _as_ints("start and stop", start, total if stop is None else stop)
     if not (0 <= start <= stop <= total):
         raise ValueError(f"bad index range [{start}, {stop}) for n={n}")
-    if n == 2:
-        if start == 0 and stop > 0:
-            yield Tree(2, [(1, 2)])
-        return
-    for idx in range(start, stop):
-        yield prufer_decode(n, index_to_code(n, idx))
+    codes = islice(product(range(1, n + 1), repeat=n - 2), start, stop)
+    return (Tree(n, _decode_edges(n, code)) for code in codes)
 
 
 def sample_uniform_tree(n: int, seed: int) -> Tree:
@@ -431,15 +422,12 @@ def sample_uniform_tree(n: int, seed: int) -> Tree:
 
 def sample_uniform_trees(n: int, seed: int, count: int) -> list:
     """`count` independent uniform spanning trees from one seeded stream."""
-    if n < 2:
-        raise ValueError(f"n={n} must be >= 2")
-    if count < 0:
-        raise ValueError(f"count={count} must be >= 0")
+    n, count = _as_ints("n and count", n, count, low=(2, 0))
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        code = tuple(rng.randrange(1, n + 1) for _ in range(n - 2))
-        out.append(prufer_decode(n, code))
+        code = [rng.randrange(1, n + 1) for _ in range(n - 2)]
+        out.append(Tree(n, _decode_edges(n, code)))
     return out
 
 
@@ -486,17 +474,15 @@ def mask_to_edges(n: int, mask: int) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
+# typed: an untyped cache serves 4.0 and True the entries of 4 and 1, unchecked
+@lru_cache(maxsize=None, typed=True)
 def tree_masks(n: int) -> tuple:
     """Edge bitmasks of every spanning tree of K_n, indexed by tree index.
 
     Cached; the caller enforces the enumeration cap (enumerate_trees and
     edge_hits apply it).
     """
-    if n < 2:
-        raise ValueError(f"n={n} must be >= 2")
-    if n == 2:
-        return (1,)
+    (n,) = _as_ints("n", n, low=(2,))
     pos = [[0] * (n + 1) for _ in range(n + 1)]
     for u, v in all_edges(n):
         pos[u][v] = pos[v][u] = edge_bit(n, u, v)
@@ -509,11 +495,12 @@ def tree_masks(n: int) -> tuple:
     return tuple(masks)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def tree_mask_array(n: int):
     """tree_masks(n) as a numpy uint64 array (requires C(n,2) <= 64)."""
     import numpy as np
 
+    (n,) = _as_ints("n", n, low=(2,))
     if n * (n - 1) // 2 > 64:
         raise ValueError(f"edge masks for n={n} do not fit in 64 bits")
     return np.array(tree_masks(n), dtype=np.uint64)
@@ -536,14 +523,23 @@ def _check_enum_cap(n: int) -> None:
         raise CapExceeded(f"n={n} exceeds the enumeration cap {cap}", "enum_cap", cap)
 
 
-def _as_ints(what: str, *values) -> Tuple[int, ...]:
+def _as_ints(what: str, *values, low: Sequence = ()) -> Tuple[int, ...]:
     """The values as Python ints; numpy integers pass.  A bool, float, string
-    or None is a ValueError naming `what` (a raise, so `python -O` keeps it)."""
+    or None is a ValueError naming `what` ("n", "n and t", "n, t and j_max"),
+    and so is a value below its entry of `low`, a lower bound (or None) per
+    leading value.  Every integer argument of an entry point is checked
+    here, by a raise that `python -O` keeps."""
     if not any(isinstance(v, bool) for v in values):
         try:
-            return tuple(map(operator.index, values))
+            ints = tuple(map(operator.index, values))
         except TypeError:
             pass
+        else:
+            for i, least in enumerate(low):
+                if least is not None and ints[i] < least:
+                    name = what.replace(" and ", ", ").split(", ")[i]
+                    raise ValueError(f"{name}={ints[i]} must be >= {least}")
+            return ints
     kind = "an integer" if len(values) == 1 else "integers"
     raise ValueError(f"{what} must be {kind}, got {', '.join(map(repr, values))}")
 
@@ -557,6 +553,7 @@ def edge_hits(n: int, edges: Iterable):
     """
     import numpy as np
 
+    (n,) = _as_ints("n", n, low=(2,))
     _check_enum_cap(n)
     mask = np.uint64(edges_to_mask(n, edges))
     return np.bitwise_count(tree_mask_array(n) & mask)
@@ -624,9 +621,10 @@ def min_pairwise_intersection(masks: Sequence[int]) -> Optional[int]:
     return best
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def star_masks(n: int) -> tuple:
     """Edge bitmasks of the n stars of K_n, in center order 1..n."""
+    (n,) = _as_ints("n", n, low=(1,))
     out = []
     for c in range(1, n + 1):
         out.append(edges_to_mask(n, (edge(c, x) for x in range(1, n + 1) if x != c)))
@@ -657,9 +655,9 @@ def iter_forests_with_count(
     of component sizes times n^(n-2-|F|)), so each forest costs O(1) beyond
     the iteration itself.
     """
-    if max_edges is None:
-        max_edges = n - 1
-    max_edges = min(max_edges, n - 1 if n > 1 else 0)
+    n, min_edges = _as_ints("n and min_edges", n, min_edges, low=(1, 0))
+    top = n - 1 if max_edges is None else max_edges
+    max_edges = min(_as_ints("max_edges", top, low=(0,))[0], n - 1)
     edges = all_edges(n)
     npow = [n ** k for k in range(n - 1)]  # n^0 .. n^(n-2)
     # Find, union and undo are inlined on the DSU's own lists: calling find
@@ -692,4 +690,4 @@ def iter_forests_with_count(
             parent[ru] = ru
             size[rv] = sv
 
-    yield from rec(0, 1)
+    return rec(0, 1)

@@ -18,15 +18,38 @@ from treefam.counting import (
     is_lower_bound_vacuous,
     verify_by_enumeration,
 )
-from treefam.extremal import balanced_forest, example_closed_form, stars_plus_edge_size
+from treefam.extremal import (
+    balanced_forest,
+    blocked_Dt,
+    brute_force_max_t_intersecting,
+    conjecture_scan,
+    count_avoiding,
+    example_closed_form,
+    example_forest,
+    family_F_ntj_size,
+    lemma_notstar_check,
+    realize_threshold_family,
+    stars_plus_edge_size,
+)
+from treefam.gamma import SimpleGraph, TreeFamily, build_gamma, iter_set_partitions
+from treefam.spread import verify_r_spread, verify_rt_spread
 from treefam.trees import (
     CapExceeded,
     Forest,
+    Tree,
     all_edges,
     cayley_count,
     edge_hits,
+    enumerate_trees,
+    index_to_code,
     intersection_size,
     iter_forests,
+    prufer_decode,
+    sample_uniform_trees,
+    star_masks,
+    tree_from_index,
+    tree_mask_array,
+    tree_masks,
 )
 
 
@@ -79,17 +102,102 @@ def test_count_matching_family():
         count_matching_family(5, 3)  # no 3-matching fits in K_5
 
 
-@pytest.mark.parametrize("call, what", [
-    (lambda: count_matching_family(6.0, 2), "n and l"),
-    (lambda: count_matching_family(6, True), "n and l"),
-    (lambda: stars_plus_edge_size(6.0), "n"),
-    (lambda: example_closed_form(15.0, 8), "n and t"),
-    (lambda: containment_lower_bound(6.5, 2), "n and t"),
-    (lambda: cayley_count(5.5), "n"),
-], ids=["matching", "matching-bool", "stars-plus-edge", "example", "lower-bound", "cayley"])
+_S = [(1, 2), (3, 4)]
+
+# One integer argument of each checked entry point, as (id, the call with that
+# argument replaced by v, a valid value of it, the names the check reports).
+_GATED = [
+    ("forest-n", lambda v: Forest(v, []), 1, "n"),
+    ("tree-n", lambda v: Tree(v, [(1, 2)]), 2, "n"),
+    ("prufer-n", lambda v: prufer_decode(v, [1, 2]), 4, "n"),
+    ("prufer-code", lambda v: prufer_decode(4, [v, 2]), 1, "code"),
+    ("index-to-code-n", lambda v: index_to_code(v, 3), 4, "n and idx"),
+    ("tree-from-index-idx", lambda v: tree_from_index(4, v), 3, "n and idx"),
+    ("cayley-n", lambda v: cayley_count(v), 5, "n"),
+    ("enumerate-n", lambda v: enumerate_trees(v), 5, "n"),
+    ("enumerate-start", lambda v: enumerate_trees(5, start=v), 2, "start and stop"),
+    ("enumerate-stop", lambda v: enumerate_trees(5, stop=v), 2, "start and stop"),
+    ("sample-n", lambda v: sample_uniform_trees(v, 1, 1), 5, "n and count"),
+    ("sample-count", lambda v: sample_uniform_trees(5, 1, v), 1, "n and count"),
+    ("tree-masks-n", lambda v: tree_masks(v), 4, "n"),
+    ("mask-array-n", lambda v: tree_mask_array(v), 4, "n"),
+    ("edge-hits-n", lambda v: edge_hits(v, [(1, 2)]), 5, "n"),
+    ("star-masks-n", lambda v: star_masks(v), 4, "n"),
+    ("forests-n", lambda v: iter_forests(v), 4, "n and min_edges"),
+    ("forests-max", lambda v: iter_forests(4, v), 1, "max_edges"),
+    ("forests-min", lambda v: iter_forests(4, 2, v), 1, "n and min_edges"),
+    ("containing-n", lambda v: count_trees_containing(v, [(1, 2)]), 6, "n"),
+    ("distribution-n", lambda v: exact_k_distribution(v, _S), 6, "n"),
+    ("exactly-n", lambda v: count_exactly(v, _S, 1), 6, "n and k"),
+    ("exactly-k", lambda v: count_exactly(6, _S, v), 1, "n and k"),
+    ("at-least-n", lambda v: count_at_least(v, _S, 1), 6, "n and m"),
+    ("at-least-m", lambda v: count_at_least(6, _S, v), 1, "n and m"),
+    ("matching-l", lambda v: count_matching_family(6, v), 2, "n and l"),
+    ("lower-bound-t", lambda v: containment_lower_bound(6, v), 2, "n and t"),
+    ("vacuous-n", lambda v: is_lower_bound_vacuous(v, 2), 6, "n and t"),
+    ("enum-count-n", lambda v: enumeration_count_containing(v, _S), 6, "n"),
+    ("r-spread-n", lambda v: verify_r_spread(v, 3), 6, "n and t"),
+    ("r-spread-budget", lambda v: verify_r_spread(6, 3, v), 2, "edge_budget"),
+    ("rt-spread-t", lambda v: verify_rt_spread(6, 3, v), 1, "n and t"),
+    ("stars-plus-edge-n", lambda v: stars_plus_edge_size(v), 6, "n"),
+    ("threshold-m", lambda v: realize_threshold_family(5, _S, v), 1, "m"),
+    ("balanced-l", lambda v: balanced_forest(6, v), 2, "n and l"),
+    ("example-forest-t", lambda v: example_forest(7, v), 2, "n and t"),
+    ("ntj-t", lambda v: family_F_ntj_size(12, v, 1), 2, "n, t and j"),
+    ("ntj-j", lambda v: family_F_ntj_size(12, 2, v), 1, "n, t and j"),
+    ("example-t", lambda v: example_closed_form(15, v), 8, "n and t"),
+    ("scan-n", lambda v: conjecture_scan(v, 2, 1), 9, "n, t and j_max"),
+    ("avoiding-n", lambda v: count_avoiding(v, [(1, 2)], []), 6, "n"),
+    ("dt-n", lambda v: blocked_Dt(v, 1), 5, "n and t"),
+    ("dt-t", lambda v: blocked_Dt(5, v), 1, "n and t"),
+    ("notstar-n", lambda v: lemma_notstar_check(v, []), 7, "n"),
+    ("search-n", lambda v: brute_force_max_t_intersecting(v, 2), 5, "n and t"),
+    ("search-t", lambda v: brute_force_max_t_intersecting(5, v), 2, "n and t"),
+    ("graph-n", lambda v: SimpleGraph(v, []), 4, "n"),
+    ("complete-n", lambda v: SimpleGraph.complete(v), 4, "n"),
+    ("cycle-n", lambda v: SimpleGraph.cycle(v), 4, "n"),
+    ("path-n", lambda v: SimpleGraph.path(v), 4, "n"),
+    ("gamma-t", lambda v: build_gamma(SimpleGraph.complete(4), v), 1, "t"),
+    ("family-mask", lambda v: TreeFamily(build_gamma(SimpleGraph.complete(4), 1), v),
+     1, "member mask"),
+    ("partitions-n", lambda v: iter_set_partitions(v), 3, "n"),
+]
+
+
+def _gate_cases():
+    cases = [
+        pytest.param(lambda: count_matching_family(6.0, 2), "n and l", id="matching"),
+        pytest.param(lambda: count_matching_family(6, True), "n and l", id="matching-bool"),
+        pytest.param(lambda: stars_plus_edge_size(6.0), "n", id="stars-plus-edge"),
+        pytest.param(lambda: example_closed_form(15.0, 8), "n and t", id="example"),
+        pytest.param(lambda: containment_lower_bound(6.5, 2), "n and t", id="lower-bound"),
+        pytest.param(lambda: cayley_count(5.5), "n", id="cayley"),
+    ]
+    for name, call, good, what in _GATED:
+        for kind, bad in (("float", good + 0.5), ("bool", True), ("str", str(good))):
+            cases.append(pytest.param(lambda c=call, b=bad: c(b), what, id=f"{name}-{kind}"))
+    return cases
+
+
+@pytest.mark.parametrize("call, what", _gate_cases())
 def test_closed_forms_take_only_integers(call, what):
-    # these used to return floats: 144.0, 436.0, 74631375.0, 107.71..., 390.18...
+    # every integer argument goes through trees._as_ints: a float, bool or
+    # string used to be truncated (tree_from_index(4, 3.5) gave tree 3), taken
+    # as 1 (count_at_least(6, s, True)), or a bare TypeError
     with pytest.raises(ValueError, match=f"^{what} must be"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: count_trees_containing(6, Forest(10, [(7, 8)])),
+    lambda: count_trees_containing(6, Forest(10, [(1, 2)])),
+    lambda: exact_k_distribution(6, Forest(8, [(5, 6), (6, 7)])),
+    lambda: exact_k_distribution(6, [], Forest(7)),
+    lambda: count_exactly(6, Forest(5, [(1, 2)]), 1),
+], ids=["beyond-n", "inside-n", "distribution", "forced", "exactly"])
+def test_counts_reject_a_forest_on_another_n(call):
+    # these raised a bare IndexError, or counted (1,2) on K_6 as 432
+    with pytest.raises(ValueError, match=r"^the forest lives on n=\d+, not n=6$"):
         call()
 
 

@@ -9,6 +9,7 @@ from treefam.counting import (
     count_at_least,
     count_matching_family,
     count_trees_containing,
+    exact_k_distribution,
 )
 from treefam.extremal import (
     balanced_forest,
@@ -376,6 +377,30 @@ def test_scan_rejects_negative_j_max():
 def test_count_avoiding_star_blocks_everything():
     star = Forest(6, [(1, x) for x in range(2, 7)])
     assert count_avoiding(6, star, Forest(6)) == 0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
+def test_count_avoiding_spanning_star_is_zero(n):
+    # every tree meets a spanning star, so the matrix at x = 0 is singular
+    star = Forest(n, [(1, x) for x in range(2, n + 1)])
+    assert count_avoiding(n, star, Forest(n)) == 0
+    assert exact_k_distribution(n, star)[0] == 0
+
+
+def test_count_avoiding_agrees_with_the_kernel_on_every_forest_pair():
+    # all 86,174 ordered (t0, f) pairs of forests at n = 3..5: the single
+    # determinant at x = 0 against N_0 of the interpolated kernel
+    pairs = zeros = 0
+    for n in (3, 4, 5):
+        forests = [Forest(n, es) for es in iter_forests(n)]
+        for t0 in forests:
+            for f in forests:
+                got = count_avoiding(n, t0, f)
+                avoid = set(t0.edges) - set(f.edges)
+                assert got == exact_k_distribution(n, avoid, f)[0], (t0, f)
+                pairs += 1
+                zeros += got == 0
+    assert (pairs, zeros) == (86174, 224)
 
 
 def test_count_avoiding_t0_equals_f():

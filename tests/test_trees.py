@@ -26,6 +26,7 @@ from treefam.trees import (
     edge_hits,
     edges_to_mask,
     enumerate_trees,
+    index_to_code,
     intersection_size,
     is_d_star_like,
     is_star,
@@ -404,6 +405,23 @@ def test_as_ints_accepts_python_and_numpy_integers():
     assert out == (7, 3, 5)
     assert all(type(v) is int for v in out)
     assert _as_ints("nothing") == ()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _as_ints("n, t and j_max", 5, 2, -1, low=(2, 1, 0)), "j_max=-1 must be >= 0"),
+    (lambda: _as_ints("member mask", -3, low=(0,)), "member mask=-3 must be >= 0"),
+    (lambda: iter_forests(4, -1), "max_edges=-1 must be >= 0"),
+    (lambda: index_to_code(4, -1), "idx=-1 must be >= 0"),
+    (lambda: Forest(0), "n=0 must be >= 1"),
+    (lambda: Tree(1, []), "n=1 must be >= 2"),
+    (lambda: SimpleGraph.cycle(2), "n=2 must be >= 3"),
+    (lambda: brute_force_max_t_intersecting(5, 0), "t=0 must be >= 1"),
+], ids=["names", "spaced-name", "max-edges", "index", "forest", "tree", "cycle", "search-t"])
+def test_as_ints_names_the_argument_below_its_bound(call, message):
+    # iter_forests(4, -1) used to walk all 38 forests of K_4
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+    assert _as_ints("n and t", 5, -1, low=(2,)) == (5, -1)  # no bound for t
 
 
 # -- union-find ----------------------------------------------------------------
