@@ -10,7 +10,7 @@ see README for the output schemas):
     family size|verify|scan
     dt                          blocked count D_t with witnesses
     llll check|notstar
-    search max                  exact max t-intersecting family (small n)
+    search max                  exact max t-intersecting family (n <= 7)
     sample                      seeded uniform random trees
 
 Conventions: exit 0 on success, 2 on validation/cap errors (with a

@@ -32,12 +32,13 @@ from .gamma import (
 )
 from .trees import (
     DEFAULT_ENUM_CAP,
-    CapExceeded,
     Edge,
     Forest,
     Tree,
     _as_ints,
+    _check_cap,
     _pair_edges,
+    _tree,
     cayley_count,
     edge,
     edge_bit,
@@ -446,8 +447,7 @@ def blocked_Dt(n: int, t: int) -> BlockedReport:
     import numpy as np
 
     n, t = _as_ints("n and t", n, t, low=(3, 1))
-    if n > 7:
-        raise CapExceeded(f"blocked_Dt exhaustion needs n <= 7, got n={n}", "enum_cap", 7)
+    _check_cap("enum_cap", 7, n, "vertices for the D_t exhaustion")
     if t > n - 2:
         raise ValueError(f"t={t} out of range 1..{n - 2}")
     arr = tree_mask_array(n)
@@ -476,7 +476,7 @@ def blocked_Dt(n: int, t: int) -> BlockedReport:
     if best is None:
         raise ValueError(f"no admissible (F, T_0) pair at n={n}, t={t}")
     value, f_edges, idx = best
-    tree = Tree(n, mask_to_edges(n, int(arr[idx])))
+    tree = _tree(n, mask_to_edges(n, int(arr[idx])))
     return BlockedReport(n, t, value, Forest(n, f_edges), tree, pairs)
 
 
@@ -649,26 +649,18 @@ def lemma_notstar_check(n: int, t0: Forest) -> NotstarReport:
 def brute_force_max_t_intersecting(
     n: int, t: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> Tuple[SearchResult, dict]:
-    """Exact maximum t-intersecting family of spanning trees of K_n (n <= 6).
+    """Exact maximum t-intersecting family of spanning trees of K_n.
 
-    Delegates to the branch-and-bound independent-set solver on Gamma_t(K_n);
-    returns the search result plus a comparison against the construction
-    sizes (matching-based trivial family; stars-plus-edge at t = 1).
+    Branch and bound for a maximum independent set of Gamma_t(K_n), so
+    gamma_cap bounds n (K_7 passes, K_8 does not) and node_budget the search.
+    Returns the result and a comparison with the best trivial family (all
+    trees through the balanced t-edge forest) and, at t = 1, stars-plus-edge.
     """
     n, t = _as_ints("n and t", n, t, low=(2, 1))
-    if n > 6:
-        raise CapExceeded(
-            f"brute-force search is capped at n <= 6, got n={n}", "search_cap", 6
-        )
-    if t > n - 1:
-        raise ValueError(f"t={t} out of range 1..{n - 1}")
     gamma = build_gamma(SimpleGraph.complete(n), t)
     result = max_independent_set(gamma, budget=node_budget)
-    comparison = {"found": result.size, "optimal": result.optimal}
-    if t <= n // 2:
-        comparison["trivial_matching"] = count_trees_containing(
-            n, balanced_forest(n, t)
-        )
+    comparison = {"found": result.size, "optimal": result.optimal,
+                  "best_trivial": count_trees_containing(n, balanced_forest(n, t))}
     if t == 1:
         comparison["stars_plus_edge"] = stars_plus_edge_size(n)
     return result, comparison

@@ -25,7 +25,9 @@ from .trees import (
     _BLOCK_CELLS,
     _DSU,
     _as_ints,
+    _check_cap,
     _normalize_edges,
+    _tree,
     all_edges,
     cayley_count,
     edge_bit,
@@ -102,7 +104,7 @@ def enumerate_spanning_trees(g: SimpleGraph) -> Iterator[Tree]:
     """
     if not g.is_connected():
         return
-    n, cap = g.n, DEFAULT_GAMMA_CAP
+    n = g.n
     produced = 0
     dsu = _DSU(n)  # every rec call leaves it as it found it
 
@@ -110,11 +112,8 @@ def enumerate_spanning_trees(g: SimpleGraph) -> Iterator[Tree]:
         nonlocal produced
         if nclasses == 1:
             produced += 1
-            if produced > cap:
-                raise CapExceeded(
-                    f"spanning tree stream exceeded cap {cap}", "gamma_cap", cap
-                )
-            yield Tree(n, chosen)
+            _check_cap("gamma_cap", DEFAULT_GAMMA_CAP, produced, "spanning trees streamed")
+            yield _tree(n, chosen)
             return
         # avail holds the edges between two classes and connects them all
         pick, rest = avail[0], avail[1:]
@@ -178,7 +177,7 @@ class DisjointnessGraph:
         return bool(self.adj[i] >> j & 1)
 
     def tree(self, i: int) -> Tree:
-        return Tree(self.n, mask_to_edges(self.n, self.masks[i]))
+        return _tree(self.n, mask_to_edges(self.n, self.masks[i]))
 
     def complement_rows(self) -> List[int]:
         full = (1 << self.vertex_count) - 1
@@ -245,13 +244,8 @@ def build_gamma(g: SimpleGraph, t: int) -> DisjointnessGraph:
     if t > g.n - 1:
         raise ValueError(f"t={t} out of range 1..{g.n - 1}")
     if g.is_complete():
-        total, cap = cayley_count(g.n), DEFAULT_GAMMA_CAP
-        if total > cap:
-            raise CapExceeded(
-                f"Gamma over K_{g.n} needs {total} vertices, over cap {cap}",
-                "gamma_cap",
-                cap,
-            )
+        _check_cap("gamma_cap", DEFAULT_GAMMA_CAP, cayley_count(g.n),
+                   f"vertices in Gamma over K_{g.n}")
         masks = tree_masks(g.n)
     else:
         masks = [edges_to_mask(g.n, tr.edges) for tr in enumerate_spanning_trees(g)]
@@ -755,10 +749,7 @@ def packing_number(g: SimpleGraph) -> PackingResult:
     """
     if g.n < 2:
         raise ValueError(f"packing needs n >= 2 vertices, got n={g.n}")
-    if g.n > 10:
-        raise CapExceeded(
-            f"partition enumeration needs n <= 10, got {g.n}", "packing_cap", 10
-        )
+    _check_cap("packing_cap", 10, g.n, "vertices for partition enumeration")
     if not g.is_connected():
         dsu = _DSU(g.n)
         for u, v in g.edges:

@@ -43,6 +43,13 @@ class CapExceeded(ValueError):
         self.cap_value = cap_value
 
 
+def _check_cap(name: str, limit: int, size: int, what: str) -> None:
+    """Refuse work of `size` (a count of `what`) past the fixed `limit` called
+    `name`.  The one place a CapExceeded is built."""
+    if size > limit:
+        raise CapExceeded(f"{size} {what}, over the {name} of {limit}", name, limit)
+
+
 def edge(u: int, v: int) -> Edge:
     """Normalize an unordered vertex pair to the canonical (min, max) form."""
     if u == v:
@@ -238,6 +245,16 @@ class Tree(Forest):
             raise ValueError(f"not a spanning tree: {len(self)} edges on {self.n} vertices")
 
 
+def _tree(n: int, edges: Iterable[Edge]) -> Tree:
+    """The Tree of canonical edges that span K_n by construction (a decoded
+    Prufer code, a tree-universe mask, a finished spanning-tree walk):
+    sorted, but not validated as Tree(...) is."""
+    tree = object.__new__(Tree)
+    object.__setattr__(tree, "n", n)
+    object.__setattr__(tree, "edges", tuple(sorted(edges)))
+    return tree
+
+
 def parse_edge_list(text: str) -> list:
     """Parse the whitespace edge-list format: one "u v" per line.
 
@@ -357,7 +374,7 @@ def prufer_decode(n: int, code: Sequence[int]) -> Tree:
     for c in code:
         if not (1 <= c <= n):
             raise ValueError(f"code entry {c} out of range 1..{n}")
-    return Tree(n, _decode_edges(n, code))
+    return _tree(n, _decode_edges(n, code))
 
 
 def tree_index(t: Tree) -> int:
@@ -383,7 +400,9 @@ def index_to_code(n: int, idx: int) -> Tuple[int, ...]:
 
 
 def tree_from_index(n: int, idx: int) -> Tree:
-    return Tree(n, _decode_edges(n, index_to_code(n, idx)))
+    code = index_to_code(n, idx)
+    n = len(code) + 2  # n as the checked Python int
+    return _tree(n, _decode_edges(n, code))
 
 
 def cayley_count(n: int) -> int:
@@ -402,13 +421,13 @@ def enumerate_trees(
     not at the first tree).
     """
     (n,) = _as_ints("n", n, low=(2,))
-    _check_enum_cap(n)
+    _check_cap("enum_cap", DEFAULT_ENUM_CAP, n, "vertices to enumerate trees on")
     total = n ** (n - 2)
     start, stop = _as_ints("start and stop", start, total if stop is None else stop)
     if not (0 <= start <= stop <= total):
         raise ValueError(f"bad index range [{start}, {stop}) for n={n}")
     codes = islice(product(range(1, n + 1), repeat=n - 2), start, stop)
-    return (Tree(n, _decode_edges(n, code)) for code in codes)
+    return (_tree(n, _decode_edges(n, code)) for code in codes)
 
 
 def sample_uniform_tree(n: int, seed: int) -> Tree:
@@ -427,7 +446,7 @@ def sample_uniform_trees(n: int, seed: int, count: int) -> list:
     out = []
     for _ in range(count):
         code = [rng.randrange(1, n + 1) for _ in range(n - 2)]
-        out.append(Tree(n, _decode_edges(n, code)))
+        out.append(_tree(n, _decode_edges(n, code)))
     return out
 
 
@@ -517,12 +536,6 @@ def tree_mask_array(n: int):
 _BLOCK_CELLS = 1 << 16
 
 
-def _check_enum_cap(n: int) -> None:
-    cap = DEFAULT_ENUM_CAP
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds the enumeration cap {cap}", "enum_cap", cap)
-
-
 def _as_ints(what: str, *values, low: Sequence = ()) -> Tuple[int, ...]:
     """The values as Python ints; numpy integers pass.  A bool, float, string
     or None is a ValueError naming `what` ("n", "n and t", "n, t and j_max"),
@@ -554,7 +567,7 @@ def edge_hits(n: int, edges: Iterable):
     import numpy as np
 
     (n,) = _as_ints("n", n, low=(2,))
-    _check_enum_cap(n)
+    _check_cap("enum_cap", DEFAULT_ENUM_CAP, n, "vertices to enumerate trees on")
     mask = np.uint64(edges_to_mask(n, edges))
     return np.bitwise_count(tree_mask_array(n) & mask)
 

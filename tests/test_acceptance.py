@@ -8,6 +8,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 come; the whole suite is a few minutes.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -245,7 +246,7 @@ def test_criterion_10_exact_search_records():
         res2, comp2 = brute_force_max_t_intersecting(5, 2)
         assert res2.optimal
         assert res2.family.min_pairwise_intersection() >= 2
-        assert res2.size >= 20 == comp2["trivial_matching"]
+        assert res2.size >= 20 == comp2["best_trivial"]
         print(
             f"  (recorded: alpha(Gamma_1(K5)) = {res1.size}, "
             f"alpha(Gamma_2(K5)) = {res2.size})"
@@ -298,3 +299,24 @@ def test_criterion_12_dual_path_agreement():
             en = count_avoiding(n, t0, f, method="enum")
             assert ie == en
             pairs += 1
+
+
+# alpha(Gamma_t(K_7)): size, search nodes and sha256 of the member mask in hex.
+# t = 6 is left out: two trees sharing 6 edges are one tree, so alpha = 1.
+K7_EKR_TABLE = {
+    3: (392, 9479, "01d62f203f5e413bb5ae6e8a46138c62ea0878ffddbaa7e21ce97a40947b2cc2"),
+    4: (84, 22, "424f4f41877e86987fd44f0e4f08728b93c47e5aa296d1fe1459acecc2067981"),
+    5: (12, 9, "80107a658de3445dae4da50c58d4cce8a3d4fd84d7964123e6b7de0436b2795f"),
+}
+
+
+def test_criterion_13_exact_ekr_table_at_n7():
+    summary = "exact searches at (7,3)/(7,4)/(7,5): 392/84/12, optimal, = best trivial family"
+    with _Criterion(13, 600, summary):
+        for t, (size, nodes, digest) in K7_EKR_TABLE.items():
+            res, comp = brute_force_max_t_intersecting(7, t)
+            assert (res.size, res.optimal, res.nodes) == (size, True, nodes)
+            mask_hex = format(res.family.member_mask, "x")
+            assert hashlib.sha256(mask_hex.encode()).hexdigest() == digest
+            assert res.family.min_pairwise_intersection() >= t
+            assert comp["best_trivial"] == size

@@ -123,7 +123,7 @@ def test_cap_violation_names_the_cap(capsys):
     (("family", "verify", "--kind", "trivial", "--n", "9", "--edges", "1-2"), "enum_cap", 8),
     (("dt", "--n", "8", "--t", "1"), "enum_cap", 7),
     (("gamma", "build", "--graph", "K8", "--t", "1"), "gamma_cap", 20000),
-    (("search", "max", "--n", "7", "--t", "1"), "search_cap", 6),
+    (("search", "max", "--n", "8", "--t", "1"), "gamma_cap", 20000),
     (("gamma", "packing", "--graph", "K11"), "packing_cap", 10),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
 def test_each_limit_fires_past_its_boundary(capsys, argv, cap, value):

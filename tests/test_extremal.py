@@ -699,14 +699,14 @@ def test_brute_force_51():
     res, comp = brute_force_max_t_intersecting(5, 1)
     assert res.optimal and res.size == 53
     assert comp["stars_plus_edge"] == 53
-    assert comp["trivial_matching"] == 50
+    assert comp["best_trivial"] == 50
     assert res.family.min_pairwise_intersection() >= 1
 
 
 def test_brute_force_52():
     res, comp = brute_force_max_t_intersecting(5, 2)
     assert res.optimal and res.size == 20
-    assert comp["trivial_matching"] == 20
+    assert comp["best_trivial"] == 20
     assert res.family.min_pairwise_intersection() >= 2
 
 
@@ -716,7 +716,7 @@ def test_brute_force_62_is_certified():
     # 436 found, is still uncertified.)
     res, comp = brute_force_max_t_intersecting(6, 2)
     assert res.optimal and res.size == 144
-    assert comp["trivial_matching"] == count_matching_family(6, 2) == 144
+    assert comp["best_trivial"] == count_matching_family(6, 2) == 144
     assert res.family.min_pairwise_intersection() >= 2
     assert res.family.is_independent()
     # the pruned search tree, pinned like the rows in test_gamma
@@ -729,8 +729,16 @@ def test_brute_force_t_equals_nminus1():
     assert res.optimal and res.size == 1
 
 
-def test_brute_force_cap():
+def test_brute_force_cap(monkeypatch):
+    # gamma_cap refuses K_8's 262,144 trees before their masks are built
+    import treefam.gamma
     from treefam.trees import CapExceeded
 
-    with pytest.raises(CapExceeded):
-        brute_force_max_t_intersecting(7, 1)
+    def unbuilt(n):
+        raise AssertionError(f"tree_masks({n}) built past the cap")
+
+    monkeypatch.setattr(treefam.gamma, "tree_masks", unbuilt)
+    with pytest.raises(CapExceeded) as ei:
+        brute_force_max_t_intersecting(8, 1)
+    assert (ei.value.cap_name, ei.value.cap_value) == ("gamma_cap", 20000)
+    assert "262144 vertices" in str(ei.value)

@@ -161,6 +161,25 @@ def test_enumerate_trees_in_index_order_and_ranges():
     assert [tree_index(Tree(5, e)) for e in full] == list(range(125))
 
 
+def _same_as_validated(t):
+    # a decoded tree is built without re-validation; it must be the Tree a
+    # caller would get from the same edges
+    ref = Tree(t.n, t.edges)
+    return (t == ref and t.edges == ref.edges and hash(t) == hash(ref)
+            and repr(t) == repr(ref) and type(t) is Tree)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_decoded_trees_equal_validated_trees(n):
+    assert all(_same_as_validated(t) for t in enumerate_trees(n))
+    total = cayley_count(n)
+    others = [tree_from_index(n, total - 1), *sample_uniform_trees(n, 7, 20),
+              prufer_decode(n, [n] * (n - 2)), *enumerate_spanning_trees(SimpleGraph.complete(n))]
+    dg = build_gamma(SimpleGraph.complete(n), 1)
+    others += [dg.tree(i) for i in range(0, total, 7)]
+    assert all(_same_as_validated(t) for t in others)
+
+
 def test_enumerate_trees_n8_distinct():
     """The full default-cap universe: 8^6 pairwise-distinct valid trees."""
     seen = set()
@@ -190,7 +209,7 @@ K8 = SimpleGraph.complete(8)
     (lambda: blocked_Dt(8, 1), lambda: blocked_Dt(7, 5), "enum_cap", 7),
     (lambda: build_gamma(K8, 1), None, "gamma_cap", 20000),
     (lambda: list(enumerate_spanning_trees(K8)), None, "gamma_cap", 20000),
-    (lambda: brute_force_max_t_intersecting(7, 1), None, "search_cap", 6),
+    (lambda: brute_force_max_t_intersecting(8, 1), None, "gamma_cap", 20000),
     (lambda: packing_number(SimpleGraph.complete(11)), None, "packing_cap", 10),
 ], ids=["enumerate_trees", "edge_hits", "blocked_Dt", "build_gamma",
         "spanning_tree_stream", "search", "packing"])
