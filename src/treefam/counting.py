@@ -219,6 +219,38 @@ def _det_spd(rows: List[List[int]]) -> int:
     return rows[-1][0] * prev // exact_at[-1]
 
 
+# Bareiss entries are minors, at most the Hadamard bound H, and a step subtracts
+# two products of them: int64 holds 2 H^2 < 2^63 (2^61 allows for rounding).
+_INT64_HADAMARD_SQ = 2.0 ** 61
+
+
+def _det_spd_batch(mats):
+    """Determinants of a (B, k, k) batch of symmetric integer matrices under
+    _det_spd's contract: one pivot-free int64 Bareiss elimination for all B,
+    on a (k, k, B) copy, so that numpy loops run along B.  A batch past the
+    Hadamard guard goes to _det_spd on Python ints (an object array).  A
+    pivot <= 0 before the last step or an inexact division raises
+    ArithmeticError."""
+    import numpy as np
+
+    m = np.array(np.moveaxis(mats, 0, -1), dtype=np.int64, order="C")  # eliminated in place
+    norms = np.maximum(1.0, np.square(m, dtype=float).sum(axis=1))
+    if (norms.prod(axis=0) > _INT64_HADAMARD_SQ).any():
+        upper = ([r[i:] for i, r in enumerate(a)] for a in np.moveaxis(m, -1, 0).tolist())
+        return np.array([_det_spd(rows) for rows in upper], dtype=object)
+    prev = 1
+    for i in range(len(m) - 1):
+        pivot = m[i, i]
+        if (pivot <= 0).any():
+            raise ArithmeticError(f"leading minor {i + 1} is not positive")
+        rest = m[i + 1 :, i + 1 :]
+        rest[...], rem = np.divmod(pivot * rest - m[i + 1 :, i, None] * m[i, None, i + 1 :], prev)
+        if rem.any():
+            raise ArithmeticError("a Bareiss division left a remainder")
+        prev = pivot
+    return m[-1, -1]
+
+
 def count_exactly(n: int, s, k: int) -> int:
     """Trees containing exactly k edges of the edge set s."""
     n, k = _as_ints("n and k", n, k, low=(2,))

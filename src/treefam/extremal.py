@@ -21,7 +21,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .counting import _containing_avoiding, count_at_least, count_trees_containing
+from .counting import _containing_avoiding, _det_spd_batch, count_at_least, count_trees_containing
 from .gamma import (
     DEFAULT_NODE_BUDGET,
     SearchResult,
@@ -31,24 +31,24 @@ from .gamma import (
     max_independent_set,
 )
 from .trees import (
+    _BLOCK_CELLS,
     DEFAULT_ENUM_CAP,
     Edge,
     Forest,
     Tree,
+    _DSU,
     _as_ints,
     _check_cap,
     _pair_edges,
     _tree,
+    all_edges,
     cayley_count,
     edge,
-    edge_bit,
     edge_hits,
     edges_to_mask,
     is_d_star_like,
-    iter_forests,
     mask_to_edges,
     min_pairwise_intersection,
-    pair_blocks,
     star_masks,
     tree_mask_array,
 )
@@ -388,8 +388,8 @@ def count_avoiding(n: int, t0: Forest, f: Forest, method: str = "ie") -> int:
 class BlockedReport:
     """Exact D_t with argmin witnesses and the asymptotic-bound context.
 
-    pairs_checked counts the (F, T_0) pairs scored: the admissible trees of
-    one forest per S_n-orbit of t-edge forests.
+    orbits counts the S_n-orbits of t-edge forests, one forest of each
+    scored, and pairs_checked the (F, T_0) pairs: their admissible trees.
     """
 
     __slots__ = (
@@ -399,17 +399,19 @@ class BlockedReport:
         "argmin_forest",
         "argmin_tree",
         "pairs_checked",
+        "orbits",
         "prop_hypothesis_met",
         "prop_bound",
     )
 
-    def __init__(self, n, t, value, argmin_forest, argmin_tree, pairs_checked):
+    def __init__(self, n, t, value, argmin_forest, argmin_tree, pairs_checked, orbits):
         self.n = n
         self.t = t
         self.value = value
         self.argmin_forest = argmin_forest
         self.argmin_tree = argmin_tree
         self.pairs_checked = pairs_checked
+        self.orbits = orbits
         # the proven bound n^(n-2t-17) needs n >= 2t + 110; report it for
         # context (it is < 1, hence vacuous, anywhere we can exhaust)
         self.prop_hypothesis_met = n >= 2 * t + 110
@@ -424,9 +426,36 @@ class BlockedReport:
             "argmin_forest": [list(e) for e in self.argmin_forest.edges],
             "argmin_tree": [list(e) for e in self.argmin_tree.edges],
             "pairs_checked": self.pairs_checked,
+            "orbits": self.orbits,
             "prop_hypothesis_met": self.prop_hypothesis_met,
             "prop_bound": f"{self.prop_bound.numerator}/{self.prop_bound.denominator}",
         }
+
+
+def _forest_orbits(n: int, t: int) -> List[Tuple[int, ...]]:
+    """The lexicographically first t-edge forest of each S_n-orbit, as
+    ascending edge-bit tuples, in lexicographic order.  Canonical
+    augmentation: such a forest less its last edge is the first of its own
+    orbit, so each level grows the one below by a later edge and keeps the
+    acyclic results first in their orbit (the OR of their _edge_image_bits
+    rows), where G comes before F if the lowest bit of F ^ G is in G."""
+    import numpy as np
+
+    images = _edge_image_bits(n)
+    edges = all_edges(n)
+    level = [((), np.zeros(images.shape[1], dtype=np.uint64))]
+    for _ in range(t):
+        grown = []
+        for bits, orbit in level:
+            lo = bits[-1] + 1 if bits else 0
+            cand = images[lo:] | orbit  # row j: the orbit of bits + (lo + j,)
+            diff = cand ^ cand[:, :1]  # column 0 is the identity
+            for j in np.flatnonzero(~(diff & (0 - diff) & cand).any(axis=1)).tolist():
+                f = bits + (lo + j,)
+                if _DSU(n).merges([edges[b] for b in f]) == len(f):
+                    grown.append((f, cand[j].copy()))
+        level = grown
+    return [f for f, _ in level]
 
 
 def blocked_Dt(n: int, t: int) -> BlockedReport:
@@ -435,49 +464,52 @@ def blocked_Dt(n: int, t: int) -> BlockedReport:
 
     A relabelling of the vertices maps admissible pairs to admissible pairs
     and keeps every count, so all forests of one S_n-orbit share a minimum.
-    The scan therefore scores one forest per orbit, the first one met, and
-    skips the rest; pairs_checked counts the pairs it scored.
+    The scan scores the lexicographically first forest of each orbit.  A
+    count is the determinant of the reduced Laplacian of K_n - T_0 with F
+    contracted (positive definite: a non-star tree's complement is
+    connected), whose entries count the edges outside T_0 between classes
+    (the AND of their cuts) or leaving one, a block of T_0 at a time.
 
     Ties resolve to the first pair in scan order (forests in lexicographic
     order, trees in tree-index order), which is the lowest canonical
-    serialization; the first forest of the argmin orbit is the one a scan
-    of every forest would return.  Needs the full tree universe, so n is
-    capped.
+    serialization and the pair a scan of every forest would return.  Needs
+    the full tree universe, so n is capped.
     """
     import numpy as np
 
     n, t = _as_ints("n and t", n, t, low=(3, 1))
-    _check_cap("enum_cap", 7, n, "vertices for the D_t exhaustion")
+    _check_cap("enum_cap", DEFAULT_ENUM_CAP, n, "vertices for the D_t exhaustion")
     if t > n - 2:
         raise ValueError(f"t={t} out of range 1..{n - 2}")
     arr = tree_mask_array(n)
-    not_star = ~np.isin(arr, np.array(star_masks(n), dtype=np.uint64))
-    image_bits = _edge_image_bits(n)
-    seen = set()
-    best = None  # (count, forest edges, tree index)
+    stars = np.array(star_masks(n), dtype=np.uint64)
+    not_star = ~np.isin(arr, stars)
+    edges = all_edges(n)
+    orbits = _forest_orbits(n, t)
+    best = None  # (count, forest, tree index)
     pairs = 0
-    for f_edges in iter_forests(n, max_edges=t, min_edges=t):
-        cols = [edge_bit(n, u, v) for u, v in f_edges]
-        fmask = sum(1 << b for b in cols)
-        if fmask in seen:
-            continue
-        seen.update(np.bitwise_or.reduce(image_bits[:, cols], axis=1).tolist())
-        fmask = np.uint64(fmask)
-        pc = np.bitwise_count(arr & fmask)
-        idxs = np.flatnonzero(not_star & (pc < t))
+    for bits in orbits:
+        f = Forest(n, [edges[b] for b in bits])
+        classes = f.components() + [(x,) for x in f.isolated_vertices()]
+        # a class's cut is the XOR of its stars; one class is left out
+        cuts = np.array([np.bitwise_xor.reduce(stars[np.array(c) - 1]) for c in classes[1:]])
+        masks, k = (cuts[:, None] & cuts)[:, :, None], len(cuts)
+        sign = 2 * np.eye(k, dtype=np.int64)[:, :, None] - 1
+        fmask = np.uint64(sum(1 << b for b in bits))
+        idxs = np.flatnonzero(not_star & (np.bitwise_count(arr & fmask) < t))
         pairs += len(idxs)
-        # count, per admissible T0, trees >= F that miss T0 outside F
-        avoids = (arr[idxs] & ~fmask)[:, None]
-        for lo, block in pair_blocks(avoids, arr[pc == t, None]):
-            counts = np.count_nonzero((block == 0).all(axis=2), axis=1)
-            k = int(np.argmin(counts))
-            if best is None or counts[k] < best[0]:
-                best = (int(counts[k]), f_edges, int(idxs[lo + k]))
+        for lo in range(0, len(idxs), _BLOCK_CELLS // (k * k)):
+            sel = idxs[lo : lo + _BLOCK_CELLS // (k * k)]
+            lap = sign * np.bitwise_count(masks & ~arr[sel])  # (k, k, B)
+            counts = _det_spd_batch(lap.transpose(2, 0, 1))
+            j = int(np.argmin(counts))
+            if best is None or counts[j] < best[0]:
+                best = (int(counts[j]), f, int(sel[j]))
     if best is None:
         raise ValueError(f"no admissible (F, T_0) pair at n={n}, t={t}")
-    value, f_edges, idx = best
+    value, f, idx = best
     tree = _tree(n, mask_to_edges(n, int(arr[idx])))
-    return BlockedReport(n, t, value, Forest(n, f_edges), tree, pairs)
+    return BlockedReport(n, t, value, f, tree, pairs, len(orbits))
 
 
 # -- lopsided local lemma ------------------------------------------------------

@@ -352,15 +352,15 @@ def _relabel(adj: List[int], order: List[int]) -> List[int]:
     """Rows renamed so that vertex order[i] becomes i: bit j of row i of the
     result is bit order[j] of adj[order[i]].
 
-    Rows are unpacked, permuted and repacked a chunk at a time, so the
-    largest temporary is about _BLOCK_CELLS bytes, never V x V.
+    Rows are unpacked, permuted and repacked 64 or more at a time, so the
+    largest temporary is about max(_BLOCK_CELLS, 64 V) bytes, never V x V.
     """
     import numpy as np
 
     V = len(adj)
     bits = mask_matrix(adj).view(np.uint8)
     perm = np.asarray(order, dtype=np.intp)
-    step = max(1, _BLOCK_CELLS // max(1, V))
+    step = max(64, _BLOCK_CELLS // max(1, V))
     out: List[int] = []
     for lo in range(0, V, step):
         rows = np.unpackbits(
@@ -451,12 +451,12 @@ def _edge_perms(n: int) -> Tuple[Tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _edge_image_bits(n: int):
-    """_edge_perms(n) as a read-only (n!, C(n,2)) uint64 array of single-bit
-    masks: [g, b] is the bit of edge b's image under the g-th relabelling, so
-    OR-ing a forest's columns gives its orbit."""
+    """_edge_perms(n) as a read-only (C(n,2), n!) uint64 array of single-bit
+    masks: [b, g] is the bit of edge b's image under the g-th relabelling, so
+    OR-ing a forest's rows gives its orbit, the forest itself in column 0."""
     import numpy as np
 
-    bits = np.uint64(1) << np.array(_edge_perms(n), dtype=np.uint64)
+    bits = np.uint64(1) << np.array(_edge_perms(n), dtype=np.uint64).T.copy()
     bits.flags.writeable = False
     return bits
 

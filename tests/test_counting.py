@@ -429,6 +429,74 @@ def test_kernel_exactness_checks_raise(monkeypatch):
         exact_k_distribution(6, [(1, 2), (3, 4), (5, 6)])
 
 
+def _random_reduced_laplacian(rng, k, lone_last=False):
+    """Reduced Laplacian (last class dropped) of a random multigraph on k + 1
+    classes with a spanning path, so positive definite; with lone_last the
+    dropped class has no edges, so the matrix is singular as a whole only.
+    Weights below 4 keep every k <= 7 under the int64 Hadamard guard."""
+    w = [[0] * (k + 1) for _ in range(k + 1)]
+    for i in range(k + 1):
+        for j in range(i + 1, k + 1):
+            w[i][j] = w[j][i] = rng.randrange(2) + (j == i + 1) * rng.randrange(1, 3)
+    if lone_last:
+        for i in range(k + 1):
+            w[i][k] = w[k][i] = 0
+    return [[sum(w[i]) if i == j else -w[i][j] for j in range(k)] for i in range(k)]
+
+
+def _upper(rows):
+    return [list(r[i:]) for i, r in enumerate(rows)]
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_batched_determinant_matches_det_spd(k):
+    from treefam.counting import _det_spd, _det_spd_batch
+
+    rng = random.Random(1000 + k)
+    mats = [_random_reduced_laplacian(rng, k, lone_last=i % 5 == 4) for i in range(60)]
+    got = _det_spd_batch(np.array(mats))
+    assert got.dtype == np.int64
+    want = [_det_spd(_upper(m)) for m in mats]
+    assert got.tolist() == want
+    assert 0 in want  # the lone_last ones: singular as a whole, last pivot 0
+    # the (B, k, k) view of a (k, k, B) array gives the same and is left as is
+    kkb = np.ascontiguousarray(np.array(mats).transpose(1, 2, 0))
+    before = kkb.copy()
+    assert _det_spd_batch(kkb.transpose(2, 0, 1)).tolist() == want
+    assert (kkb == before).all()
+
+
+def test_batched_determinant_falls_back_past_the_hadamard_guard():
+    from treefam.counting import _INT64_HADAMARD_SQ, _det_spd, _det_spd_batch
+
+    rng = random.Random(7)
+    small = [_random_reduced_laplacian(rng, 4) for _ in range(5)]
+    # scaled by 2^24 each entry still fits int64, but Bareiss products and the
+    # determinant (2^96 times the small one) do not
+    big = [[[a << 24 for a in row] for row in m] for m in small[:2]]
+    mats = np.array([small[0], big[0], small[1], big[1], small[2]], dtype=np.int64)
+    rows = np.square(mats.astype(float)).sum(axis=2).prod(axis=1)
+    assert [r > _INT64_HADAMARD_SQ for r in rows] == [False, True, False, True, False]
+    got = _det_spd_batch(mats)
+    assert got.dtype == object
+    want = [_det_spd(_upper(m)) for m in mats.tolist()]
+    assert got.tolist() == want
+    assert want[1] == want[0] << 96 and want[1] > 2 ** 63
+    assert all(type(v) is int for v in got)
+
+
+@pytest.mark.parametrize("mats", [
+    [[[0, 1], [1, 1]]],  # first pivot 0
+    [[[2, 0], [0, 3]], [[-1, 0], [0, 3]]],  # one matrix of the batch
+    [[[1, 2, 0], [2, 1, 0], [0, 0, 1]]],  # second pivot 1 - 4 = -3
+], ids=["zero-pivot", "negative-in-batch", "negative-second-pivot"])
+def test_batched_determinant_raises_on_a_non_positive_early_pivot(mats):
+    from treefam.counting import _det_spd_batch
+
+    with pytest.raises(ArithmeticError, match="not positive"):
+        _det_spd_batch(np.array(mats))
+
+
 @pytest.mark.parametrize("count", [
     lambda: exact_k_distribution(-3, []),
     lambda: exact_k_distribution(0, []),

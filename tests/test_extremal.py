@@ -493,7 +493,7 @@ def test_blocked_dt_validation():
     from treefam.trees import CapExceeded
 
     with pytest.raises(CapExceeded):
-        blocked_Dt(8, 1)
+        blocked_Dt(9, 1)
 
 
 @pytest.mark.parametrize(
@@ -572,6 +572,78 @@ def test_blocked_dt_scores_one_forest_per_orbit():
     would check 12,900 / 122,550 / 548,250 / 1,386,750 pairs."""
     pairs = {t: blocked_Dt(6, t).pairs_checked for t in (1, 2, 3, 4)}
     assert pairs == {1: 860, 2: 2329, 3: 5029, 4: 7701}
+
+
+@pytest.mark.parametrize("n, orbits, pairs", [
+    (4, [1, 2], [6, 18]),
+    (5, [1, 2, 3], [72, 206, 347]),
+    (6, [1, 2, 4, 6], [860, 2329, 5029, 7701]),
+    (7, [1, 2, 4, 7, 11], [12000, 31200, 66123, 117237, 184711]),
+])
+def test_blocked_dt_counts_forest_orbits(n, orbits, pairs):
+    """orbits = the number of unlabelled t-edge forests on n vertices, each
+    scored through the lexicographically first of its labelled forests."""
+    from itertools import permutations
+
+    from treefam.extremal import _forest_orbits
+    from treefam.trees import all_edges, edge
+
+    reports = [blocked_Dt(n, t) for t in range(1, n - 1)]
+    got = [r.orbits for r in reports]
+    assert got == orbits
+    assert [r.pairs_checked for r in reports] == pairs
+    if n <= 6:  # the first forest of each orbit, walking every forest in order
+        for t in range(1, n - 1):
+            firsts, seen = [], set()
+            for f in iter_forests(n, max_edges=t, min_edges=t):
+                if f not in seen:
+                    firsts.append(f)
+                    seen.update(tuple(sorted(edge(p[u - 1], p[v - 1]) for u, v in f))
+                                for p in permutations(range(1, n + 1)))
+            reps = [tuple(all_edges(n)[b] for b in bits) for bits in _forest_orbits(n, t)]
+            assert reps == firsts and len(firsts) == got[t - 1]
+    assert blocked_Dt(n, 1).to_dict()["orbits"] == 1
+
+
+@pytest.fixture(scope="module")
+def dt8():
+    return {t: blocked_Dt(8, t) for t in range(1, 7)}
+
+
+def test_blocked_dt_n8_pins(dt8):
+    from treefam.trees import intersection_size, is_star
+
+    assert {t: r.value for t, r in dt8.items()} == {
+        1: 3430, 2: 735, 3: 140, 4: 25, 5: 5, 6: 1}
+    assert [r.pairs_checked for r in dt8.values()] == [
+        196602, 495601, 1037281, 2092737, 3668785, 6028887]
+    assert [r.orbits for r in dt8.values()] == [1, 2, 4, 8, 14, 23]
+    for t, rep in dt8.items():
+        # the argmin forest is the star K_{1,t} at vertex 1
+        assert rep.argmin_forest.edges == tuple((1, v) for v in range(2, t + 2))
+        assert not is_star(rep.argmin_tree)
+        assert intersection_size(rep.argmin_tree, rep.argmin_forest) < t
+        assert count_avoiding(8, rep.argmin_tree, rep.argmin_forest) == rep.value
+
+
+def test_blocked_dt_fits_the_conjectured_closed_form(dt8):
+    """Conjecture, from every value computed at n = 4..8 (not a theorem):
+    D_t(n) = (t+1)(n-3)(n-1)^(n-4-t) for 1 <= t <= n-4, D_{n-3}(n) = n-3
+    and D_{n-2}(n) = 1."""
+
+    def conjectured(n, t):
+        if t == n - 2:
+            return 1
+        if t == n - 3:
+            return n - 3
+        return (t + 1) * (n - 3) * (n - 1) ** (n - 4 - t)
+
+    values = {(8, t): rep.value for t, rep in dt8.items()}
+    for n in (4, 5, 6, 7):
+        for t in range(1, n - 1):
+            values[n, t] = blocked_Dt(n, t).value
+    assert len(values) == 20
+    assert values == {key: conjectured(*key) for key in values}
 
 
 # -- local lemma ------------------------------------------------------------------
