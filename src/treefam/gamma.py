@@ -30,7 +30,6 @@ from .trees import (
     _tree,
     all_edges,
     cayley_count,
-    edge_bit,
     edges_to_mask,
     mask_matrix,
     mask_to_edges,
@@ -434,29 +433,34 @@ def _color_sort(
     return order, colors
 
 
+def _edge_perm_table(n: int):
+    """The n! vertex relabellings of K_n (itertools.permutations order,
+    identity first) as an (n!, C(n,2)) uint8 array: [g, b] is the bit of the
+    image of edge b under g.  A relabelling keeps every overlap |T & T'|, so
+    each is an automorphism of Gamma_t(K_n) and its complement, for every t."""
+    import numpy as np
+
+    eu, ev = np.array(all_edges(n)).T - 1
+    pos = np.zeros((n, n), np.uint8)  # pos[u-1, v-1]: the bit of edge uv
+    pos[eu, ev] = pos[ev, eu] = np.arange(len(eu))
+    perms = np.array(list(permutations(range(n))), np.uint8)
+    return pos[perms[:, eu], perms[:, ev]]
+
+
 @lru_cache(maxsize=None)
 def _edge_perms(n: int) -> Tuple[Tuple[int, ...], ...]:
-    """The n! vertex relabellings of K_n acting on edge bits, identity first.
-
-    g[b] is the bit of the image of the edge at bit b.  A relabelling keeps
-    every overlap |T & T'|, so each one is an automorphism of Gamma_t(K_n)
-    and of its complement, for every t.
-    """
-    edges = all_edges(n)  # edges[b] sits at bit b
-    return tuple(
-        tuple(edge_bit(n, p[u - 1], p[v - 1]) for u, v in edges)
-        for p in permutations(range(1, n + 1))
-    )
+    """The rows of _edge_perm_table(n) as tuples of ints."""
+    return tuple(map(tuple, _edge_perm_table(n).tolist()))
 
 
 @lru_cache(maxsize=None)
 def _edge_image_bits(n: int):
-    """_edge_perms(n) as a read-only (C(n,2), n!) uint64 array of single-bit
-    masks: [b, g] is the bit of edge b's image under the g-th relabelling, so
-    OR-ing a forest's rows gives its orbit, the forest itself in column 0."""
+    """_edge_perm_table(n) as a read-only (C(n,2), n!) uint64 array of
+    single-bit masks: [b, g] is the bit of edge b's image under relabelling
+    g, so OR-ing a forest's rows gives its orbit, the forest in column 0."""
     import numpy as np
 
-    bits = np.uint64(1) << np.array(_edge_perms(n), dtype=np.uint64).T.copy()
+    bits = np.uint64(1) << _edge_perm_table(n).T.astype(np.uint64, order="C")
     bits.flags.writeable = False
     return bits
 

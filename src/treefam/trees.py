@@ -496,33 +496,49 @@ def mask_to_edges(n: int, mask: int) -> list:
 # typed: an untyped cache serves 4.0 and True the entries of 4 and 1, unchecked
 @lru_cache(maxsize=None, typed=True)
 def tree_masks(n: int) -> tuple:
-    """Edge bitmasks of every spanning tree of K_n, indexed by tree index.
-
-    Cached; the caller enforces the enumeration cap (enumerate_trees and
-    edge_hits apply it).
-    """
-    (n,) = _as_ints("n", n, low=(2,))
-    pos = [[0] * (n + 1) for _ in range(n + 1)]
-    for u, v in all_edges(n):
-        pos[u][v] = pos[v][u] = edge_bit(n, u, v)
-    masks = []
-    for code in product(range(1, n + 1), repeat=n - 2):
-        mask = 0
-        for a, b in _decode_edges(n, code):
-            mask |= 1 << pos[a][b]
-        masks.append(mask)
-    return tuple(masks)
+    """Edge bitmasks (Python ints) of every spanning tree of K_n, indexed by
+    tree index; refuses n above the enumeration cap.  Cached."""
+    return tuple(tree_mask_array(n).tolist())
 
 
 @lru_cache(maxsize=None, typed=True)
 def tree_mask_array(n: int):
-    """tree_masks(n) as a numpy uint64 array (requires C(n,2) <= 64)."""
+    """tree_masks(n) as a numpy uint64 array, read-only since every caller
+    shares it; refuses n above the enumeration cap before it allocates."""
+    (n,) = _as_ints("n", n, low=(2,))
+    _check_cap("enum_cap", DEFAULT_ENUM_CAP, n, "vertices to enumerate trees on")
+    masks = _decode_all(n)
+    masks.flags.writeable = False
+    return masks
+
+
+def _decode_all(n: int):
+    """The edge masks of all n^(n-2) Prufer codes in tree-index order, decoded
+    at once (_decode_edges is the per-code oracle).  Step k takes each code's
+    lowest live vertex missing from c_k..c_{n-2}, a set fixed by the index's
+    last n-2-k base-n digits: one row broadcast over an (n^k, ...) view."""
     import numpy as np
 
-    (n,) = _as_ints("n", n, low=(2,))
-    if n * (n - 1) // 2 > 64:
-        raise ValueError(f"edge masks for n={n} do not fit in 64 bits")
-    return np.array(tree_masks(n), dtype=np.uint64)
+    low = np.zeros(1 << n, np.uint8)  # lowest vertex of a vertex set
+    for v in range(n):
+        low[1 << v :: 2 << v] = v
+    vbits = np.uint16(1) << np.arange(n, dtype=np.uint16)
+    eu, ev = np.array(all_edges(n)).T - 1
+    bit = np.zeros((n, n), np.uint64)  # bit[u-1, v-1]: the mask of edge uv
+    bit[eu, ev] = bit[ev, eu] = np.uint64(1) << np.arange(len(eu), dtype=np.uint64)
+    suffixes = [np.zeros(1, np.uint16)]  # suffixes[j]: vertex sets of the last j digits
+    for _ in range(n - 2):
+        suffixes.append((vbits[:, None] | suffixes[-1]).ravel())
+    live = np.full(n ** (n - 2), (1 << n) - 1, np.uint16)
+    masks = np.zeros(n ** (n - 2), np.uint64)
+    for k in range(n - 2):
+        rest = n ** (n - 3 - k)
+        alive, out = live.reshape(n**k, n * rest), masks.reshape(n**k, n * rest)
+        leaf = low[alive & ~suffixes[n - 2 - k]]
+        out |= bit[leaf, np.repeat(np.arange(n, dtype=np.uint8), rest)]
+        alive ^= vbits[leaf]
+    masks |= bit[low[live], n - 1]  # the last two live: a leaf and n
+    return masks
 
 
 # -- the mask kernel ------------------------------------------------------------
@@ -567,9 +583,7 @@ def edge_hits(n: int, edges: Iterable):
     import numpy as np
 
     (n,) = _as_ints("n", n, low=(2,))
-    _check_cap("enum_cap", DEFAULT_ENUM_CAP, n, "vertices to enumerate trees on")
-    mask = np.uint64(edges_to_mask(n, edges))
-    return np.bitwise_count(tree_mask_array(n) & mask)
+    return np.bitwise_count(tree_mask_array(n) & np.uint64(edges_to_mask(n, edges)))
 
 
 def mask_matrix(masks: Sequence[int]):

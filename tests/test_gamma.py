@@ -1,5 +1,6 @@
 """Disjointness graphs, tree packing, exact clique/independence search."""
 
+import itertools
 import math
 import os
 import random
@@ -22,6 +23,7 @@ from treefam.gamma import (
     TreeFamily,
     _color_sort,
     _degeneracy_order,
+    _edge_image_bits,
     _edge_perms,
     _max_clique_bitset,
     _relabel,
@@ -33,7 +35,7 @@ from treefam.gamma import (
     packing_number,
 )
 from treefam.trees import (
-    Tree, all_edges, cayley_count, intersection_size, is_star, tree_masks,
+    Tree, all_edges, cayley_count, edge_bit, intersection_size, is_star, tree_masks,
 )
 
 
@@ -626,6 +628,29 @@ def adjacency_matrix(dg):
     rows = b"".join(r.to_bytes((V + 7) // 8, "little") for r in dg.adj)
     bits = np.frombuffer(rows, dtype=np.uint8).reshape(V, -1)
     return np.unpackbits(bits, axis=1, count=V, bitorder="little").astype(bool)
+
+
+def _edge_perms_by_edge_bit(n):
+    """The per-permutation construction: the edge_bit of each edge's image."""
+    edges = all_edges(n)
+    return tuple(
+        tuple(edge_bit(n, p[u - 1], p[v - 1]) for u, v in edges)
+        for p in itertools.permutations(range(1, n + 1))
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_edge_tables_match_per_permutation_construction(n):
+    import numpy as np
+
+    oracle = _edge_perms_by_edge_bit(n)
+    assert _edge_perms(n) == oracle
+    assert all(type(b) is int for g in _edge_perms(n) for b in g)
+    bits = _edge_image_bits(n)
+    assert bits.dtype == np.uint64 and bits.flags.c_contiguous
+    assert np.array_equal(bits, np.uint64(1) << np.array(oracle, dtype=np.uint64).T)
+    with pytest.raises(ValueError):
+        bits[0, 0] = 0
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

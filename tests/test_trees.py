@@ -41,6 +41,7 @@ from treefam.trees import (
     sample_uniform_trees,
     tree_from_index,
     tree_index,
+    tree_mask_array,
     tree_masks,
 )
 
@@ -206,12 +207,13 @@ K8 = SimpleGraph.complete(8)
 @pytest.mark.parametrize("over, under, name, value", [
     (lambda: next(enumerate_trees(9)), lambda: next(enumerate_trees(8)), "enum_cap", 8),
     (lambda: edge_hits(9, [(1, 2)]), lambda: edge_hits(8, [(1, 2)]), "enum_cap", 8),
+    (lambda: tree_mask_array(9), lambda: tree_mask_array(8), "enum_cap", 8),
     (lambda: blocked_Dt(9, 1), lambda: blocked_Dt(8, 6), "enum_cap", 8),
     (lambda: build_gamma(K8, 1), None, "gamma_cap", 20000),
     (lambda: list(enumerate_spanning_trees(K8)), None, "gamma_cap", 20000),
     (lambda: brute_force_max_t_intersecting(8, 1), None, "gamma_cap", 20000),
     (lambda: packing_number(SimpleGraph.complete(11)), None, "packing_cap", 10),
-], ids=["enumerate_trees", "edge_hits", "blocked_Dt", "build_gamma",
+], ids=["enumerate_trees", "edge_hits", "tree_mask_array", "blocked_Dt", "build_gamma",
         "spanning_tree_stream", "search", "packing"])
 def test_each_limit_fires_past_its_boundary(over, under, name, value):
     if under is not None:
@@ -372,10 +374,45 @@ def test_edges_to_mask_rejects_out_of_range_loops_and_duplicates():
 
 
 def test_tree_masks_match_enumeration():
-    n = 5
-    masks = tree_masks(n)
-    for i, t in enumerate(enumerate_trees(n)):
-        assert masks[i] == edges_to_mask(n, t.edges)
+    # the vectorised decode against the per-code decode behind enumerate_trees
+    for n in range(2, 8):
+        masks = tree_masks(n)
+        assert all(type(m) is int for m in masks)
+        assert masks == tuple(edges_to_mask(n, t.edges) for t in enumerate_trees(n))
+        assert tree_mask_array(n).tolist() == list(masks)
+
+
+def test_tree_masks_n8_match_tree_from_index():
+    n = 8
+    masks, arr = tree_masks(n), tree_mask_array(n)
+    assert len(masks) == len(arr) == cayley_count(n)
+    assert all(type(m) is int for m in masks)
+    for i in [*range(0, cayley_count(n), 1009), cayley_count(n) - 1]:
+        assert masks[i] == int(arr[i]) == edges_to_mask(n, tree_from_index(n, i).edges)
+
+
+def test_tree_mask_array_is_read_only():
+    import numpy as np
+
+    arr = tree_mask_array(5)
+    first = tree_masks(5)[0]
+    with pytest.raises(ValueError):
+        arr[0] = 0
+    with pytest.raises(ValueError):
+        arr |= np.uint64(1)
+    assert int(tree_mask_array(5)[0]) == first
+
+
+def test_tree_mask_array_refuses_before_it_decodes(monkeypatch):
+    def unbuilt(n):
+        raise AssertionError(f"decoded {n}^{n - 2} codes past the cap")
+
+    monkeypatch.setattr(treefam.trees, "_decode_all", unbuilt)
+    for n in (9, 10, 12):
+        with pytest.raises(CapExceeded):
+            tree_mask_array(n)
+        with pytest.raises(CapExceeded):
+            tree_masks(n)
 
 
 @pytest.mark.parametrize("rows,cols,words", [
