@@ -325,18 +325,18 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _degeneracy_order(adj: List[int]) -> List[int]:
-    """Vertices in degeneracy order (minimum remaining degree, ties: lowest index).
+def _degeneracy_order(mat) -> List[int]:
+    """Degeneracy order of the packed rows `mat` (minimum remaining degree, ties: lowest index).
 
     `mask_matrix` sizes rows by the widest row, which can be narrower than V
     bits (an edgeless graph has one word per row); `unpackbits(count=V)`
-    zero-pads them, here and in `_relabel`.
+    zero-pads them, here, in `_relabel` and in `_greedy_clique`.
     """
     import numpy as np
 
-    V = len(adj)
-    bits = mask_matrix(adj).view(np.uint8)
-    deg = np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
+    V = len(mat)
+    bits = mat.view(np.uint8)
+    deg = np.bitwise_count(mat).sum(axis=1, dtype=np.int64)
     removed = np.iinfo(np.int64).max
     order = []
     for _ in range(V):
@@ -347,54 +347,61 @@ def _degeneracy_order(adj: List[int]) -> List[int]:
     return order
 
 
-def _relabel(adj: List[int], order: List[int]) -> List[int]:
-    """Rows renamed so that vertex order[i] becomes i: bit j of row i of the
-    result is bit order[j] of adj[order[i]].
-
-    Rows are unpacked, permuted and repacked 64 or more at a time, so the
-    largest temporary is about max(_BLOCK_CELLS, 64 V) bytes, never V x V.
-    """
+def _unpacked(bits, rows):
+    """Yield (lo, block), block = rows[lo:lo + step] of the bit matrix `bits` unpacked
+    to V 0/1 bytes a row; step >= 64 keeps a block near max(_BLOCK_CELLS, 64 V) bytes."""
     import numpy as np
 
-    V = len(adj)
-    bits = mask_matrix(adj).view(np.uint8)
-    perm = np.asarray(order, dtype=np.intp)
+    V = len(bits)
     step = max(64, _BLOCK_CELLS // max(1, V))
-    out: List[int] = []
-    for lo in range(0, V, step):
-        rows = np.unpackbits(
-            bits[perm[lo : lo + step]], axis=1, count=V, bitorder="little"
-        )
+    for lo in range(0, len(rows), step):
+        yield lo, np.unpackbits(bits[rows[lo : lo + step]], axis=1, count=V, bitorder="little")
+
+
+def _relabel(mat, order: List[int]):
+    """The packed rows `mat` renamed so that vertex order[i] becomes i: bit j of
+    row i of the result is bit order[j] of row order[i].  Returns `mask_matrix`
+    of the renamed rows, as wide as the widest of them."""
+    import numpy as np
+
+    V = len(mat)
+    perm = np.asarray(order, dtype=np.intp)
+    out = np.zeros((V, 8 * max(1, -(-V // 64))), np.uint8)
+    for lo, rows in _unpacked(mat.view(np.uint8), perm):
         packed = np.packbits(rows[:, perm], axis=1, bitorder="little")
-        out.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
-    return out
+        out[lo : lo + len(packed), : packed.shape[1]] = packed
+    out = out.view("<u8")
+    return out[:, : np.flatnonzero(out.any(axis=0)).max(initial=0) + 1]
 
 
-def _greedy_clique(adj: List[int], bit: List[int]) -> int:
-    """Deterministic greedy clique (seed lower bound); returns a member bitmask.
+def _greedy_clique(mat) -> int:
+    """Greedy clique (seed lower bound) on the packed symmetric rows `mat`, as a bitmask.
 
-    Ties go to the highest index: the start among the maximum degrees, and
-    each step to the first best vertex scanning down from the top bit.
-    bit[v] is 1 << v.
-    """
-    V = len(adj)
+    Ties go to the highest index: the start among the maximum degrees, then
+    each step among the best scores, score[u] = |N(u) & cand| (below -V off
+    cand).  A vertex leaving cand takes its row off every score, so a run
+    unpacks each row at most once, a block at a time."""
+    import numpy as np
+
+    V = len(mat)
     if V == 0:
         return 0
-    start = max(range(V), key=lambda v: (adj[v].bit_count(), v))
-    clique = bit[start]
-    cand = adj[start]
-    while cand:
-        best_v, best_sc = -1, -1
-        m = cand
-        while m:
-            v = m.bit_length() - 1
-            m ^= bit[v]
-            sc = (adj[v] & cand).bit_count()
-            if sc > best_sc:
-                best_sc, best_v = sc, v
-        clique |= bit[best_v]
-        cand &= adj[best_v]
-    return clique
+    bits = mat.view(np.uint8)
+    v = V - 1 - int(np.argmax(np.bitwise_count(mat).sum(axis=1, dtype=np.int64)[::-1]))
+    clique = 1 << v
+    blocks = pair_blocks(mat, mat[v : v + 1])
+    score = np.concatenate([shared_bits(b)[:, 0] for _, b in blocks], dtype=np.int32)
+    score[np.unpackbits(bits[v], count=V, bitorder="little") == 0] = -V - 1
+    while True:
+        v = V - 1 - int(np.argmax(score[::-1]))
+        if score[v] < 0:
+            return clique
+        clique |= 1 << v
+        keep = np.unpackbits(bits[v], count=V, bitorder="little").view(bool)
+        leaving = np.flatnonzero((score >= 0) & ~keep)
+        score[leaving] = -V - 1
+        for _, rows in _unpacked(bits, leaving):
+            score -= rows.sum(axis=0, dtype=np.int32)
 
 
 def _color_sort(
@@ -518,15 +525,18 @@ def _max_clique_bitset(
     V = len(adj)
     if V == 0:
         return 0, True, 0
-    order = _degeneracy_order(adj)[::-1]
-    radj = _relabel(adj, order)
+    mat = mask_matrix(adj)
+    order = _degeneracy_order(mat)[::-1]
+    mat = _relabel(mat, order)  # one packed matrix at a time, and none in the search
+    radj = [int.from_bytes(r.tobytes(), "little") for r in mat]
+    seed = _greedy_clique(mat)
+    del mat
     bit = [1 << v for v in range(V)]
     full = (1 << V) - 1
     nadj = [full ^ (r | b) for r, b in zip(radj, bit)]
     if group:
         rmasks = [masks[o] for o in order]
         index = {m: v for v, m in enumerate(rmasks)}
-    seed = _greedy_clique(radj, bit)
     best_mask = seed
     best_size = seed.bit_count()
     nodes = 0

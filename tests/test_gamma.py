@@ -1,5 +1,6 @@
 """Disjointness graphs, tree packing, exact clique/independence search."""
 
+import hashlib
 import itertools
 import math
 import os
@@ -25,6 +26,7 @@ from treefam.gamma import (
     _degeneracy_order,
     _edge_image_bits,
     _edge_perms,
+    _greedy_clique,
     _max_clique_bitset,
     _relabel,
     build_gamma,
@@ -35,7 +37,8 @@ from treefam.gamma import (
     packing_number,
 )
 from treefam.trees import (
-    Tree, all_edges, cayley_count, edge_bit, intersection_size, is_star, tree_masks,
+    Tree, all_edges, cayley_count, edge_bit, intersection_size, is_star, mask_matrix,
+    tree_masks,
 )
 
 
@@ -605,6 +608,15 @@ def test_symmetric_search_tree_is_pinned(graph, t, search, budget, size, optimal
     assert res.family.member_mask == int(mask, 16)
 
 
+def test_gamma2_k7_search_is_pinned():
+    # 16,807 trees: at budget 50 the search keeps the greedy seed, the
+    # matching family of 1,372 trees through two disjoint edges
+    res = max_independent_set(build_gamma(SimpleGraph.complete(7), 2), budget=50)
+    assert (res.size, res.optimal, res.nodes) == (1372, False, 51)
+    digest = hashlib.sha256(format(res.family.member_mask, "x").encode()).hexdigest()
+    assert digest == "9466caba507295525050aca2cddae929be2606dae84d552dd344b4f04a60d9ae"
+
+
 # -- the S_n symmetry of Gamma_t(K_n) ------------------------------------------------
 
 
@@ -801,12 +813,63 @@ SETUP_CASES = [
 
 @pytest.mark.parametrize("adj", SETUP_CASES, ids=lambda adj: f"V={len(adj)}")
 def test_search_setup_matches_oracles(adj):
-    order = _degeneracy_order(adj)
+    import numpy as np
+
+    mat = mask_matrix(adj)
+    order = _degeneracy_order(mat)
     assert order == degeneracy_order_oracle(adj)
-    assert _relabel(adj, order) == relabel_oracle(adj, order)
     # also under an order that is not the degeneracy order
-    reverse = order[::-1]
-    assert _relabel(adj, reverse) == relabel_oracle(adj, reverse)
+    for o in (order, order[::-1]):
+        rmat = _relabel(mat, o)
+        assert np.array_equal(rmat, mask_matrix(relabel_oracle(adj, o)))
+        assert rmat.dtype == mat.dtype
+
+
+def greedy_clique_oracle(adj):
+    """The greedy seed bit by bit: start at the highest index among the
+    maximum degrees, then each step take the first best score |adj[v] & cand|
+    scanning down from the top bit."""
+    V = len(adj)
+    if V == 0:
+        return 0
+    start = max(range(V), key=lambda v: (adj[v].bit_count(), v))
+    clique = 1 << start
+    cand = adj[start]
+    while cand:
+        best_v, best_sc = -1, -1
+        m = cand
+        while m:
+            v = m.bit_length() - 1
+            m ^= 1 << v
+            sc = (adj[v] & cand).bit_count()
+            if sc > best_sc:
+                best_sc, best_v = sc, v
+        clique |= 1 << best_v
+        cand &= adj[best_v]
+    return clique
+
+
+def check_greedy_clique(adj):
+    """The numpy seed on the rows as given and relabelled as the search does
+    (the set-up itself is checked against its oracles above)."""
+    mat = mask_matrix(adj)
+    assert _greedy_clique(mat) == greedy_clique_oracle(adj)
+    rmat = _relabel(mat, _degeneracy_order(mat)[::-1])
+    radj = [int.from_bytes(r.tobytes(), "little") for r in rmat]
+    assert _greedy_clique(rmat) == greedy_clique_oracle(radj)
+
+
+@pytest.mark.parametrize("adj", SETUP_CASES, ids=lambda adj: f"V={len(adj)}")
+def test_greedy_clique_matches_oracle(adj):
+    check_greedy_clique(adj)
+
+
+@pytest.mark.parametrize("graph,t", [("K5", 1), ("K5", 2), ("K5", 3), ("K5", 4), ("K6", 2),
+                                     ("K6", 3), ("K6", 4), ("W8", 2), ("C12+3", 8)])
+def test_greedy_clique_matches_oracle_on_gamma(graph, t):
+    dg = build_gamma(PIN_GRAPHS[graph], t)
+    check_greedy_clique(dg.adj)
+    check_greedy_clique(dg.complement_rows())
 
 
 def lowest_bit_color_sort(P, nadj, kmin):
