@@ -70,8 +70,6 @@ from .trees import (
     intersection_size,
     is_d_star_like,
     is_star,
-    iter_forests,
-    iter_forests_with_count,
     prufer_decode,
     prufer_encode,
     sample_uniform_tree,

@@ -366,9 +366,10 @@ def count_avoiding(n: int, t0: Forest, f: Forest, method: str = "ie") -> int:
     outside f.
 
     method "ie" reads N_0 of the matrix-tree kernel, one determinant per
-    block, at any n; method "enum" recounts by scanning the full tree
-    universe (n within the enumeration cap).  The two paths must agree;
-    tests hold them to that.
+    block, at any n ("ie" is the kernel's historical name: it replaced an
+    inclusion-exclusion walk); method "enum" recounts by scanning the full
+    tree universe (n within the enumeration cap).  The two paths must
+    agree; tests hold them to that.
     """
     (n,) = _as_ints("n", n, low=(2,))
     t0, f = (x if isinstance(x, Forest) else Forest(n, x) for x in (t0, f))
@@ -649,7 +650,7 @@ def lemma_notstar_check(n: int, t0: Forest) -> NotstarReport:
             f"{deg[witness[0]] + deg[witness[1]] - 2} >= (n-1)/6 other edges"
         )
     empty = Forest(n)
-    count = count_avoiding(n, t0, empty, method="ie")
+    count = count_avoiding(n, t0, empty)
     if n <= DEFAULT_ENUM_CAP:
         other = count_avoiding(n, t0, empty, method="enum")
         if other != count:

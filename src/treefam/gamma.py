@@ -440,69 +440,44 @@ def _color_sort(
     return order, colors
 
 
-def _edge_perm_table(n: int):
+@lru_cache(maxsize=None)
+def _edge_image_bits(n: int):
     """The n! vertex relabellings of K_n (itertools.permutations order,
-    identity first) as an (n!, C(n,2)) uint8 array: [g, b] is the bit of the
-    image of edge b under g.  A relabelling keeps every overlap |T & T'|, so
-    each is an automorphism of Gamma_t(K_n) and its complement, for every t."""
+    identity first) as a read-only (C(n,2), n!) uint64 array of single-bit
+    masks: [b, g] is the bit of edge b's image under relabelling g, so
+    OR-ing a forest's rows gives its orbit, the forest in column 0.  A
+    relabelling keeps every overlap |T & T'|, so each is an automorphism of
+    Gamma_t(K_n) and its complement, for every t."""
     import numpy as np
 
     eu, ev = np.array(all_edges(n)).T - 1
     pos = np.zeros((n, n), np.uint8)  # pos[u-1, v-1]: the bit of edge uv
     pos[eu, ev] = pos[ev, eu] = np.arange(len(eu))
     perms = np.array(list(permutations(range(n))), np.uint8)
-    return pos[perms[:, eu], perms[:, ev]]
-
-
-@lru_cache(maxsize=None)
-def _edge_perms(n: int) -> Tuple[Tuple[int, ...], ...]:
-    """The rows of _edge_perm_table(n) as tuples of ints."""
-    return tuple(map(tuple, _edge_perm_table(n).tolist()))
-
-
-@lru_cache(maxsize=None)
-def _edge_image_bits(n: int):
-    """_edge_perm_table(n) as a read-only (C(n,2), n!) uint64 array of
-    single-bit masks: [b, g] is the bit of edge b's image under relabelling
-    g, so OR-ing a forest's rows gives its orbit, the forest in column 0."""
-    import numpy as np
-
-    bits = np.uint64(1) << _edge_perm_table(n).T.astype(np.uint64, order="C")
+    bits = np.uint64(1) << pos[perms[:, eu], perms[:, ev]].T.astype(np.uint64, order="C")
     bits.flags.writeable = False
     return bits
 
 
-def _orbit_and_stabiliser(
-    group: Sequence[Tuple[int, ...]], v: int, vmask: int, index: dict
-) -> Tuple[int, list]:
-    """Orbit of search vertex v (tree mask vmask) under group, as a vertex
-    bitmask, and the elements of group that fix v ([] once only the identity
-    does).  index maps a tree mask to its search vertex.
+def _orbit_and_stabiliser(images, H, vmask: int, sorted_masks, by_mask):
+    """Orbit of a search vertex (tree mask vmask) under the relabellings H,
+    an int array of columns of images = _edge_image_bits(n), as a vertex
+    bitmask, and the columns of H that fix it (None once only the identity
+    does).  by_mask[i] is the vertex whose tree mask is sorted_masks[i].
     """
-    bits = []
-    m = vmask
-    while m:
-        low = m & -m
-        bits.append(low.bit_length() - 1)
-        m ^= low
-    images = set()
-    stab = []
-    for g in group:
-        img = 0
-        for b in bits:
-            img |= 1 << g[b]
-        if img == vmask:
-            stab.append(g)
-        else:
-            images.add(img)
-    orbit = 1 << v
-    for img in images:
-        orbit |= 1 << index[img]
-    return orbit, stab if len(stab) > 1 else []
+    import numpy as np
+
+    rows = [b for b in range(len(images)) if vmask >> b & 1]
+    img = np.bitwise_or.reduce(images[np.ix_(rows, H)], axis=0)
+    stab = H[img == vmask]
+    hit = np.zeros(len(by_mask), bool)
+    hit[by_mask[np.searchsorted(sorted_masks, img)]] = True
+    orbit = int.from_bytes(np.packbits(hit, bitorder="little").tobytes(), "little")
+    return orbit, stab if len(stab) > 1 else None
 
 
 def _max_clique_bitset(
-    adj: List[int], budget: int, masks: Sequence[int] = (), group: Sequence = ()
+    adj: List[int], budget: int, masks: Sequence[int] = (), n: int = 0
 ) -> Tuple[int, bool, int]:
     """Exact maximum clique on bit-packed adjacency; returns (mask, optimal, nodes).
 
@@ -514,14 +489,17 @@ def _max_clique_bitset(
     earliest vertex of the degeneracy order.  Exceeding the node budget
     returns the best clique found so far with optimal=False.
 
-    With a group (edge permutations from _edge_perms that are automorphisms
-    of adj, acting on the tree masks `masks` of the vertices), the search
+    With n > 0 the vertices are the spanning trees of K_n with tree masks
+    `masks`, and the vertex relabellings of K_n (the columns of
+    _edge_image_bits(n)) are automorphisms of adj.  The search then
     branches on one vertex per orbit (orbital branching): each frame keeps
-    H, the elements fixing every vertex chosen so far, and its candidate
-    set is H-invariant.  After branching on v it drops v's whole H-orbit,
-    since any clique through g(v) is g of one through v; the child keeps
-    the stabiliser of v.  Without a group every candidate is branched on.
+    H, the relabellings fixing every vertex chosen so far, and its
+    candidate set is H-invariant.  After branching on v it drops v's whole
+    H-orbit, since any clique through g(v) is g of one through v; the child
+    keeps the stabiliser of v.  With n = 0 every candidate is branched on.
     """
+    import numpy as np
+
     V = len(adj)
     if V == 0:
         return 0, True, 0
@@ -534,9 +512,14 @@ def _max_clique_bitset(
     bit = [1 << v for v in range(V)]
     full = (1 << V) - 1
     nadj = [full ^ (r | b) for r, b in zip(radj, bit)]
-    if group:
+    group = None
+    if n:
+        images = _edge_image_bits(n)
+        group = np.arange(images.shape[1])
         rmasks = [masks[o] for o in order]
-        index = {m: v for v, m in enumerate(rmasks)}
+        keys = np.array(rmasks, np.uint64)
+        by_mask = np.argsort(keys)
+        sorted_masks = keys[by_mask]
     best_mask = seed
     best_size = seed.bit_count()
     nodes = 0
@@ -568,9 +551,10 @@ def _max_clique_bitset(
                     raise _BudgetExhausted
                 # the child's candidates first: they keep v's orbit-mates
                 p2 = frame[2] & radj[v]  # v is not its own neighbour
-                orbit, stab = vbit, ()
-                if frame[6]:
-                    orbit, stab = _orbit_and_stabiliser(frame[6], v, rmasks[v], index)
+                orbit, stab = vbit, None
+                if frame[6] is not None:
+                    orbit, stab = _orbit_and_stabiliser(images, frame[6], rmasks[v],
+                                                        sorted_masks, by_mask)
                 frame[2] &= ~orbit
                 if p2:
                     order2, colors2 = _color_sort(p2, nadj, best_size - size - 1, bit)
@@ -603,9 +587,8 @@ def _search(gamma: DisjointnessGraph, adj: List[int], budget: int) -> Tuple[int,
     graph is complete; any other host searches without a group.  The budget
     must be an integer >= 0."""
     (budget,) = _as_ints("node budget", budget, low=(0,))
-    if gamma.graph.is_complete():
-        return _max_clique_bitset(adj, budget, gamma.masks, _edge_perms(gamma.n))
-    return _max_clique_bitset(adj, budget)
+    return _max_clique_bitset(adj, budget, gamma.masks,
+                              gamma.n if gamma.graph.is_complete() else 0)
 
 
 def max_clique(

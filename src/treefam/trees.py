@@ -656,65 +656,3 @@ def star_masks(n: int) -> tuple:
     for c in range(1, n + 1):
         out.append(edges_to_mask(n, (edge(c, x) for x in range(1, n + 1) if x != c)))
     return tuple(out)
-
-
-# -- forest iteration --------------------------------------------------------
-
-
-def iter_forests(
-    n: int, max_edges: Optional[int] = None, min_edges: int = 0
-) -> Iterator[Tuple[Edge, ...]]:
-    """All forests on [n] with min_edges <= |E| <= max_edges, as edge tuples.
-
-    Canonical order: depth-first over lexicographically increasing edge lists,
-    a prefix before its extensions.  Includes the empty forest when
-    min_edges == 0.
-    """
-    return (f for f, _ in iter_forests_with_count(n, max_edges, min_edges))
-
-
-def iter_forests_with_count(
-    n: int, max_edges: Optional[int] = None, min_edges: int = 0
-) -> Iterator[Tuple[Tuple[Edge, ...], int]]:
-    """The forests of iter_forests, in its order, each with |T_n[F]|.
-
-    The count is maintained incrementally from the component sizes (product
-    of component sizes times n^(n-2-|F|)), so each forest costs O(1) beyond
-    the iteration itself.
-    """
-    n, min_edges = _as_ints("n and min_edges", n, min_edges, low=(1, 0))
-    top = n - 1 if max_edges is None else max_edges
-    max_edges = min(_as_ints("max_edges", top, low=(0,))[0], n - 1)
-    edges = all_edges(n)
-    npow = [n ** k for k in range(n - 1)]  # n^0 .. n^(n-2)
-    # Find, union and undo are inlined on the DSU's own lists: calling find
-    # alone as a method per visited forest made this walk ~1.2x slower.
-    dsu = _DSU(n)
-    parent, size = dsu.parent, dsu.size
-    chosen = []
-
-    def rec(start, prod):
-        k = len(chosen)
-        if k >= min_edges:
-            e = n - 2 - k
-            yield tuple(chosen), (prod * npow[e] if e >= 0 else prod // n)
-        if k == max_edges:
-            return
-        for i in range(start, len(edges)):
-            ru, rv = edges[i]
-            while parent[ru] != ru:
-                ru = parent[ru]
-            while parent[rv] != rv:
-                rv = parent[rv]
-            if ru == rv:
-                continue
-            su, sv = size[ru], size[rv]
-            parent[ru] = rv
-            size[rv] = su + sv
-            chosen.append(edges[i])
-            yield from rec(i + 1, prod * (su + sv) // (su * sv))
-            chosen.pop()
-            parent[ru] = ru
-            size[rv] = sv
-
-    return rec(0, 1)

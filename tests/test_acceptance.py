@@ -13,6 +13,8 @@ import random
 import time
 from fractions import Fraction
 
+from forest_oracle import forests, forests_with_count
+
 from treefam.counting import (
     containment_lower_bound,
     count_at_least,
@@ -42,8 +44,6 @@ from treefam.trees import (
     intersection_size,
     is_d_star_like,
     is_star,
-    iter_forests,
-    iter_forests_with_count,
     sample_uniform_tree,
 )
 
@@ -130,13 +130,13 @@ def test_criterion_02_containment_formula_vs_enumeration():
     with _Criterion(2, 300, summary):
         for n in (5, 6):
             checked = 0
-            for f in iter_forests(n, 4):
+            for f in forests(n, 4):
                 assert count_trees_containing(n, f) == enumeration_count_containing(n, f)
                 checked += 1
             assert checked > {5: 290, 6: 1600}[n]
         # n = 7: one representative per isomorphism class of <= 4-edge forests
         reps = {}
-        for f in iter_forests(7, 4):
+        for f in forests(7, 4):
             key = _forest_class(7, f)
             if key not in reps:
                 reps[key] = f
@@ -152,7 +152,7 @@ def test_criterion_03_matching_maximality():
             for l in (2, 3):
                 best = count_matching_family(n, l)
                 seen_max = 0
-                for f, c in iter_forests_with_count(n, max_edges=l, min_edges=l):
+                for f, c in forests_with_count(n, max_edges=l, min_edges=l):
                     assert c <= best
                     is_matching = Forest(n, f).component_sizes() == (2,) * l
                     assert (c == best) == is_matching
@@ -163,7 +163,7 @@ def test_criterion_03_matching_maximality():
 def test_criterion_04_containment_lower_bound():
     with _Criterion(4, 120, "every t-edge forest at n=7 contains >= 7^(5-t) trees"):
         n = 7
-        for f, c in iter_forests_with_count(n, max_edges=4, min_edges=1):
+        for f, c in forests_with_count(n, max_edges=4, min_edges=1):
             assert c >= containment_lower_bound(n, len(f))
 
 
@@ -197,7 +197,7 @@ def test_criterion_07_notstar_avoidance_bounds():
         n = 7
         rational_bound = Fraction(3 ** 6, 7)  # (1 - 4/7)^6 * 7^5
         checked = 0
-        for f_edges in iter_forests(n, 4):
+        for f_edges in forests(n, 4):
             f = Forest(n, f_edges)
             if is_d_star_like(f, 6):
                 continue
@@ -266,7 +266,7 @@ def test_criterion_11_blocked_dt_consistency():
             # independent exhaustive recheck through the IE path: no admissible
             # pair scores lower
             best = None
-            for f_edges in iter_forests(n, max_edges=1, min_edges=1):
+            for f_edges in forests(n, max_edges=1, min_edges=1):
                 f = Forest(n, f_edges)
                 for t0 in enumerate_trees(n):
                     if is_star(t0) or intersection_size(t0, f) >= 1:

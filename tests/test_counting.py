@@ -6,6 +6,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from forest_oracle import forests
 
 from treefam.counting import (
     containment_lower_bound,
@@ -43,7 +44,6 @@ from treefam.trees import (
     enumerate_trees,
     index_to_code,
     intersection_size,
-    iter_forests,
     prufer_decode,
     sample_uniform_trees,
     star_masks,
@@ -73,7 +73,7 @@ def test_count_trees_containing_edge_cases():
 
 def test_formula_equals_oracle_small():
     """Product formula vs streaming enumeration, n=6, every forest <= 3 edges."""
-    for f in iter_forests(6, 3):
+    for f in forests(6, 3):
         assert count_trees_containing(6, f) == enumeration_count_containing(6, f)
 
 
@@ -106,6 +106,8 @@ _S = [(1, 2), (3, 4)]
 
 # One integer argument of each checked entry point, as (id, the call with that
 # argument replaced by v, a valid value of it, the names the check reports).
+# The forests-* rows check the forest oracle of the tests, which must not
+# run vacuous on a bad bound.
 _GATED = [
     ("forest-n", lambda v: Forest(v, []), 1, "n"),
     ("tree-n", lambda v: Tree(v, [(1, 2)]), 2, "n"),
@@ -123,9 +125,9 @@ _GATED = [
     ("mask-array-n", lambda v: tree_mask_array(v), 4, "n"),
     ("edge-hits-n", lambda v: edge_hits(v, [(1, 2)]), 5, "n"),
     ("star-masks-n", lambda v: star_masks(v), 4, "n"),
-    ("forests-n", lambda v: iter_forests(v), 4, "n and min_edges"),
-    ("forests-max", lambda v: iter_forests(4, v), 1, "max_edges"),
-    ("forests-min", lambda v: iter_forests(4, 2, v), 1, "n and min_edges"),
+    ("forests-n", lambda v: forests(v), 4, "n and min_edges"),
+    ("forests-max", lambda v: forests(4, v), 1, "max_edges"),
+    ("forests-min", lambda v: forests(4, 2, v), 1, "n and min_edges"),
     ("containing-n", lambda v: count_trees_containing(v, [(1, 2)]), 6, "n"),
     ("distribution-n", lambda v: exact_k_distribution(v, _S), 6, "n"),
     ("exactly-n", lambda v: count_exactly(v, _S, 1), 6, "n and k"),
@@ -206,7 +208,7 @@ def test_matching_maximality():
     n = 6
     for l in (2, 3):
         best = count_matching_family(n, l)
-        for f in iter_forests(n, max_edges=l, min_edges=l):
+        for f in forests(n, max_edges=l, min_edges=l):
             c = count_trees_containing(n, f)
             assert c <= best
             is_matching = Forest(n, f).component_sizes() == (2,) * l
@@ -226,7 +228,7 @@ def test_containment_lower_bound():
 
 def test_lower_bound_holds_for_all_forests():
     n = 6
-    for f in iter_forests(n, 4, min_edges=1):
+    for f in forests(n, 4, min_edges=1):
         assert count_trees_containing(n, f) >= containment_lower_bound(n, len(f))
 
 

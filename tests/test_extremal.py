@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from forest_oracle import forests
 
 from treefam.counting import (
     count_at_least,
@@ -37,7 +38,6 @@ from treefam.trees import (
     cayley_count,
     edges_to_mask,
     is_d_star_like,
-    iter_forests,
     mask_matrix,
     pair_blocks,
     sample_uniform_tree,
@@ -392,9 +392,9 @@ def test_count_avoiding_agrees_with_the_kernel_on_every_forest_pair():
     # determinant at x = 0 against N_0 of the interpolated kernel
     pairs = zeros = 0
     for n in (3, 4, 5):
-        forests = [Forest(n, es) for es in iter_forests(n)]
-        for t0 in forests:
-            for f in forests:
+        universe = [Forest(n, es) for es in forests(n)]
+        for t0 in universe:
+            for f in universe:
                 got = count_avoiding(n, t0, f)
                 avoid = set(t0.edges) - set(f.edges)
                 assert got == exact_k_distribution(n, avoid, f)[0], (t0, f)
@@ -460,7 +460,7 @@ def test_blocked_dt_minimality_n5():
     from treefam.trees import enumerate_trees, intersection_size, is_star
 
     best = None
-    for f_edges in iter_forests(5, max_edges=1, min_edges=1):
+    for f_edges in forests(5, max_edges=1, min_edges=1):
         f = Forest(5, f_edges)
         for t0 in enumerate_trees(5):
             if is_star(t0) or intersection_size(t0, f) >= 1:
@@ -511,7 +511,7 @@ def test_blocked_dt_names_small_n(n):
 
 
 def _blocked_dt_scan(n, t):
-    """Oracle: D_t by scoring every t-edge forest (in iter_forests order)
+    """Oracle: D_t by scoring every t-edge forest (in lexicographic order)
     against its admissible non-star trees (in tree-index order), first
     strict minimum kept.  Returns (value, argmin forest edges, argmin tree
     edges)."""
@@ -523,7 +523,7 @@ def _blocked_dt_scan(n, t):
     arr = np.array(masks, dtype=np.uint64)
     non_star = ~np.isin(arr, np.array(star_masks(n), dtype=np.uint64))
     best = None
-    for f_edges in iter_forests(n, max_edges=t, min_edges=t):
+    for f_edges in forests(n, max_edges=t, min_edges=t):
         fmask = np.uint64(edges_to_mask(n, f_edges))
         pc = np.bitwise_count(arr & fmask)
         containing = arr[pc == t]
@@ -595,7 +595,7 @@ def test_blocked_dt_counts_forest_orbits(n, orbits, pairs):
     if n <= 6:  # the first forest of each orbit, walking every forest in order
         for t in range(1, n - 1):
             firsts, seen = [], set()
-            for f in iter_forests(n, max_edges=t, min_edges=t):
+            for f in forests(n, max_edges=t, min_edges=t):
                 if f not in seen:
                     firsts.append(f)
                     seen.update(tuple(sorted(edge(p[u - 1], p[v - 1]) for u, v in f))
@@ -746,7 +746,7 @@ def test_notstar_n8_exhaustive_sweep():
     """Every non-6-star-like forest with <= 4 edges passes at n = 8."""
     n = 8
     checked = 0
-    for f_edges in iter_forests(n, 4):
+    for f_edges in forests(n, 4):
         f = Forest(n, f_edges)
         if is_d_star_like(f, 6):
             continue

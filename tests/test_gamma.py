@@ -25,9 +25,9 @@ from treefam.gamma import (
     _color_sort,
     _degeneracy_order,
     _edge_image_bits,
-    _edge_perms,
     _greedy_clique,
     _max_clique_bitset,
+    _orbit_and_stabiliser,
     _relabel,
     build_gamma,
     enumerate_spanning_trees,
@@ -37,8 +37,8 @@ from treefam.gamma import (
     packing_number,
 )
 from treefam.trees import (
-    Tree, all_edges, cayley_count, edge_bit, intersection_size, is_star, mask_matrix,
-    tree_masks,
+    Tree, all_edges, cayley_count, edge_bit, edges_to_mask, intersection_size, is_star,
+    mask_matrix, star_masks, tree_masks,
 )
 
 
@@ -651,15 +651,24 @@ def _edge_perms_by_edge_bit(n):
     )
 
 
+def edge_perms(n):
+    """The columns of _edge_image_bits(n) as tuples of edge bits."""
+    import numpy as np
+
+    # a single-bit mask 1 << b less one has b bits set
+    return [tuple(g) for g in np.bitwise_count(_edge_image_bits(n) - np.uint64(1)).T.tolist()]
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_edge_tables_match_per_permutation_construction(n):
     import numpy as np
 
     oracle = _edge_perms_by_edge_bit(n)
-    assert _edge_perms(n) == oracle
-    assert all(type(b) is int for g in _edge_perms(n) for b in g)
     bits = _edge_image_bits(n)
     assert bits.dtype == np.uint64 and bits.flags.c_contiguous
+    assert bits.shape == (n * (n - 1) // 2, math.factorial(n))
+    assert (np.bitwise_count(bits) == 1).all()  # one image bit per edge and relabelling
+    assert edge_perms(n) == list(oracle)
     assert np.array_equal(bits, np.uint64(1) << np.array(oracle, dtype=np.uint64).T)
     with pytest.raises(ValueError):
         bits[0, 0] = 0
@@ -669,7 +678,7 @@ def test_edge_tables_match_per_permutation_construction(n):
 def test_edge_perms_are_automorphisms_of_gamma(n):
     import numpy as np
 
-    perms = _edge_perms(n)
+    perms = edge_perms(n)
     E = n * (n - 1) // 2
     assert len(perms) == len(set(perms)) == math.factorial(n)
     assert perms[0] == tuple(range(E))
@@ -692,6 +701,84 @@ def test_edge_perms_are_automorphisms_of_gamma(n):
         for t, A in mats.items():
             # bit j of row i <=> bit g(j) of row g(i)
             assert np.array_equal(A[np.ix_(pi, pi)], A), (n, t)
+
+
+def orbit_and_stabiliser_oracle(group, vmask, index):
+    """The group-element loop: the orbit of tree mask vmask under group (each
+    element a tuple of edge-bit images) as a vertex bitmask through index
+    (tree mask -> vertex), and the elements fixing it ([] once only the
+    identity does)."""
+    bits = [b for b in range(vmask.bit_length()) if vmask >> b & 1]
+    orbit, stab = 0, []
+    for g in group:
+        img = 0
+        for b in bits:
+            img |= 1 << g[b]
+        orbit |= 1 << index[img]
+        if img == vmask:
+            stab.append(g)
+    return orbit, stab if len(stab) > 1 else []
+
+
+def check_orbits(n, rmasks, vertices, H):
+    """_orbit_and_stabiliser under the columns H agrees with the loop over
+    the same relabellings, for each of `vertices` (indices into rmasks)."""
+    import numpy as np
+
+    images = _edge_image_bits(n)
+    perms = _edge_perms_by_edge_bit(n)
+    keys = np.array(rmasks, np.uint64)
+    by_mask = np.argsort(keys)
+    index = {m: v for v, m in enumerate(rmasks)}
+    group = [perms[c] for c in H.tolist()]
+    trivial = 0
+    for v in vertices:
+        orbit, stab = _orbit_and_stabiliser(images, H, rmasks[v], keys[by_mask], by_mask)
+        want_orbit, want_stab = orbit_and_stabiliser_oracle(group, rmasks[v], index)
+        assert orbit == want_orbit and orbit >> v & 1, (n, v)
+        assert ([] if stab is None else [perms[c] for c in stab.tolist()]) == want_stab
+        trivial += stab is None
+    return trivial
+
+
+def search_masks(n, t):
+    """The tree masks of K_n in the vertex order of the independent-set search."""
+    dg = build_gamma(SimpleGraph.complete(n), t)
+    return [dg.masks[o] for o in _degeneracy_order(mask_matrix(dg.complement_rows()))[::-1]]
+
+
+def stabiliser(n, mask):
+    """The relabellings (columns of _edge_image_bits(n)) that fix the edge set `mask`."""
+    import numpy as np
+
+    bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
+    perms = _edge_perms_by_edge_bit(n)
+    return np.array([c for c, g in enumerate(perms) if sum(1 << g[b] for b in bits) == mask])
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_orbits_match_the_group_loop_on_k5(t):
+    import numpy as np
+
+    rmasks = search_masks(5, t)
+    everyone = range(len(rmasks))
+    star = stabiliser(5, star_masks(5)[0])
+    path = stabiliser(5, edges_to_mask(5, [(1, 2), (2, 3), (3, 4), (4, 5)]))
+    assert (len(star), len(path)) == (24, 2)  # S_4 on the leaves; the reversal
+    assert check_orbits(5, rmasks, everyone, np.arange(math.factorial(5))) < len(rmasks)
+    assert 0 < check_orbits(5, rmasks, everyone, star) < len(rmasks)
+    assert 0 < check_orbits(5, rmasks, everyone, path) < len(rmasks)
+
+
+def test_orbits_match_the_group_loop_on_a_k6_sample():
+    import numpy as np
+
+    rmasks = search_masks(6, 2)
+    sample = random.Random(21).sample(range(len(rmasks)), 40)
+    check_orbits(6, rmasks, sample, np.arange(math.factorial(6)))
+    check_orbits(6, rmasks, sample, stabiliser(6, star_masks(6)[2]))
+    check_orbits(6, rmasks, sample,
+                 stabiliser(6, edges_to_mask(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)])))
 
 
 SYMMETRY_CASES = [

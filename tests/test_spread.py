@@ -6,6 +6,7 @@ from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from forest_oracle import forests_with_count
 
 from treefam.counting import count_from_component_product, count_trees_containing
 from treefam.spread import (
@@ -15,7 +16,7 @@ from treefam.spread import (
     verify_r_spread,
     verify_rt_spread,
 )
-from treefam.trees import Forest, cayley_count, iter_forests_with_count
+from treefam.trees import Forest, cayley_count
 
 
 def test_single_edge_sits_on_the_boundary():
@@ -113,7 +114,7 @@ def test_checked_counts_profiles():
 
 @lru_cache(maxsize=None)
 def _forests(n):
-    return tuple(iter_forests_with_count(n))
+    return tuple(forests_with_count(n))
 
 
 def _sweep_violations(n, r):

@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from forest_oracle import forests
 
 import treefam
 import treefam.cli
@@ -30,8 +31,6 @@ from treefam.trees import (
     intersection_size,
     is_d_star_like,
     is_star,
-    iter_forests,
-    iter_forests_with_count,
     mask_to_edges,
     pair_blocks,
     parse_edge_list,
@@ -466,7 +465,7 @@ def test_as_ints_accepts_python_and_numpy_integers():
 @pytest.mark.parametrize("call, message", [
     (lambda: _as_ints("n, t and j_max", 5, 2, -1, low=(2, 1, 0)), "j_max=-1 must be >= 0"),
     (lambda: _as_ints("member mask", -3, low=(0,)), "member mask=-3 must be >= 0"),
-    (lambda: iter_forests(4, -1), "max_edges=-1 must be >= 0"),
+    (lambda: forests(4, -1), "max_edges=-1 must be >= 0"),
     (lambda: index_to_code(4, -1), "idx=-1 must be >= 0"),
     (lambda: Forest(0), "n=0 must be >= 1"),
     (lambda: Tree(1, []), "n=1 must be >= 2"),
@@ -474,7 +473,7 @@ def test_as_ints_accepts_python_and_numpy_integers():
     (lambda: brute_force_max_t_intersecting(5, 0), "t=0 must be >= 1"),
 ], ids=["names", "spaced-name", "max-edges", "index", "forest", "tree", "cycle", "search-t"])
 def test_as_ints_names_the_argument_below_its_bound(call, message):
-    # iter_forests(4, -1) used to walk all 38 forests of K_4
+    # a negative max_edges must fail, not walk all 38 forests of K_4
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
     assert _as_ints("n and t", 5, -1, low=(2,)) == (5, -1)  # no bound for t
@@ -521,29 +520,22 @@ def test_dsu_merges_counts_unions_and_leaves_the_classes():
         assert dsu.merges(all_edges(n)) == classes - 1
 
 
-# -- forest iteration --------------------------------------------------------
+# -- the forest oracle of the tests -------------------------------------------
 
 
 @pytest.mark.parametrize("n,total", [(2, 2), (3, 7), (4, 38), (5, 291), (6, 2932)])
 def test_iter_forests_totals(n, total):
     """All labelled forests on [n]; totals are the known forest numbers."""
-    forests = list(iter_forests(n))
-    assert len(forests) == total
-    assert len(set(forests)) == total
-    for f in forests:
+    found = forests(n)
+    assert len(found) == total
+    assert len(set(found)) == total
+    for f in found:
         Forest(n, f)  # validates acyclicity
 
 
 def test_iter_forests_edge_filters():
-    assert list(iter_forests(4, max_edges=0)) == [()]
-    three = list(iter_forests(4, max_edges=3, min_edges=3))
+    assert forests(4, max_edges=0) == [()]
+    three = forests(4, max_edges=3, min_edges=3)
     assert len(three) == 16  # spanning trees of K_4
-    for f in iter_forests(5, max_edges=2):
+    for f in forests(5, max_edges=2):
         assert len(f) <= 2
-
-
-def test_iter_forests_with_count_matches_formula():
-    from treefam.counting import count_trees_containing
-
-    for f, c in iter_forests_with_count(6, 4):
-        assert c == count_trees_containing(6, f)
