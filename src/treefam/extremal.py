@@ -76,14 +76,23 @@ def stars_plus_edge_size(n: int) -> int:
     return 2 * n ** (n - 3) + (n - 2)
 
 
-def realize_stars_plus_edge(n: int, e: Edge = (1, 2)) -> List[int]:
-    """The stars-plus-fixed-edge family as tree bitmasks, ascending tree index."""
+def _stars_plus_edge_array(n: int, e: Edge):
     import numpy as np
 
     keep = edge_hits(n, [e]) >= 1
     arr = tree_mask_array(n)
     keep |= np.isin(arr, np.array(star_masks(n), dtype=np.uint64))
-    return arr[keep].tolist()
+    return arr[keep]
+
+
+def _threshold_array(n: int, s, m: int):
+    (m,) = _as_ints("m", m)
+    return tree_mask_array(n)[edge_hits(n, s.edges if isinstance(s, Forest) else s) >= m]
+
+
+def realize_stars_plus_edge(n: int, e: Edge = (1, 2)) -> List[int]:
+    """The stars-plus-fixed-edge family as tree bitmasks, ascending tree index."""
+    return _stars_plus_edge_array(n, e).tolist()
 
 
 def realize_trivial_family(n: int, f: Forest) -> List[int]:
@@ -93,9 +102,7 @@ def realize_trivial_family(n: int, f: Forest) -> List[int]:
 
 def realize_threshold_family(n: int, s, m: int) -> List[int]:
     """Trees containing at least m edges of the edge set s, as bitmasks."""
-    (m,) = _as_ints("m", m)
-    keep = edge_hits(n, s.edges if isinstance(s, Forest) else s) >= m
-    return tree_mask_array(n)[keep].tolist()
+    return _threshold_array(n, s, m).tolist()
 
 
 class FamilySpec:
@@ -113,7 +120,7 @@ class FamilySpec:
         if kind not in ("trivial", "stars_plus_edge", "threshold", "explicit"):
             raise ValueError(f"unknown family kind {kind!r}")
         given = (n, t) if threshold is None else (n, t, threshold)
-        self.n, self.t, *rest = _as_ints("n, t and threshold", *given)
+        self.n, self.t, *rest = _as_ints("n, t and threshold", *given, low=(None, 0, 0))
         self.threshold = rest[0] if rest else None
         if members is not None and not isinstance(members, (list, tuple)):
             raise ValueError(f"members must be a list of trees, got {members!r}")
@@ -124,26 +131,34 @@ class FamilySpec:
             raise ValueError("trivial families need edges")
         if kind == "threshold" and (self.edges is None or threshold is None):
             raise ValueError("threshold families need edges and a threshold")
+        if kind == "stars_plus_edge" and self.edges is not None and len(self.edges) > 1:
+            raise ValueError(f"a stars_plus_edge family has one edge, got {list(self.edges)}")
         if kind == "explicit" and self.members is None:
             raise ValueError("explicit families need members")
+        if self.members is not None and len(set(map(frozenset, self.members))) < len(self.members):
+            raise ValueError("explicit family repeats a member")
 
-    def realize(self) -> List[int]:
+    def _masks(self):
+        """The members as tree masks: a uint64 array, or ints for "explicit"."""
         if self.kind == "trivial":
-            return realize_trivial_family(self.n, Forest(self.n, self.edges))
+            return _threshold_array(self.n, Forest(self.n, self.edges), len(self.edges))
         if self.kind == "stars_plus_edge":
-            e = self.edges[0] if self.edges else (1, 2)
-            return realize_stars_plus_edge(self.n, e)
+            return _stars_plus_edge_array(self.n, self.edges[0] if self.edges else (1, 2))
         if self.kind == "threshold":
-            return realize_threshold_family(self.n, self.edges, self.threshold)
+            return _threshold_array(self.n, self.edges, self.threshold)
         out = []
         for tr in self.members:
             Tree(self.n, tr)  # each member must be a spanning tree
             out.append(edges_to_mask(self.n, tr))
         return out
 
+    def realize(self) -> List[int]:
+        masks = self._masks()
+        return masks if isinstance(masks, list) else masks.tolist()
+
     def verify(self) -> Tuple[bool, Optional[int], int]:
         """(claim holds, min pairwise intersection, size) at small n."""
-        masks = self.realize()
+        masks = self._masks()
         mpi = min_pairwise_intersection(masks)
         return (mpi is None or mpi >= self.t), mpi, len(masks)
 

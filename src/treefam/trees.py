@@ -556,18 +556,19 @@ def _as_ints(what: str, *values, low: Sequence = ()) -> Tuple[int, ...]:
     """The values as Python ints; numpy integers pass.  A bool, float, string
     or None is a ValueError naming `what` ("n", "n and t", "n, t and j_max"),
     and so is a value below its entry of `low`, a lower bound (or None) per
-    leading value.  Every integer argument of an entry point is checked
-    here, by a raise that `python -O` keeps."""
+    leading value; bounds past the last value are not read.  Every integer
+    argument of an entry point is checked here, by a raise that `python -O`
+    keeps."""
     if not any(isinstance(v, bool) for v in values):
         try:
             ints = tuple(map(operator.index, values))
         except TypeError:
             pass
         else:
-            for i, least in enumerate(low):
-                if least is not None and ints[i] < least:
+            for i, (v, least) in enumerate(zip(ints, low)):
+                if least is not None and v < least:
                     name = what.replace(" and ", ", ").split(", ")[i]
-                    raise ValueError(f"{name}={ints[i]} must be >= {least}")
+                    raise ValueError(f"{name}={v} must be >= {least}")
             return ints
     kind = "an integer" if len(values) == 1 else "integers"
     raise ValueError(f"{what} must be {kind}, got {', '.join(map(repr, values))}")
@@ -590,10 +591,13 @@ def mask_matrix(masks: Sequence[int]):
     """Python-int bitmasks of any width as a (V, W) little-endian uint64 array.
 
     W is the number of 64-bit words of the widest mask (at least 1); word w
-    of row i holds bits 64w .. 64w+63 of masks[i].
+    of row i holds bits 64w .. 64w+63 of masks[i].  A 1-D uint64 array (the
+    realised families) is already its one-word matrix and is not copied.
     """
     import numpy as np
 
+    if isinstance(masks, np.ndarray) and masks.dtype == np.uint64 and masks.ndim == 1:
+        return np.ascontiguousarray(masks, dtype="<u8").reshape(len(masks), 1)
     width = max((m.bit_length() for m in masks), default=0)
     words = max(1, -(-width // 64))
     buf = b"".join(m.to_bytes(8 * words, "little") for m in masks)
@@ -625,17 +629,37 @@ def shared_bits(block):
     return sum(counts[..., w].astype(np.int32) for w in range(counts.shape[2]))
 
 
+def _overlap_floor(mat) -> int:
+    """A lower bound on |a & b| over the pairs of rows of a mask matrix.
+
+    Every pair holds the bits set in all rows, and for any bit set S,
+    |a & b| >= |a & S| + |b & S| - |S|.  S is the bits set in at least half
+    of the rows, which makes the bound the minimum itself on the trivial and
+    threshold families of n = 5..8.
+    """
+    import numpy as np
+
+    V = len(mat)
+    held = np.unpackbits(mat.view(np.uint8), axis=1, bitorder="little").sum(axis=0)
+    s = np.packbits(2 * held >= V, bitorder="little").view("<u8")
+    low = 2 * int(shared_bits((mat & s)[:, None]).min()) - int(np.bitwise_count(s).sum())
+    return max(int((held == V).sum()), low)
+
+
 def min_pairwise_intersection(masks: Sequence[int]) -> Optional[int]:
     """Smallest edge overlap over all pairs of bitmasks (None if fewer than 2).
 
-    A block of rows at a time against the rows from the block on, so memory
-    stays O(V W) rather than V x V.  A disjoint pair ends the sweep at 0.
+    The masks are Python ints or a 1-D uint64 array.  A block of rows at a
+    time against the rows from the block on, so memory stays O(V W) rather
+    than V x V.  The sweep stops once a pair meets _overlap_floor, a proven
+    lower bound, so the answer is exact; at floor 0 a disjoint pair ends it.
     """
     import numpy as np
 
     if len(masks) < 2:
         return None
     mat = mask_matrix(masks)
+    floor = _overlap_floor(mat)
     best = 64 * mat.shape[1]
     for _, block in pair_blocks(mat):
         shared = shared_bits(block)
@@ -643,7 +667,7 @@ def min_pairwise_intersection(masks: Sequence[int]) -> Optional[int]:
         # column j is row lo + j: j <= i is the diagonal or a pair seen already
         shared[:, :k][np.tri(k, dtype=bool)] = best
         best = min(best, int(shared.min()))
-        if best == 0:
+        if best <= floor:
             break
     return best
 

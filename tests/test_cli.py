@@ -370,6 +370,10 @@ def test_family_verify_spec_payloads(capsys, tmp_path, spec, want):
     ({"kind": "explicit", "n": 4, "t": 1, "members": 5}, "list of trees"),
     ([1], "JSON object"),
     ({"kind": "trivial", "n": 4, "t": 1, "edges": [[True, 2]]}, "integer pairs"),
+    ({"kind": "threshold", "n": 5, "t": -3, "edges": [[1, 2]], "threshold": 1},
+     "t=-3 must be >= 0"),
+    ({"kind": "explicit", "n": 4, "t": 1,
+      "members": [[[1, 2], [2, 3], [3, 4]], [[3, 4], [2, 1], [2, 3]]]}, "repeats a member"),
 ])
 def test_family_verify_rejects_malformed_spec(capsys, tmp_path, spec, message):
     # these used to crash with a traceback (exit 1), or, for threshold 1.5,

@@ -162,7 +162,41 @@ def test_min_pairwise_intersection_two_masks_and_early_exit():
     assert min_pairwise_intersection(masks) == _min_overlap_loop(masks) == 0
 
 
-def test_min_pairwise_intersection_stops_at_a_disjoint_pair(monkeypatch):
+def _planted_masks(rng, V, width, core, keep):
+    """V random width-bit masks; each holds each bit of `core` with chance `keep`."""
+    out = []
+    for _ in range(V):
+        m = rng.getrandbits(width) & rng.getrandbits(width)  # a quarter of the bits
+        out.append(m | sum(1 << b for b in core if rng.random() < keep))
+    return out
+
+
+def test_min_pairwise_intersection_matches_loop_above_and_on_the_floor():
+    import numpy as np
+
+    from treefam.trees import _overlap_floor
+
+    rng = random.Random(2022)
+    on = above = 0
+    for width in (40, 100):  # one and two uint64 words
+        for keep in (1.0, 0.9, 0.7, 0.0):  # a full core, majority cores, none
+            for _ in range(6):
+                core = rng.sample(range(width), rng.randrange(1, 12))
+                masks = _planted_masks(rng, rng.randrange(2, 160), width, core, keep)
+                want = _min_overlap_loop(masks)
+                floor = _overlap_floor(mask_matrix(masks))
+                assert floor <= want
+                on += 0 < floor == want
+                above += floor < want
+                assert min_pairwise_intersection(masks) == want
+                if width <= 64:
+                    arr = np.array(masks, dtype=np.uint64)
+                    assert min_pairwise_intersection(arr) == want
+    assert on >= 5 and above >= 5  # both kinds of family were checked
+
+
+def _counted_blocks(monkeypatch):
+    """Patch trees.pair_blocks to record the first row of every block it yields."""
     import treefam.trees as trees
 
     seen = []
@@ -174,9 +208,37 @@ def test_min_pairwise_intersection_stops_at_a_disjoint_pair(monkeypatch):
             yield item
 
     monkeypatch.setattr(trees, "pair_blocks", counted)
+    return seen
+
+
+def test_min_pairwise_intersection_stops_at_a_disjoint_pair(monkeypatch):
+    seen = _counted_blocks(monkeypatch)
     masks = [0] + list(_THRESHOLD7[: _EXACT_V - 1])
     assert min_pairwise_intersection(masks) == 0
     assert seen == [0]
+
+
+def test_threshold_sweep_stops_at_the_floor_after_one_block(monkeypatch):
+    from treefam.extremal import FamilySpec
+
+    # every member holds 2 of F's 3 edges, so each pair shares one of them;
+    # the first block finds a pair sharing just that one
+    seen = _counted_blocks(monkeypatch)
+    assert min_pairwise_intersection(_THRESHOLD7) == 1
+    assert seen == [0]
+    seen.clear()
+    spec = FamilySpec("threshold", 7, 1, edges=balanced_forest(7, 3).edges, threshold=2)
+    assert spec.verify() == (True, 1, 3332)
+    assert seen == [0]
+
+
+def test_n8_family_checks_are_pinned():
+    from treefam.extremal import FamilySpec
+
+    assert FamilySpec("trivial", 8, 1, edges=[(1, 2)]).verify() == (True, 1, 65536)
+    matching = [(1, 2), (3, 4), (5, 6)]
+    spec = FamilySpec("threshold", 8, 1, edges=matching, threshold=2)
+    assert spec.verify() == (True, 1, 40960)
 
 
 def test_realizations_reject_out_of_range_and_duplicate_edges():
@@ -212,6 +274,20 @@ def test_family_spec_roundtrip_and_verify():
         FamilySpec("trivial", 5, 1)  # no edges
     with pytest.raises(ValueError):
         FamilySpec("explicit", 4, 1, members=[[(1, 2)]]).realize()  # not spanning
+
+
+def test_family_spec_rejects_repeated_members_and_extra_edges():
+    from treefam.extremal import FamilySpec
+
+    path = [(1, 2), (2, 3), (3, 4)]
+    # one tree listed twice used to verify as (True, 3, 2)
+    for again in (path, [(4, 3), (2, 1), (3, 2)]):
+        with pytest.raises(ValueError, match="repeats a member"):
+            FamilySpec("explicit", 4, 1, members=[path, again])
+    # the second edge used to be dropped without a word
+    with pytest.raises(ValueError, match="one edge"):
+        FamilySpec("stars_plus_edge", 5, 1, edges=[(1, 2), (3, 4)])
+    assert FamilySpec("stars_plus_edge", 5, 1, edges=[(2, 4)]).verify() == (True, 1, 53)
 
 
 @pytest.mark.parametrize("n, t, threshold", [

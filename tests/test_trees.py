@@ -10,7 +10,7 @@ from forest_oracle import forests
 
 import treefam
 import treefam.cli
-from treefam.extremal import blocked_Dt, brute_force_max_t_intersecting
+from treefam.extremal import FamilySpec, blocked_Dt, brute_force_max_t_intersecting
 from treefam.gamma import SimpleGraph, build_gamma, enumerate_spanning_trees, packing_number
 from treefam.trees import (
     CapExceeded,
@@ -471,7 +471,12 @@ def test_as_ints_accepts_python_and_numpy_integers():
     (lambda: Tree(1, []), "n=1 must be >= 2"),
     (lambda: SimpleGraph.cycle(2), "n=2 must be >= 3"),
     (lambda: brute_force_max_t_intersecting(5, 0), "t=0 must be >= 1"),
-], ids=["names", "spaced-name", "max-edges", "index", "forest", "tree", "cycle", "search-t"])
+    (lambda: FamilySpec("threshold", 5, -3, edges=[(1, 2)], threshold=1), "t=-3 must be >= 0"),
+    (lambda: FamilySpec("threshold", 5, 0, edges=[(1, 2)], threshold=-1),
+     "threshold=-1 must be >= 0"),
+    (lambda: FamilySpec("trivial", 5, -1, edges=[(1, 2)]), "t=-1 must be >= 0"),
+], ids=["names", "spaced-name", "max-edges", "index", "forest", "tree", "cycle", "search-t",
+        "family-t", "family-threshold", "family-t-no-threshold"])
 def test_as_ints_names_the_argument_below_its_bound(call, message):
     # a negative max_edges must fail, not walk all 38 forests of K_4
     with pytest.raises(ValueError, match=f"^{message}$"):
