@@ -115,10 +115,18 @@ class FamilySpec:
     """
 
     __slots__ = ("kind", "n", "t", "edges", "threshold", "members")
+    # the optional fields each kind reads; giving any other is an error, so
+    # a mistyped spec cannot verify some other family
+    _READS = {"trivial": ("edges",), "stars_plus_edge": ("edges",),
+              "threshold": ("edges", "threshold"), "explicit": ("members",)}
 
     def __init__(self, kind, n, t, edges=None, threshold=None, members=None):
-        if kind not in ("trivial", "stars_plus_edge", "threshold", "explicit"):
+        if not isinstance(kind, str) or kind not in self._READS:
             raise ValueError(f"unknown family kind {kind!r}")
+        optional = {"edges": edges, "threshold": threshold, "members": members}
+        unread = [f for f, v in optional.items() if v is not None and f not in self._READS[kind]]
+        if unread:
+            raise ValueError(f"{kind} families do not read {', '.join(unread)}")
         given = (n, t) if threshold is None else (n, t, threshold)
         self.n, self.t, *rest = _as_ints("n, t and threshold", *given, low=(None, 0, 0))
         self.threshold = rest[0] if rest else None
@@ -181,6 +189,9 @@ class FamilySpec:
         d = json.loads(text)
         if not isinstance(d, dict):
             raise ValueError(f"a family spec is a JSON object, got {d!r}")
+        unknown = [k for k in d if k not in cls.__slots__]  # to_json's keys
+        if unknown:
+            raise ValueError(f"unknown family spec key {', '.join(map(repr, unknown))}")
         return cls(
             d["kind"],
             d["n"],

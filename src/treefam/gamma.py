@@ -30,7 +30,7 @@ from .trees import (
     _tree,
     all_edges,
     cayley_count,
-    edges_to_mask,
+    edge_bit,
     mask_matrix,
     mask_to_edges,
     min_pairwise_intersection,
@@ -92,40 +92,56 @@ class SimpleGraph:
         return _DSU(self.n).merges(self.edges) == self.n - 1
 
 
-def enumerate_spanning_trees(g: SimpleGraph) -> Iterator[Tree]:
-    """All spanning trees of g, each exactly once, deterministic order.
+def _spanning_tree_masks(g: SimpleGraph) -> Iterator[int]:
+    """The edge bitmask of every spanning tree of g, each exactly once,
+    deterministic order.
 
     Recursive deletion-contraction on the first edge joining two contraction
     classes: the include branch (contract) comes first, then the exclude
     branch (delete), which is pruned when the edge is a bridge of the
-    contracted graph.  Disconnected g yields nothing.  Raises CapExceeded
-    lazily once more than DEFAULT_GAMMA_CAP trees have been produced.
+    contracted graph.  Each edge carries its bit, so a finished walk is the
+    OR of its chosen edges.  Disconnected g yields nothing.  Raises
+    CapExceeded lazily once more than DEFAULT_GAMMA_CAP trees have been
+    produced.
     """
     if not g.is_connected():
         return
     n = g.n
+    bit = {e: 1 << edge_bit(n, *e) for e in g.edges}
     produced = 0
     dsu = _DSU(n)  # every rec call leaves it as it found it
 
     def rec(avail, chosen, nclasses):
         nonlocal produced
-        if nclasses == 1:
-            produced += 1
-            _check_cap("gamma_cap", DEFAULT_GAMMA_CAP, produced, "spanning trees streamed")
-            yield _tree(n, chosen)
-            return
         # avail holds the edges between two classes and connects them all
+        if nclasses == 2:
+            # so each edge of avail joins the last two classes and finishes a
+            # tree, in the order the include and exclude branches reach them
+            for e in avail:
+                produced += 1
+                _check_cap("gamma_cap", DEFAULT_GAMMA_CAP, produced, "spanning trees streamed")
+                yield chosen | bit[e]
+            return
         pick, rest = avail[0], avail[1:]
         # include (contract)
         r = dsu.union(*pick)
         inc_avail = [e for e in rest if dsu.find(e[0]) != dsu.find(e[1])]
-        yield from rec(inc_avail, chosen + [pick], nclasses - 1)
+        yield from rec(inc_avail, chosen | bit[pick], nclasses - 1)
         dsu.undo(r)
         # exclude (delete) -- only if the remaining edges still connect everything
         if dsu.merges(rest) == nclasses - 1:
             yield from rec(rest, chosen, nclasses)
 
-    yield from rec(list(g.edges), [], n)
+    if n == 1:
+        yield 0  # the one spanning tree of K_1 has no edges
+    else:
+        yield from rec(list(g.edges), 0, n)
+
+
+def enumerate_spanning_trees(g: SimpleGraph) -> Iterator[Tree]:
+    """All spanning trees of g as Trees, in the order of _spanning_tree_masks."""
+    for m in _spanning_tree_masks(g):
+        yield _tree(g.n, mask_to_edges(g.n, m))
 
 
 # -- disjointness graph -------------------------------------------------------
@@ -247,7 +263,7 @@ def build_gamma(g: SimpleGraph, t: int) -> DisjointnessGraph:
                    f"vertices in Gamma over K_{g.n}")
         masks = tree_masks(g.n)
     else:
-        masks = [edges_to_mask(g.n, tr.edges) for tr in enumerate_spanning_trees(g)]
+        masks = list(_spanning_tree_masks(g))
     return DisjointnessGraph(g, t, masks, _popcount_rows(masks, t))
 
 
@@ -368,7 +384,7 @@ def _relabel(mat, order: List[int]):
     perm = np.asarray(order, dtype=np.intp)
     out = np.zeros((V, 8 * max(1, -(-V // 64))), np.uint8)
     for lo, rows in _unpacked(mat.view(np.uint8), perm):
-        packed = np.packbits(rows[:, perm], axis=1, bitorder="little")
+        packed = np.packbits(np.take(rows, perm, axis=1), axis=1, bitorder="little")
         out[lo : lo + len(packed), : packed.shape[1]] = packed
     out = out.view("<u8")
     return out[:, : np.flatnonzero(out.any(axis=0)).max(initial=0) + 1]

@@ -374,6 +374,15 @@ def test_family_verify_spec_payloads(capsys, tmp_path, spec, want):
      "t=-3 must be >= 0"),
     ({"kind": "explicit", "n": 4, "t": 1,
       "members": [[[1, 2], [2, 3], [3, 4]], [[3, 4], [2, 1], [2, 3]]]}, "repeats a member"),
+    # a misspelt key, or a field the kind does not read, used to be dropped
+    # and the spec verified another family with exit 0
+    ({"kind": "threshold", "n": 5, "t": 1, "edges": [[1, 2]], "threshhold": 1},
+     "unknown family spec key 'threshhold'"),
+    ({"kind": "trivial", "n": 5, "t": 1, "edges": [[1, 2]], "threshold": 3},
+     "trivial families do not read threshold"),
+    ({"kind": "stars_plus_edge", "n": 5, "t": 1, "members": [[[1, 2]]]},
+     "stars_plus_edge families do not read members"),
+    ({"kind": [1], "n": 5, "t": 1}, "unknown family kind [1]"),
 ])
 def test_family_verify_rejects_malformed_spec(capsys, tmp_path, spec, message):
     # these used to crash with a traceback (exit 1), or, for threshold 1.5,

@@ -288,6 +288,18 @@ def test_family_spec_rejects_repeated_members_and_extra_edges():
     with pytest.raises(ValueError, match="one edge"):
         FamilySpec("stars_plus_edge", 5, 1, edges=[(1, 2), (3, 4)])
     assert FamilySpec("stars_plus_edge", 5, 1, edges=[(2, 4)]).verify() == (True, 1, 53)
+    # a field the kind does not read used to be dropped, so the spec
+    # verified another family: the plain trivial one, here
+    for kind, fields, unread in (
+        ("trivial", dict(edges=[(1, 2)], threshold=3), "threshold"),
+        ("trivial", dict(edges=[(1, 2)], members=[path]), "members"),
+        ("stars_plus_edge", dict(threshold=1), "threshold"),
+        ("threshold", dict(edges=[(1, 2)], threshold=1, members=[path]), "members"),
+        ("explicit", dict(members=[path], edges=[(1, 2)]), "edges"),
+        ("explicit", dict(members=[path], threshold=0), "threshold"),
+    ):
+        with pytest.raises(ValueError, match=f"{kind} families do not read {unread}$"):
+            FamilySpec(kind, 4, 1, **fields)
 
 
 @pytest.mark.parametrize("n, t, threshold", [

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import treefam
+from spanning_tree_oracle import spanning_trees
 
 from treefam.extremal import brute_force_max_t_intersecting
 from treefam.gamma import (
@@ -29,6 +30,7 @@ from treefam.gamma import (
     _max_clique_bitset,
     _orbit_and_stabiliser,
     _relabel,
+    _spanning_tree_masks,
     build_gamma,
     enumerate_spanning_trees,
     iter_set_partitions,
@@ -37,7 +39,7 @@ from treefam.gamma import (
     packing_number,
 )
 from treefam.trees import (
-    Tree, all_edges, cayley_count, edge_bit, edges_to_mask, intersection_size, is_star,
+    _DSU, Tree, all_edges, cayley_count, edge_bit, edges_to_mask, intersection_size, is_star,
     mask_matrix, star_masks, tree_masks,
 )
 
@@ -83,6 +85,42 @@ def test_enumerate_spanning_trees_matches_cayley():
         ts = list(enumerate_spanning_trees(SimpleGraph.complete(n)))
         assert len(ts) == cayley_count(n)
         assert len({t.edges for t in ts}) == cayley_count(n)
+
+
+def _random_connected(seed, n):
+    """A seeded connected host on n vertices: a random tree plus a few chords."""
+    rng = random.Random(seed)
+    order = rng.sample(range(1, n + 1), n)
+    edges = {tuple(sorted((v, rng.choice(order[:i])))) for i, v in enumerate(order) if i}
+    edges |= set(rng.sample(all_edges(n), rng.randint(0, n)))
+    return SimpleGraph(n, edges)
+
+
+WALK_HOSTS = [
+    *(SimpleGraph.complete(n) for n in (1, 2, 3, 4, 5, 6)),
+    SimpleGraph(12, [(i, i + 1) for i in range(1, 12)] + [(1, 12), (1, 7), (4, 10), (3, 9)]),
+    SimpleGraph(8, [(1, v) for v in range(2, 9)] + [(v, v + 1) for v in range(2, 8)] + [(2, 8)]),
+    SimpleGraph.path(6),
+    SimpleGraph.cycle(7),
+    SimpleGraph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6)]),
+    *(_random_connected(seed, n) for n in (5, 6, 7, 8) for seed in (1, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("g", WALK_HOSTS, ids=lambda g: f"n{g.n}m{len(g.edges)}")
+def test_spanning_tree_masks_follow_the_walk_oracle(g):
+    # the mask stream is the Tree walk's masks in the Tree walk's order:
+    # build_gamma's vertex order of a non-complete host rests on it
+    want = [edges_to_mask(g.n, tr.edges) for tr in spanning_trees(g)]
+    assert bool(want) == g.is_connected()
+    assert list(_spanning_tree_masks(g)) == want
+    assert [tr.edges for tr in enumerate_spanning_trees(g)] == [tr.edges for tr in spanning_trees(g)]
+    if len(g.edges) <= 10:
+        # and it is every acyclic (n-1)-edge subset, each once
+        k = g.n - 1
+        brute = {edges_to_mask(g.n, f) for f in itertools.combinations(g.edges, k)
+                 if _DSU(g.n).merges(f) == k}
+        assert len(want) == len(set(want)) and set(want) == brute
 
 
 def test_enumerate_spanning_trees_cap():
