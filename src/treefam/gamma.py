@@ -147,8 +147,10 @@ def enumerate_spanning_trees(g: SimpleGraph) -> Iterator[Tree]:
 # -- disjointness graph -------------------------------------------------------
 
 
-def _popcount_rows(masks, t: int) -> List[int]:
-    """Bit-packed adjacency rows: bit j of row i set iff trees i,j share < t edges.
+def _rows(masks, t: int, independent: bool = False):
+    """Gamma_t over the tree masks as a (V, ceil(V/8)) uint8 bit matrix, the
+    dump's layout: bit j of row i (little-endian) is set iff i != j and trees
+    i, j share < t edges (>= t with independent=True); no bit at or past V.
 
     pair_blocks ANDs a block of rows at a time against the whole mask
     matrix, so the temporaries stay near 512 KiB, never V x V.
@@ -156,76 +158,82 @@ def _popcount_rows(masks, t: int) -> List[int]:
     import numpy as np
 
     mat = mask_matrix(masks)
-    rows: List[int] = []
+    V = len(mat)
+    out = np.empty((V, -(-V // 8)), np.uint8)
     for lo, block in pair_blocks(mat, mat):
-        bits = shared_bits(block) < t
+        shared = shared_bits(block)
+        bits = shared >= t if independent else shared < t
         np.fill_diagonal(bits[:, lo:], False)
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        rows.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
-    return rows
+        out[lo : lo + len(bits)] = np.packbits(bits, axis=1, bitorder="little")
+    return out
 
 
 class DisjointnessGraph:
     """Gamma_t(g): vertices are spanning trees (edge bitmasks), adjacency = share < t.
 
+    The tree masks are its state; rows() builds the adjacency on first use.
     Vertex order is tree-index order when g is complete, otherwise the
     deletion-contraction enumeration order.
     """
 
-    __slots__ = ("graph", "n", "t", "masks", "adj")
+    __slots__ = ("graph", "n", "t", "masks", "_adjacency")
 
-    def __init__(self, graph: SimpleGraph, t: int, masks, adj):
+    def __init__(self, graph: SimpleGraph, t: int, masks):
         self.graph = graph
         self.n = graph.n
         self.t = t
         self.masks = tuple(masks)
-        self.adj = list(adj)
+        self._adjacency = None
 
     @property
     def vertex_count(self) -> int:
         return len(self.masks)
 
+    def rows(self):
+        """The adjacency as _rows(masks, t), built once and kept."""
+        if self._adjacency is None:
+            self._adjacency = _rows(self.masks, self.t)
+        return self._adjacency
+
     def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.adj) // 2
+        return self.summary()["edges"]
 
     def is_adjacent(self, i: int, j: int) -> bool:
-        return bool(self.adj[i] >> j & 1)
+        return i != j and (self.masks[i] & self.masks[j]).bit_count() < self.t
 
     def tree(self, i: int) -> Tree:
         return _tree(self.n, mask_to_edges(self.n, self.masks[i]))
 
-    def complement_rows(self) -> List[int]:
-        full = (1 << self.vertex_count) - 1
-        return [(~r & full) & ~(1 << i) for i, r in enumerate(self.adj)]
-
     def summary(self) -> dict:
-        degs = [r.bit_count() for r in self.adj]
+        import numpy as np
+
+        degs = np.bitwise_count(self.rows()).sum(axis=1, dtype=np.int64).tolist()
         return {
             "n": self.n,
             "t": self.t,
             "vertices": self.vertex_count,
-            "edges": self.edge_count(),
+            "edges": sum(degs) // 2,
             "min_degree": min(degs, default=0),
             "max_degree": max(degs, default=0),
         }
 
     # -- binary adjacency dump -----------------------------------------------
     # Header: 8-byte magic "GAMADJ01", then n, t, vertex_count as little-endian
-    # uint64; then vertex_count rows of ceil(vertex_count/8) bytes each,
-    # little-endian bit order (bit j of row i = adjacency i~j).
+    # uint64; then rows() as it is: vertex_count rows of ceil(vertex_count/8)
+    # bytes each, little-endian bit order (bit j of row i = adjacency i~j).
 
     def save_adjacency(self, path: str) -> None:
-        V = self.vertex_count
-        row_bytes = (V + 7) // 8
         with open(path, "wb") as fh:
             fh.write(_DUMP_MAGIC)
-            fh.write(struct.pack("<QQQ", self.n, self.t, V))
-            for r in self.adj:
-                fh.write(r.to_bytes(row_bytes, "little"))
+            fh.write(struct.pack("<QQQ", self.n, self.t, self.vertex_count))
+            fh.write(self.rows().tobytes())
 
     @staticmethod
-    def load_adjacency(path: str) -> Tuple[int, int, List[int]]:
-        """Read a dump back: returns (n, t, adjacency rows)."""
+    def load_adjacency(path: str):
+        """Read a dump back: returns (n, t, rows), rows in the layout of rows().
+        A set bit on the diagonal or at or past V is a ValueError."""
+        import numpy as np
+
         with open(path, "rb") as fh:
             magic = fh.read(8)
             if magic != _DUMP_MAGIC:
@@ -248,13 +256,19 @@ class DisjointnessGraph:
                     f"{path}: adjacency body is longer than the expected "
                     f"{want} bytes {shape}"
                 )
-            rows = [int.from_bytes(fh.read(row_bytes), "little") for _ in range(V)]
+            rows = np.frombuffer(fh.read(), np.uint8).reshape(V, row_bytes)
+        i = np.arange(V)
+        loops = rows[i, i >> 3] >> (i & 7) & 1
+        past = rows[:, -1] >> V % 8 if V % 8 else np.zeros_like(loops)
+        for what, hit in (("a loop", loops), (f"a bit at or past V = {V}", past)):
+            if hit.any():
+                raise ValueError(f"{path}: row {np.flatnonzero(hit)[0]} has {what}")
         return n, t, rows
 
 
 def build_gamma(g: SimpleGraph, t: int) -> DisjointnessGraph:
-    """Construct Gamma_t(g) with full bit-packed adjacency, on at most
-    DEFAULT_GAMMA_CAP vertices."""
+    """Gamma_t(g) from the tree masks of g, on at most DEFAULT_GAMMA_CAP
+    vertices; no pairwise work until its rows are read."""
     (t,) = _as_ints("t", t, low=(1,))
     if t > g.n - 1:
         raise ValueError(f"t={t} out of range 1..{g.n - 1}")
@@ -264,7 +278,7 @@ def build_gamma(g: SimpleGraph, t: int) -> DisjointnessGraph:
         masks = tree_masks(g.n)
     else:
         masks = list(_spanning_tree_masks(g))
-    return DisjointnessGraph(g, t, masks, _popcount_rows(masks, t))
+    return DisjointnessGraph(g, t, masks)
 
 
 class TreeFamily:
@@ -298,24 +312,21 @@ class TreeFamily:
     def trees(self) -> List[Tree]:
         return [self.gamma.tree(i) for i in self.indices()]
 
+    def _member_masks(self) -> List[int]:
+        masks = self.gamma.masks
+        return [masks[i] for i in self.indices()]
+
     def min_pairwise_intersection(self) -> Optional[int]:
         """Smallest number of shared edges over all member pairs (None if < 2 members)."""
-        masks = self.gamma.masks
-        return min_pairwise_intersection([masks[i] for i in self.indices()])
+        return min_pairwise_intersection(self._member_masks())
 
     def is_independent(self) -> bool:
-        """No two members adjacent in the disjointness graph."""
-        for i in self.indices():
-            if self.gamma.adj[i] & self.member_mask:
-                return False
-        return True
+        """No two members share < t edges (adjacent in the disjointness graph)."""
+        return not _rows(self._member_masks(), self.gamma.t).any()
 
     def is_clique(self) -> bool:
-        mm = self.member_mask
-        for i in self.indices():
-            if (self.gamma.adj[i] | 1 << i) & mm != mm:
-                return False
-        return True
+        """No two members share >= t edges."""
+        return not _rows(self._member_masks(), self.gamma.t, independent=True).any()
 
 
 class SearchResult:
@@ -342,23 +353,17 @@ class _BudgetExhausted(Exception):
 
 
 def _degeneracy_order(mat) -> List[int]:
-    """Degeneracy order of the packed rows `mat` (minimum remaining degree, ties: lowest index).
-
-    `mask_matrix` sizes rows by the widest row, which can be narrower than V
-    bits (an edgeless graph has one word per row); `unpackbits(count=V)`
-    zero-pads them, here, in `_relabel` and in `_greedy_clique`.
-    """
+    """Degeneracy order of the uint8 rows `mat` (minimum remaining degree, ties: lowest index)."""
     import numpy as np
 
     V = len(mat)
-    bits = mat.view(np.uint8)
     deg = np.bitwise_count(mat).sum(axis=1, dtype=np.int64)
     removed = np.iinfo(np.int64).max
     order = []
     for _ in range(V):
         v = int(np.argmin(deg))  # first minimum, so ties go to the lowest index
         order.append(v)
-        deg -= np.unpackbits(bits[v], count=V, bitorder="little")
+        deg -= np.unpackbits(mat[v], count=V, bitorder="little")
         deg[v] = removed  # later decrements cannot bring it near a real degree
     return order
 
@@ -375,19 +380,18 @@ def _unpacked(bits, rows):
 
 
 def _relabel(mat, order: List[int]):
-    """The packed rows `mat` renamed so that vertex order[i] becomes i: bit j of
-    row i of the result is bit order[j] of row order[i].  Returns `mask_matrix`
-    of the renamed rows, as wide as the widest of them."""
+    """The uint8 bit rows `mat` renamed so that vertex order[i] becomes i: bit j of
+    row i of the result is bit order[j] of row order[i].  Returns the renamed
+    rows as a (V, ceil(V/64)) little-endian uint64 array."""
     import numpy as np
 
     V = len(mat)
     perm = np.asarray(order, dtype=np.intp)
     out = np.zeros((V, 8 * max(1, -(-V // 64))), np.uint8)
-    for lo, rows in _unpacked(mat.view(np.uint8), perm):
+    for lo, rows in _unpacked(mat, perm):
         packed = np.packbits(np.take(rows, perm, axis=1), axis=1, bitorder="little")
         out[lo : lo + len(packed), : packed.shape[1]] = packed
-    out = out.view("<u8")
-    return out[:, : np.flatnonzero(out.any(axis=0)).max(initial=0) + 1]
+    return out.view("<u8")
 
 
 def _greedy_clique(mat) -> int:
@@ -493,9 +497,9 @@ def _orbit_and_stabiliser(images, H, vmask: int, sorted_masks, by_mask):
 
 
 def _max_clique_bitset(
-    adj: List[int], budget: int, masks: Sequence[int] = (), n: int = 0
+    mat, budget: int, masks: Sequence[int] = (), n: int = 0
 ) -> Tuple[int, bool, int]:
-    """Exact maximum clique on bit-packed adjacency; returns (mask, optimal, nodes).
+    """Exact maximum clique on `mat`, rows in the layout of _rows; returns (mask, optimal, nodes).
 
     Branch and bound in degeneracy order with a greedy-colouring upper bound;
     nodes are vertex expansions.  The vertices are relabelled in reversed
@@ -507,7 +511,7 @@ def _max_clique_bitset(
 
     With n > 0 the vertices are the spanning trees of K_n with tree masks
     `masks`, and the vertex relabellings of K_n (the columns of
-    _edge_image_bits(n)) are automorphisms of adj.  The search then
+    _edge_image_bits(n)) are automorphisms of mat.  The search then
     branches on one vertex per orbit (orbital branching): each frame keeps
     H, the relabellings fixing every vertex chosen so far, and its
     candidate set is H-invariant.  After branching on v it drops v's whole
@@ -516,10 +520,9 @@ def _max_clique_bitset(
     """
     import numpy as np
 
-    V = len(adj)
+    V = len(mat)
     if V == 0:
         return 0, True, 0
-    mat = mask_matrix(adj)
     order = _degeneracy_order(mat)[::-1]
     mat = _relabel(mat, order)  # one packed matrix at a time, and none in the search
     radj = [int.from_bytes(r.tobytes(), "little") for r in mat]
@@ -598,43 +601,36 @@ def _max_clique_bitset(
     return out, optimal, nodes
 
 
-def _search(gamma: DisjointnessGraph, adj: List[int], budget: int) -> Tuple[int, bool, int]:
-    """_max_clique_bitset with the vertex relabellings of K_n when the host
-    graph is complete; any other host searches without a group.  The budget
-    must be an integer >= 0."""
+def _search(gamma: DisjointnessGraph, budget: int, independent: bool) -> SearchResult:
+    """Maximum clique of Gamma_t, or of its complement with independent=True,
+    certified from the members' own masks.  On a complete host the search
+    skips whole S_n-orbits of trees, so `nodes` counts the vertex expansions
+    of that pruned tree; any other host searches without a group.  The
+    budget must be an integer >= 0."""
     (budget,) = _as_ints("node budget", budget, low=(0,))
-    return _max_clique_bitset(adj, budget, gamma.masks,
-                              gamma.n if gamma.graph.is_complete() else 0)
+    # passed, not held, so the search's relabelling frees the share >= t rows
+    mask, optimal, nodes = _max_clique_bitset(
+        _rows(gamma.masks, gamma.t, True) if independent else gamma.rows(), budget,
+        gamma.masks, gamma.n if gamma.graph.is_complete() else 0)
+    fam = TreeFamily(gamma, mask)
+    if not (fam.is_independent() if independent else fam.is_clique()):
+        raise RuntimeError("independent-set search returned a dependent set" if independent
+                           else "clique search returned a non-clique")
+    return SearchResult(fam, optimal, nodes)
 
 
 def max_clique(
     gamma: DisjointnessGraph, budget: int = DEFAULT_NODE_BUDGET
 ) -> SearchResult:
-    """Maximum clique of Gamma_t (a family of pairwise <t-sharing trees).
-
-    On a complete host the search skips whole S_n-orbits of trees, so
-    `nodes` counts the vertex expansions of that pruned tree.
-    """
-    mask, optimal, nodes = _search(gamma, gamma.adj, budget)
-    fam = TreeFamily(gamma, mask)
-    if not fam.is_clique():
-        raise RuntimeError("clique search returned a non-clique")
-    return SearchResult(fam, optimal, nodes)
+    """Maximum clique of Gamma_t (a family of pairwise <t-sharing trees)."""
+    return _search(gamma, budget, False)
 
 
 def max_independent_set(
     gamma: DisjointnessGraph, budget: int = DEFAULT_NODE_BUDGET
 ) -> SearchResult:
-    """Maximum independent set of Gamma_t = largest pairwise t-intersecting family.
-
-    On a complete host the search skips whole S_n-orbits of trees, so
-    `nodes` counts the vertex expansions of that pruned tree.
-    """
-    mask, optimal, nodes = _search(gamma, gamma.complement_rows(), budget)
-    fam = TreeFamily(gamma, mask)
-    if not fam.is_independent():
-        raise RuntimeError("independent-set search returned a dependent set")
-    return SearchResult(fam, optimal, nodes)
+    """Maximum independent set of Gamma_t = largest pairwise t-intersecting family."""
+    return _search(gamma, budget, True)
 
 
 # -- tree packing (Tutte / Nash-Williams) -------------------------------------

@@ -30,6 +30,7 @@ from treefam.gamma import (
     _max_clique_bitset,
     _orbit_and_stabiliser,
     _relabel,
+    _rows,
     _spanning_tree_masks,
     build_gamma,
     enumerate_spanning_trees,
@@ -40,7 +41,7 @@ from treefam.gamma import (
 )
 from treefam.trees import (
     _DSU, Tree, all_edges, cayley_count, edge_bit, edges_to_mask, intersection_size, is_star,
-    mask_matrix, star_masks, tree_masks,
+    star_masks, tree_masks,
 )
 
 
@@ -139,6 +140,20 @@ def test_enumerate_spanning_trees_cap():
 # -- disjointness graph ---------------------------------------------------------
 
 
+def packed(adj):
+    """Python-int adjacency rows in the layout of gamma._rows."""
+    import numpy as np
+
+    width = (len(adj) + 7) // 8
+    buf = b"".join(r.to_bytes(width, "little") for r in adj)
+    return np.frombuffer(buf, np.uint8).reshape(len(adj), width)
+
+
+def int_rows(mat):
+    """The rows of a little-endian bit matrix as Python ints."""
+    return [int.from_bytes(r.tobytes(), "little") for r in mat]
+
+
 def test_gamma_k3_edgeless():
     # the 3 trees on 3 vertices pairwise share exactly one edge
     dg = build_gamma(SimpleGraph.complete(3), 1)
@@ -167,7 +182,7 @@ def test_stars_are_universal_non_neighbors_at_t1():
         dg = build_gamma(SimpleGraph.complete(n), 1)
         for i in range(dg.vertex_count):
             if is_star(dg.tree(i)):
-                assert dg.adj[i] == 0
+                assert not dg.rows()[i].any()
 
 
 def test_gamma_respects_cap():
@@ -180,12 +195,14 @@ def test_gamma_respects_cap():
 
 
 def test_gamma_dump_roundtrip(tmp_path):
+    import numpy as np
+
     dg = build_gamma(SimpleGraph.complete(4), 1)
     path = str(tmp_path / "gamma.bin")
     dg.save_adjacency(path)
     n, t, rows = DisjointnessGraph.load_adjacency(path)
     assert (n, t) == (4, 1)
-    assert rows == dg.adj
+    assert rows.dtype == np.uint8 and np.array_equal(rows, dg.rows())
     summary = dg.summary()
     assert summary["vertices"] == 16 and summary["n"] == 4
 
@@ -210,6 +227,16 @@ def test_truncated_dump_rejected(tmp_path):
     path.write_bytes(data[:8] + struct.pack("<QQQ", 5, 1, 2**40))
     with pytest.raises(ValueError, match="body is 0 bytes, expected"):
         DisjointnessGraph.load_adjacency(str(path))
+    # C_7 at t = 2: 7 rows of one byte, bit 7 lies past the last vertex
+    build_gamma(SimpleGraph.cycle(7), 2).save_adjacency(str(path))
+    data = path.read_bytes()
+    assert DisjointnessGraph.load_adjacency(str(path))[2].shape == (7, 1)
+    for row, bit, what in ((0, 7, "row 0 has a bit at or past V = 7"), (1, 1, "row 1 has a loop")):
+        corrupt = bytearray(data)
+        corrupt[32 + row] |= 1 << bit
+        path.write_bytes(bytes(corrupt))
+        with pytest.raises(ValueError, match=what):
+            DisjointnessGraph.load_adjacency(str(path))
 
 
 def run_optimized(code):
@@ -447,11 +474,12 @@ def test_mis_gamma1_k4():
     # optimal and maximal: no tree can be added
     universe = (1 << 16) - 1
     outside = universe & ~fam.member_mask
+    rows = int_rows(fam.gamma.rows())
     while outside:
         low = outside & -outside
         v = low.bit_length() - 1
         outside ^= low
-        assert res.family.gamma.adj[v] & fam.member_mask, "augmentable family"
+        assert rows[v] & fam.member_mask, "augmentable family"
 
 
 def test_mis_respects_node_budget():
@@ -505,7 +533,7 @@ def test_gamma_rows_match_pairwise_loop(g, t):
     dg = build_gamma(g, t)
     V = dg.vertex_count
     words = max(1, -(-max(dg.masks, default=0).bit_length() // 64))
-    # rows per block in _popcount_rows: K_4 fits in one, K_6 ends on a short one
+    # rows per block in _rows: K_4 fits in one, K_6 ends on a short one
     step = _BLOCK_CELLS // max(1, V * words)
     if V == 16:
         assert V < step
@@ -518,9 +546,59 @@ def test_gamma_rows_match_pairwise_loop(g, t):
             if (masks[i] & masks[j]).bit_count() < t:
                 want[i] |= 1 << j
                 want[j] |= 1 << i
-    assert dg.adj == want
+    assert int_rows(dg.rows()) == want
     if g is SPARSE12:
         assert dg.vertex_count == 528 and max(masks) >= 1 << 64
+
+
+def complement_oracle(adj):
+    """The complement of int adjacency rows, loops left out."""
+    full = (1 << len(adj)) - 1
+    return [(~r & full) & ~(1 << i) for i, r in enumerate(adj)]
+
+
+@pytest.mark.parametrize("g", [
+    SimpleGraph.complete(3), SimpleGraph.cycle(5), SimpleGraph.cycle(7),
+    SimpleGraph.complete(5), SPARSE12,
+    SimpleGraph(2, [(1, 2)]),  # one tree: V = 1
+], ids=lambda g: repr(g))
+def test_rows_both_polarities_match_pair_loop(g):
+    import numpy as np
+
+    masks = list(_spanning_tree_masks(g))
+    V = len(masks)
+    for t in range(1, g.n):
+        share_lt = [sum(1 << j for j in range(V)
+                        if j != i and (masks[i] & masks[j]).bit_count() < t)
+                    for i in range(V)]
+        share_ge = [sum(1 << j for j in range(V)
+                        if j != i and (masks[i] & masks[j]).bit_count() >= t)
+                    for i in range(V)]
+        assert share_ge == complement_oracle(share_lt)
+        for independent, want in ((False, share_lt), (True, share_ge)):
+            mat = _rows(masks, t, independent)
+            assert mat.dtype == np.uint8 and mat.shape == (V, (V + 7) // 8)
+            assert int_rows(mat) == want
+            bits = np.unpackbits(mat, axis=1, bitorder="little")
+            assert not bits[:, V:].any() and not np.diagonal(bits).any()
+
+
+# sha256 of save_adjacency output; the layout is the dump format itself
+DUMP_DIGESTS = [
+    (SimpleGraph.complete(5), 2,
+     "25e5c8aaaf2048a4c818924cca144051fefee3fca27a4f391131ccbd477d68ed"),
+    (SPARSE12, 8, "e7c6abba9c2011244eba8e92b8ab271f0ae49976941b27b8ba98ccc959c720ec"),
+    (SimpleGraph.cycle(7), 2, "98961a4c85d63a54341fd23357481bf32887089e6b886513c5d1fa7dcda081c6"),
+    (SimpleGraph.complete(6), 1,
+     "e51ec8ae35356ce26d1d9ef8617f45a3b3ccc0c60dcea38ceb5b92fe6b57428c"),
+]
+
+
+@pytest.mark.parametrize("g,t,digest", DUMP_DIGESTS, ids=["K5-t2", "C12+3-t8", "C7-t2", "K6-t1"])
+def test_dump_bytes_are_pinned(tmp_path, g, t, digest):
+    path = tmp_path / "gamma.bin"
+    build_gamma(g, t).save_adjacency(str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 # -- the search tree, pinned ----------------------------------------------------------
@@ -595,7 +673,7 @@ SEARCHES = {"max_clique": max_clique, "max_independent_set": max_independent_set
 
 
 def search_rows(dg, search):
-    return dg.adj if search == "max_clique" else dg.complement_rows()
+    return _rows(dg.masks, dg.t, search == "max_independent_set")
 
 
 @pytest.mark.parametrize("graph,t,search,budget,size,optimal,nodes,mask", PINNED_SEARCHES)
@@ -674,10 +752,7 @@ def vertex_perm(n, g):
 def adjacency_matrix(dg):
     import numpy as np
 
-    V = dg.vertex_count
-    rows = b"".join(r.to_bytes((V + 7) // 8, "little") for r in dg.adj)
-    bits = np.frombuffer(rows, dtype=np.uint8).reshape(V, -1)
-    return np.unpackbits(bits, axis=1, count=V, bitorder="little").astype(bool)
+    return np.unpackbits(dg.rows(), axis=1, count=dg.vertex_count, bitorder="little").astype(bool)
 
 
 def _edge_perms_by_edge_bit(n):
@@ -782,7 +857,7 @@ def check_orbits(n, rmasks, vertices, H):
 def search_masks(n, t):
     """The tree masks of K_n in the vertex order of the independent-set search."""
     dg = build_gamma(SimpleGraph.complete(n), t)
-    return [dg.masks[o] for o in _degeneracy_order(mask_matrix(dg.complement_rows()))[::-1]]
+    return [dg.masks[o] for o in _degeneracy_order(_rows(dg.masks, t, True))[::-1]]
 
 
 def stabiliser(n, mask):
@@ -927,8 +1002,8 @@ def random_rows(seed, V, p):
 SETUP_CASES = [
     [],
     [0],
-    [0] * 100,  # edgeless with V > 64: rows narrower than V bits
-    build_gamma(SimpleGraph.complete(5), 1).complement_rows(),
+    [0] * 100,  # edgeless with V > 64
+    int_rows(_rows(build_gamma(SimpleGraph.complete(5), 1).masks, 1, True)),
     random_rows(1, 7, 0.5),
     random_rows(2, 70, 0.1),
     random_rows(3, 130, 0.5),
@@ -940,14 +1015,16 @@ SETUP_CASES = [
 def test_search_setup_matches_oracles(adj):
     import numpy as np
 
-    mat = mask_matrix(adj)
+    mat = packed(adj)
     order = _degeneracy_order(mat)
     assert order == degeneracy_order_oracle(adj)
     # also under an order that is not the degeneracy order
     for o in (order, order[::-1]):
         rmat = _relabel(mat, o)
-        assert np.array_equal(rmat, mask_matrix(relabel_oracle(adj, o)))
-        assert rmat.dtype == mat.dtype
+        # the oracle sets no bit at or past V, so equal ints mean zero padding
+        assert int_rows(rmat) == relabel_oracle(adj, o)
+        assert rmat.dtype == np.dtype("<u8")
+        assert rmat.shape == (len(adj), max(1, -(-len(adj) // 64)))
 
 
 def greedy_clique_oracle(adj):
@@ -977,11 +1054,10 @@ def greedy_clique_oracle(adj):
 def check_greedy_clique(adj):
     """The numpy seed on the rows as given and relabelled as the search does
     (the set-up itself is checked against its oracles above)."""
-    mat = mask_matrix(adj)
+    mat = packed(adj)
     assert _greedy_clique(mat) == greedy_clique_oracle(adj)
     rmat = _relabel(mat, _degeneracy_order(mat)[::-1])
-    radj = [int.from_bytes(r.tobytes(), "little") for r in rmat]
-    assert _greedy_clique(rmat) == greedy_clique_oracle(radj)
+    assert _greedy_clique(rmat) == greedy_clique_oracle(int_rows(rmat))
 
 
 @pytest.mark.parametrize("adj", SETUP_CASES, ids=lambda adj: f"V={len(adj)}")
@@ -993,8 +1069,8 @@ def test_greedy_clique_matches_oracle(adj):
                                      ("K6", 3), ("K6", 4), ("W8", 2), ("C12+3", 8)])
 def test_greedy_clique_matches_oracle_on_gamma(graph, t):
     dg = build_gamma(PIN_GRAPHS[graph], t)
-    check_greedy_clique(dg.adj)
-    check_greedy_clique(dg.complement_rows())
+    check_greedy_clique(int_rows(dg.rows()))
+    check_greedy_clique(int_rows(search_rows(dg, "max_independent_set")))
 
 
 def lowest_bit_color_sort(P, nadj, kmin):
