@@ -43,6 +43,10 @@ from .trees import (
 DEFAULT_GAMMA_CAP = 20000
 DEFAULT_NODE_BUDGET = 10_000_000
 _DUMP_MAGIC = b"GAMADJ01"
+# _color_sort records what is left of its candidates after every _REC_STEP-th
+# colour class, so a child colouring can start at a block boundary; each pass
+# of its block loop writes out that many class scans
+_REC_STEP = 4
 
 
 class SimpleGraph:
@@ -357,11 +361,11 @@ def _degeneracy_order(mat) -> List[int]:
     import numpy as np
 
     V = len(mat)
-    deg = np.bitwise_count(mat).sum(axis=1, dtype=np.int64)
-    removed = np.iinfo(np.int64).max
+    deg = np.bitwise_count(mat).sum(axis=1, dtype=np.int32)
+    removed = np.iinfo(np.int32).max
     order = []
     for _ in range(V):
-        v = int(np.argmin(deg))  # first minimum, so ties go to the lowest index
+        v = int(deg.argmin())  # first minimum, so ties go to the lowest index
         order.append(v)
         deg -= np.unpackbits(mat[v], count=V, bitorder="little")
         deg[v] = removed  # later decrements cannot bring it near a real degree
@@ -407,13 +411,13 @@ def _greedy_clique(mat) -> int:
     if V == 0:
         return 0
     bits = mat.view(np.uint8)
-    v = V - 1 - int(np.argmax(np.bitwise_count(mat).sum(axis=1, dtype=np.int64)[::-1]))
+    v = V - 1 - int(np.bitwise_count(mat).sum(axis=1, dtype=np.int64)[::-1].argmax())
     clique = 1 << v
     blocks = pair_blocks(mat, mat[v : v + 1])
     score = np.concatenate([shared_bits(b)[:, 0] for _, b in blocks], dtype=np.int32)
     score[np.unpackbits(bits[v], count=V, bitorder="little") == 0] = -V - 1
     while True:
-        v = V - 1 - int(np.argmax(score[::-1]))
+        v = V - 1 - int(score[::-1].argmax())
         if score[v] < 0:
             return clique
         clique |= 1 << v
@@ -425,8 +429,8 @@ def _greedy_clique(mat) -> int:
 
 
 def _color_sort(
-    P: int, nadj: List[int], kmin: int, bit: List[int]
-) -> Tuple[List[int], List[int]]:
+    P: int, nadj: List[int], kmin: int, bit: List[int], P0: int = 0, rec0: Sequence[int] = ()
+) -> Tuple[List[int], List[int], List[int]]:
     """Greedy colouring of the candidate set P; vertices with colour bounds ascending.
 
     Each class takes vertices from the top bit down: v = q.bit_length() - 1
@@ -437,11 +441,63 @@ def _color_sort(
     Only classes above kmin are listed: the caller stops at the first colour
     that cannot beat the incumbent, so it never reaches the classes at or
     below kmin.
+
+    Also returns its record rec, one entry per whole block of _REC_STEP
+    classes at or below kmin: rec[k] & P is what the first
+    _REC_STEP * (k + 1) classes leave of P.  Given the record rec0 of a
+    superset P0 of P, the colouring starts where P's classes stop matching
+    P0's.  If gone = P0 - P misses P0's first j classes, P's first j classes
+    are the same sets: each scan of P is P0's scan with gone taken out, so
+    it picks the same top bit every time.  So P shares rec0[:k] as it is
+    when gone lies inside rec0[k - 1]; the records are nested, so a binary
+    search finds the deepest such k, capped at P's own whole blocks since
+    its listed classes must be scanned.
     """
     order: List[int] = []
     colors: List[int] = []
-    color = 0
+    rec: List[int] = []
     work = P
+    top = kmin // _REC_STEP  # the whole blocks at or below kmin
+    if top > 0 and rec0:
+        gone = P0 ^ P
+        if gone & rec0[0] == gone:  # else gone meets P0's first block
+            lo, hi = 1, min(top, len(rec0))
+            while lo < hi:
+                mid = (lo + hi) >> 1
+                if gone & rec0[mid] == gone:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            rec = rec0[:lo]
+            work &= rec0[lo - 1]
+    # the whole blocks left, with their class scans written out: where the
+    # classes hold one to three vertices (Gamma_1(K_5), C12+3), a loop over
+    # a block's classes costs 5-13% more
+    done = len(rec)
+    while work and done < top:
+        q = work
+        while q:
+            v = q.bit_length() - 1
+            work ^= bit[v]
+            q &= nadj[v]
+        q = work
+        while q:
+            v = q.bit_length() - 1
+            work ^= bit[v]
+            q &= nadj[v]
+        q = work
+        while q:
+            v = q.bit_length() - 1
+            work ^= bit[v]
+            q &= nadj[v]
+        q = work
+        while q:
+            v = q.bit_length() - 1
+            work ^= bit[v]
+            q &= nadj[v]
+        rec.append(work)
+        done += 1
+    color = _REC_STEP * done
     while work:
         color += 1
         q = work
@@ -457,7 +513,7 @@ def _color_sort(
                 v = q.bit_length() - 1
                 work ^= bit[v]
                 q &= nadj[v]
-    return order, colors
+    return order, colors, rec
 
 
 @lru_cache(maxsize=None)
@@ -545,11 +601,13 @@ def _max_clique_bitset(
     optimal = True
 
     # iterative branch and bound (depth equals clique size, so no recursion):
-    # each frame is [size, rmask, local, order, colors, i, H] with i scanning
-    # the coloured candidates from the highest bound downwards
-    first_order, first_colors = _color_sort(full, nadj, best_size, bit)
+    # each frame is [size, rmask, local, order, colors, i, H, P0, rec] with i
+    # scanning the coloured candidates from the highest bound downwards; P0
+    # is the set it coloured, which local shrinks from, and rec that
+    # colouring's record, where its children's colourings start
+    first_order, first_colors, first_rec = _color_sort(full, nadj, best_size, bit)
     stack = [[0, 0, full, first_order, first_colors, len(first_order) - 1,
-              group]]
+              group, full, first_rec]]
     try:
         while stack:
             frame = stack[-1]
@@ -576,10 +634,11 @@ def _max_clique_bitset(
                                                         sorted_masks, by_mask)
                 frame[2] &= ~orbit
                 if p2:
-                    order2, colors2 = _color_sort(p2, nadj, best_size - size - 1, bit)
+                    order2, colors2, rec2 = _color_sort(p2, nadj, best_size - size - 1, bit,
+                                                        frame[7], frame[8])
                     frame[5] = i
                     stack.append([size + 1, rmask | vbit, p2, order2, colors2,
-                                  len(order2) - 1, stab])
+                                  len(order2) - 1, stab, p2, rec2])
                     pushed = True
                     break
                 if size + 1 > best_size:

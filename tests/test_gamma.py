@@ -18,6 +18,7 @@ from spanning_tree_oracle import spanning_trees
 from treefam.extremal import brute_force_max_t_intersecting
 from treefam.gamma import (
     _BLOCK_CELLS,
+    _REC_STEP,
     DEFAULT_NODE_BUDGET,
     CapExceeded,
     DisjointnessGraph,
@@ -708,6 +709,9 @@ PINNED_SYMMETRIC_SEARCHES = [
     ("K6", 4, "max_independent_set", None, 9, True, 5,
      "104004000000000000104004000104004000"),
     ("K6", 2, "max_independent_set", 1000, 144, False, 1001, K6_T2_MASK),
+    # the benchmark's slowest alpha-search job, recorded before colourings
+    # started from their parent's classes
+    ("K6", 2, "max_independent_set", 4000, 144, False, 4001, K6_T2_MASK),
     # recorded with the lowest-bit colouring kept below as an oracle
     ("K6", 1, "max_independent_set", 1000, 436, False, 1001, K6_T1_MASK),
 ]
@@ -1102,25 +1106,89 @@ def reverse_bits(x, V):
     return int(f"{x:0{V}b}"[::-1], 2)
 
 
-@pytest.mark.parametrize("adj", SETUP_CASES[3:], ids=lambda adj: f"V={len(adj)}")
-def test_color_sort_lists_the_classes_above_kmin(adj):
-    # the search colours rows relabelled in reversed order from the top bit
-    # down; under the bit reversal v -> V-1-v that is exactly the lowest-bit
-    # colouring of the original rows
+def record_oracle(P, adj, kmin):
+    """What the first 4, 8, ... classes of the colouring of P leave of it, on
+    unreversed labels: one entry per whole block of _REC_STEP classes at or
+    below kmin, up to the first block that starts with nothing left."""
+    order, colors = color_sort_oracle(P, adj)
+    left = [P]
+    for c in range(1, max(colors, default=0) + 1):
+        left.append(left[-1] & ~sum(1 << v for v, k in zip(order, colors) if k == c))
+    rec = []
+    for k in range(kmin // _REC_STEP):
+        if not left[min(k * _REC_STEP, len(left) - 1)]:
+            break
+        rec.append(left[min((k + 1) * _REC_STEP, len(left) - 1)])
+    return rec
+
+
+def color_sort_setup(adj):
+    """(nadj, rnadj, bit) for the search's colouring of adj relabelled in
+    reversed order, checked against the bit reversal v -> V-1-v."""
     V = len(adj)
     nadj = [~(r | 1 << v) for v, r in enumerate(adj)]
     radj = relabel_oracle(adj, list(range(V))[::-1])
     assert radj == [reverse_bits(r, V) for r in adj[::-1]]
     bit = [1 << v for v in range(V)]
     full = (1 << V) - 1
-    rnadj = [full ^ (r | b) for r, b in zip(radj, bit)]
+    return nadj, [full ^ (r | b) for r, b in zip(radj, bit)], bit
+
+
+@pytest.mark.parametrize("adj", SETUP_CASES[3:], ids=lambda adj: f"V={len(adj)}")
+def test_color_sort_lists_the_classes_above_kmin(adj):
+    # the search colours rows relabelled in reversed order from the top bit
+    # down; under the bit reversal v -> V-1-v that is exactly the lowest-bit
+    # colouring of the original rows
+    V = len(adj)
+    nadj, rnadj, bit = color_sort_setup(adj)
     rng = random.Random(V)
     for _ in range(20):
         P = rng.getrandbits(V)
         want_order, want_colors = color_sort_oracle(P, adj)
-        for kmin in (0, 1, 3, max(want_colors, default=0)):
+        for kmin in (-1, 0, 1, 3, 4, 9, max(want_colors, default=0)):
             keep = [i for i, c in enumerate(want_colors) if c > kmin]
             want = ([want_order[i] for i in keep], [want_colors[i] for i in keep])
             assert lowest_bit_color_sort(P, nadj, kmin) == want
-            order, colors = _color_sort(reverse_bits(P, V), rnadj, kmin, bit)
+            order, colors, rec = _color_sort(reverse_bits(P, V), rnadj, kmin, bit)
             assert ([V - 1 - v for v in order], colors) == want
+            assert [reverse_bits(r, V) for r in rec] == record_oracle(P, adj, kmin)
+
+
+@pytest.mark.parametrize("adj", SETUP_CASES[3:], ids=lambda adj: f"V={len(adj)}")
+def test_color_sort_from_a_parent_record_is_the_colouring_from_scratch(adj):
+    # P inside P0 coloured from P0's record gives the from-scratch order,
+    # colours and record (each record entry is exact once ANDed with P)
+    V = len(adj)
+    nadj, rnadj, bit = color_sort_setup(adj)
+    rng = random.Random(1000 + V)
+    shared = 0
+    for _ in range(12):
+        P0 = rng.getrandbits(V)
+        order0, colors0 = color_sort_oracle(P0, adj)
+        ncolors = max(colors0, default=0)
+        classes = [0] * (ncolors + 1)
+        for v, c in zip(order0, colors0):
+            classes[c] |= 1 << V - 1 - v  # P0's classes on the search's labels
+        rP0 = reverse_bits(P0, V)
+        for kmin in (-1, 0, 1, 3, 4, 9, ncolors):
+            first = classes[1] & -classes[1] if ncolors else 0
+            cut = rng.randint(1, max(1, ncolors))
+            cases = [
+                0,  # gone empty
+                first | rng.getrandbits(V) & rP0,  # gone meets class 1
+                sum(classes[kmin + 1 :]) & rng.getrandbits(V),  # only in listed classes
+                sum(classes[cut:]) & rng.getrandbits(V),  # only past a random class
+                rng.getrandbits(V) & rP0,
+            ]
+            for kmin0 in (kmin, ncolors):
+                _, _, rec0 = _color_sort(rP0, rnadj, kmin0, bit)
+                for gone in cases:
+                    P = rP0 & ~gone
+                    want = _color_sort(P, rnadj, kmin, bit)
+                    order, colors, rec = _color_sort(P, rnadj, kmin, bit, rP0, rec0)
+                    assert (order, colors) == want[:2]
+                    assert [r & P for r in rec] == want[2]
+                    oracle = lowest_bit_color_sort(reverse_bits(P, V), nadj, kmin)
+                    assert ([V - 1 - v for v in order], colors) == oracle
+                    shared += bool(rec0) and bool(rec) and rec[0] is rec0[0]
+    assert shared  # some colourings did start past P0's first block
