@@ -35,9 +35,6 @@ from .extremal import (
     line_graph_adjacency,
     llll_condition_check,
     min_pairwise_intersection,
-    realize_stars_plus_edge,
-    realize_threshold_family,
-    realize_trivial_family,
     stars_plus_edge_size,
     trivial_family_size,
 )

@@ -76,42 +76,14 @@ def stars_plus_edge_size(n: int) -> int:
     return 2 * n ** (n - 3) + (n - 2)
 
 
-def _stars_plus_edge_array(n: int, e: Edge):
-    import numpy as np
-
-    keep = edge_hits(n, [e]) >= 1
-    arr = tree_mask_array(n)
-    keep |= np.isin(arr, np.array(star_masks(n), dtype=np.uint64))
-    return arr[keep]
-
-
-def _threshold_array(n: int, s, m: int):
-    (m,) = _as_ints("m", m)
-    return tree_mask_array(n)[edge_hits(n, s.edges if isinstance(s, Forest) else s) >= m]
-
-
-def realize_stars_plus_edge(n: int, e: Edge = (1, 2)) -> List[int]:
-    """The stars-plus-fixed-edge family as tree bitmasks, ascending tree index."""
-    return _stars_plus_edge_array(n, e).tolist()
-
-
-def realize_trivial_family(n: int, f: Forest) -> List[int]:
-    """T_n[F] as tree bitmasks, ascending tree index."""
-    return realize_threshold_family(n, f.edges, len(f))
-
-
-def realize_threshold_family(n: int, s, m: int) -> List[int]:
-    """Trees containing at least m edges of the edge set s, as bitmasks."""
-    return _threshold_array(n, s, m).tolist()
-
-
 class FamilySpec:
     """A declarative family of spanning trees plus the intersection level it claims.
 
     kinds: "trivial" (all trees containing a forest), "stars_plus_edge",
     "threshold" (trees with >= m edges of an edge set), "explicit" (a literal
     member list).  realize() materializes the family as tree bitmasks at small
-    n so the claim can be checked pair by pair.
+    n, in tree-index order (explicit members in their given order), so the
+    claim can be checked pair by pair.
     """
 
     __slots__ = ("kind", "n", "t", "edges", "threshold", "members")
@@ -147,13 +119,19 @@ class FamilySpec:
             raise ValueError("explicit family repeats a member")
 
     def _masks(self):
-        """The members as tree masks: a uint64 array, or ints for "explicit"."""
+        """The members as tree masks: a uint64 array, or ints for "explicit".
+        The only code that selects a family's members from the tree universe."""
         if self.kind == "trivial":
-            return _threshold_array(self.n, Forest(self.n, self.edges), len(self.edges))
-        if self.kind == "stars_plus_edge":
-            return _stars_plus_edge_array(self.n, self.edges[0] if self.edges else (1, 2))
+            size = len(Forest(self.n, self.edges))  # raises on a cycle
+            return tree_mask_array(self.n)[edge_hits(self.n, self.edges) == size]
         if self.kind == "threshold":
-            return _threshold_array(self.n, self.edges, self.threshold)
+            return tree_mask_array(self.n)[edge_hits(self.n, self.edges) >= self.threshold]
+        if self.kind == "stars_plus_edge":
+            import numpy as np
+
+            keep = edge_hits(self.n, self.edges or [(1, 2)]) >= 1
+            arr = tree_mask_array(self.n)
+            return arr[keep | np.isin(arr, np.array(star_masks(self.n), dtype=np.uint64))]
         out = []
         for tr in self.members:
             Tree(self.n, tr)  # each member must be a spanning tree

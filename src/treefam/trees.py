@@ -84,7 +84,7 @@ def _normalize_edges(n: int, edges: Iterable) -> Tuple[Edge, ...]:
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
     for a, b in zip(out, out[1:]):
         if a == b:
-            raise ValueError(f"duplicate edge {a}")
+            raise ValueError(f"duplicate edge ({a[0]},{a[1]})")
     return tuple(out)
 
 
@@ -470,18 +470,10 @@ def edges_to_mask(n: int, edges: Iterable) -> int:
 
     Every edge must be a pair of integers joining two distinct vertices of
     1..n and appear once.  An out-of-range edge would land on some other
-    edge's bit and a duplicate would vanish, so both are rejected here, where
-    every sweep builds masks.
+    edge's bit and a duplicate would vanish, so _normalize_edges rejects both
+    here, where every sweep builds masks.
     """
-    mask = 0
-    for u, v in _pair_edges(edges):
-        if not (1 <= u < v <= n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        bit = 1 << edge_bit(n, u, v)
-        if mask & bit:
-            raise ValueError(f"duplicate edge ({u},{v})")
-        mask |= bit
-    return mask
+    return sum(1 << edge_bit(n, u, v) for u, v in _normalize_edges(n, edges))
 
 
 def mask_to_edges(n: int, mask: int) -> list:
@@ -629,21 +621,26 @@ def shared_bits(block):
     return sum(counts[..., w].astype(np.int32) for w in range(counts.shape[2]))
 
 
-def _overlap_floor(mat) -> int:
-    """A lower bound on |a & b| over the pairs of rows of a mask matrix.
+def _overlap_floors(mat):
+    """The rows of a mask matrix in a sweep order, and lower bounds on |a & b|.
 
     Every pair holds the bits set in all rows, and for any bit set S,
     |a & b| >= |a & S| + |b & S| - |S|.  S is the bits set in at least half
-    of the rows, which makes the bound the minimum itself on the trivial and
-    threshold families of n = 5..8.
+    of the rows.  Returns (order, floors): the row indices by |a & S|
+    ascending, and floors[i], a bound for every pair among the rows
+    order[i:], since each of them holds at least |order[i] & S| bits of S.
+    floors[0] is the minimum itself on the trivial and threshold families
+    of n = 5..8.
     """
     import numpy as np
 
     V = len(mat)
     held = np.unpackbits(mat.view(np.uint8), axis=1, bitorder="little").sum(axis=0)
     s = np.packbits(2 * held >= V, bitorder="little").view("<u8")
-    low = 2 * int(shared_bits((mat & s)[:, None]).min()) - int(np.bitwise_count(s).sum())
-    return max(int((held == V).sum()), low)
+    hits = shared_bits((mat & s)[:, None])[:, 0]
+    order = np.argsort(hits, kind="stable")  # radix-sorts one-word (uint8) counts
+    low = 2 * hits[order].astype(np.int64) - int(np.bitwise_count(s).sum())
+    return order, np.maximum(int((held == V).sum()), low)
 
 
 def min_pairwise_intersection(masks: Sequence[int]) -> Optional[int]:
@@ -651,23 +648,26 @@ def min_pairwise_intersection(masks: Sequence[int]) -> Optional[int]:
 
     The masks are Python ints or a 1-D uint64 array.  A block of rows at a
     time against the rows from the block on, so memory stays O(V W) rather
-    than V x V.  The sweep stops once a pair meets _overlap_floor, a proven
-    lower bound, so the answer is exact; at floor 0 a disjoint pair ends it.
+    than V x V.  The rows are swept in _overlap_floors' order, and the sweep
+    stops once a pair meets the floor of the rows not yet swept, a proven
+    lower bound on every pair left, so the answer is exact; at floor 0 a
+    disjoint pair ends it.
     """
     import numpy as np
 
     if len(masks) < 2:
         return None
     mat = mask_matrix(masks)
-    floor = _overlap_floor(mat)
+    order, floors = _overlap_floors(mat)
+    mat = mat[order]
     best = 64 * mat.shape[1]
-    for _, block in pair_blocks(mat):
+    for lo, block in pair_blocks(mat):
         shared = shared_bits(block)
         k = len(shared)
         # column j is row lo + j: j <= i is the diagonal or a pair seen already
         shared[:, :k][np.tri(k, dtype=bool)] = best
         best = min(best, int(shared.min()))
-        if best <= floor:
+        if lo + k == len(mat) or best <= floors[lo + k]:
             break
     return best
 

@@ -23,6 +23,7 @@ from treefam.counting import (
     enumeration_count_containing,
 )
 from treefam.extremal import (
+    FamilySpec,
     blocked_Dt,
     brute_force_max_t_intersecting,
     count_avoiding,
@@ -30,8 +31,6 @@ from treefam.extremal import (
     example_forest,
     lemma_notstar_check,
     min_pairwise_intersection,
-    realize_stars_plus_edge,
-    realize_trivial_family,
     stars_plus_edge_size,
 )
 from treefam.extremal import balanced_forest
@@ -225,13 +224,13 @@ def test_criterion_09_extremal_family_realization():
     summary = "realized families: stars+edge = 2n^(n-3)+(n-2); trivial = 2^t n^(n-t-2)"
     with _Criterion(9, 60, summary):
         for n, want in ((5, 53), (6, 436)):
-            masks = realize_stars_plus_edge(n)
+            masks = FamilySpec("stars_plus_edge", n, 1).realize()
             assert len(masks) == len(set(masks)) == want == stars_plus_edge_size(n)
             assert min_pairwise_intersection(masks) >= 1
         for n, t in ((5, 1), (5, 2), (6, 1), (6, 2), (6, 3)):
             f = balanced_forest(n, t)  # a t-matching for t <= n/2
             assert f.component_sizes() == (2,) * t
-            masks = realize_trivial_family(n, f)
+            masks = FamilySpec("trivial", n, t, edges=f.edges).realize()
             assert len(masks) == count_matching_family(n, t)
             assert min_pairwise_intersection(masks) >= t
 

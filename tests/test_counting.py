@@ -20,6 +20,7 @@ from treefam.counting import (
     verify_by_enumeration,
 )
 from treefam.extremal import (
+    FamilySpec,
     balanced_forest,
     blocked_Dt,
     brute_force_max_t_intersecting,
@@ -29,7 +30,6 @@ from treefam.extremal import (
     example_forest,
     family_F_ntj_size,
     lemma_notstar_check,
-    realize_threshold_family,
     stars_plus_edge_size,
 )
 from treefam.gamma import SimpleGraph, TreeFamily, build_gamma, iter_set_partitions
@@ -142,7 +142,8 @@ _GATED = [
     ("r-spread-budget", lambda v: verify_r_spread(6, 3, v), 2, "edge_budget"),
     ("rt-spread-t", lambda v: verify_rt_spread(6, 3, v), 1, "n and t"),
     ("stars-plus-edge-n", lambda v: stars_plus_edge_size(v), 6, "n"),
-    ("threshold-m", lambda v: realize_threshold_family(5, _S, v), 1, "m"),
+    ("threshold-m", lambda v: FamilySpec("threshold", 5, 1, edges=_S, threshold=v), 1,
+     "n, t and threshold"),
     ("balanced-l", lambda v: balanced_forest(6, v), 2, "n and l"),
     ("example-forest-t", lambda v: example_forest(7, v), 2, "n and t"),
     ("ntj-t", lambda v: family_F_ntj_size(12, v, 1), 2, "n, t and j"),

@@ -1,5 +1,6 @@
 """Extremal family constructions, avoidance counts, D_t, local-lemma checks."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from treefam.counting import (
     exact_k_distribution,
 )
 from treefam.extremal import (
+    FamilySpec,
     balanced_forest,
     blocked_Dt,
     brute_force_max_t_intersecting,
@@ -25,9 +27,6 @@ from treefam.extremal import (
     line_graph_adjacency,
     llll_condition_check,
     min_pairwise_intersection,
-    realize_stars_plus_edge,
-    realize_threshold_family,
-    realize_trivial_family,
     stars_plus_edge_size,
     trivial_family_size,
 )
@@ -37,8 +36,11 @@ from treefam.trees import (
     _BLOCK_CELLS,
     cayley_count,
     edges_to_mask,
+    enumerate_trees,
     is_d_star_like,
+    is_star,
     mask_matrix,
+    mask_to_edges,
     pair_blocks,
     sample_uniform_tree,
 )
@@ -65,7 +67,7 @@ def test_stars_plus_edge_size():
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_stars_plus_edge_realization(n):
-    masks = realize_stars_plus_edge(n)
+    masks = FamilySpec("stars_plus_edge", n, 1).realize()
     assert len(masks) == len(set(masks)) == stars_plus_edge_size(n)
     assert min_pairwise_intersection(masks) >= 1
 
@@ -73,7 +75,7 @@ def test_stars_plus_edge_realization(n):
 def test_trivial_family_realization_is_t_intersecting():
     for n, t in ((5, 1), (5, 2), (6, 2), (6, 3)):
         f = balanced_forest(n, t)
-        masks = realize_trivial_family(n, f)
+        masks = FamilySpec("trivial", n, t, edges=f.edges).realize()
         assert len(masks) == count_matching_family(n, t)
         assert min_pairwise_intersection(masks) >= t
 
@@ -82,9 +84,75 @@ def test_threshold_family_realization():
     """Any two members share >= 2(t+j) - (t+2j) = t edges of F, structurally."""
     n, t, j = 6, 2, 1
     f = balanced_forest(n, t + 2 * j)
-    masks = realize_threshold_family(n, f, t + j)
+    masks = FamilySpec("threshold", n, t, edges=f.edges, threshold=t + j).realize()
     assert len(masks) == family_F_ntj_size(n, t, j)
     assert min_pairwise_intersection(masks) >= t
+
+
+def _oracle_cases(n):
+    """(spec, predicate on a Tree) pairs: the family each spec realises, by hand."""
+    path = [(1, 2), (2, 3), (3, 4)]
+    cases = [(FamilySpec("trivial", n, 3, edges=path), lambda tr: set(path) <= tr.edge_set())]
+    for t in (1, 2, 3):
+        f = balanced_forest(n, t).edges
+        cases.append((FamilySpec("trivial", n, t, edges=f), lambda tr, f=f: set(f) <= tr.edge_set()))
+        for m in range(t + 2):
+            cases.append((FamilySpec("threshold", n, 0, edges=f, threshold=m),
+                          lambda tr, f=f, m=m: len(set(f) & tr.edge_set()) >= m))
+    triangle = [(1, 2), (2, 3), (1, 3)]  # a threshold set need not be a forest
+    cases.append((FamilySpec("threshold", n, 0, edges=triangle, threshold=2),
+                  lambda tr: len(set(triangle) & tr.edge_set()) >= 2))
+    for e in (None, (2, 4), (n - 1, n)):
+        spec = FamilySpec("stars_plus_edge", n, 1, edges=None if e is None else [e])
+        cases.append((spec, lambda tr, e=e or (1, 2): e in tr.edge_set() or is_star(tr)))
+    return cases
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_realize_matches_a_scan_of_every_tree(n):
+    trees = list(enumerate_trees(n))  # tree-index order
+    for spec, holds in _oracle_cases(n):
+        want = [list(tr.edges) for tr in trees if holds(tr)]
+        assert [mask_to_edges(n, m) for m in spec.realize()] == want, spec.to_json()
+    members = [list(tr.edges) for tr in trees[::7]]
+    spec = FamilySpec("explicit", n, 0, members=members)
+    assert [mask_to_edges(n, m) for m in spec.realize()] == members
+
+
+def _pinned_specs(n):
+    path = [(i, i + 1) for i in range(1, n)]
+    star = [(1, i) for i in range(2, n + 1)]
+    return {
+        "trivial": FamilySpec("trivial", n, 2, edges=[(1, 2), (3, 4)]),
+        "threshold": FamilySpec("threshold", n, 1, edges=[(1, 2), (3, 4), (5, 6)], threshold=2),
+        "stars_plus_edge": FamilySpec("stars_plus_edge", n, 1),
+        "explicit": FamilySpec("explicit", n, 1, members=[path, star]),
+    }
+
+
+# sha256 of each realize() as 8-byte little-endian masks, recorded while the
+# families were still built by the helpers that FamilySpec._masks replaced
+REALIZE_DIGESTS = [
+    (7, "trivial", 1372, "a1016d45e888c01941a833cb013c09e613101f5fbcc011e76333c4d4d4db90ac"),
+    (7, "threshold", 3332, "e363cbb25d00a1d09ce282f2c22a86e5746eb9b582c7a6e175c8687f05d6523b"),
+    (7, "stars_plus_edge", 4807,
+     "4ef24f60bfb5a0aa20df325e2e126837c2d705cddf6acfc375313e108ed5772f"),
+    (7, "explicit", 2, "f58bf0e8e7f258f20a808347158d667a4a143c790f316ae43353c1c52fb51840"),
+    (8, "trivial", 16384, "3653909d4d0383b8cb2a17d530adf844441372451266078bbd28f340ffaf339d"),
+    (8, "threshold", 40960, "784f3f50bd13940be4f8bbfab9673d8cc331e381dda5cfb8d8fe21fb1a5d785b"),
+    (8, "stars_plus_edge", 65542,
+     "5e87b9c92ea3e6267c3ea792ddda519bb10f6f868f350a605f4a727255dd0823"),
+    (8, "explicit", 2, "aabf849a9413784a10aee86c0df83ec447e873a306b3b7531e80fd4a9907a9b3"),
+]
+
+
+@pytest.mark.parametrize("n,kind,size,digest", REALIZE_DIGESTS,
+                         ids=[f"{kind}-{n}" for n, kind, _, _ in REALIZE_DIGESTS])
+def test_realize_bytes_are_pinned(n, kind, size, digest):
+    masks = _pinned_specs(n)[kind].realize()
+    assert len(masks) == size
+    data = b"".join(m.to_bytes(8, "little") for m in masks)
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def _min_overlap_loop(masks):
@@ -100,13 +168,13 @@ def _min_overlap_loop(masks):
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_min_pairwise_intersection_matches_loop(n):
     families = [
-        realize_trivial_family(n, balanced_forest(n, 3)),
-        realize_threshold_family(n, balanced_forest(n, 4), 3),
-        realize_threshold_family(n, [(1, 2), (2, 3), (4, 5)], 2),
+        FamilySpec("trivial", n, 3, edges=balanced_forest(n, 3).edges),
+        FamilySpec("threshold", n, 2, edges=balanced_forest(n, 4).edges, threshold=3),
+        FamilySpec("threshold", n, 1, edges=[(1, 2), (2, 3), (4, 5)], threshold=2),
+        FamilySpec("stars_plus_edge", n, 1, edges=[(2, 4)]),
     ]
-    if n < 7:
-        families.append(realize_stars_plus_edge(n, (2, 4)))
-    for masks in families:
+    for spec in families:
+        masks = spec.realize()
         assert min_pairwise_intersection(masks) == _min_overlap_loop(masks)
     # a family with two disjoint members, and wide (multi-word) masks
     assert min_pairwise_intersection([0b0111, 0b1000, 0b1100]) == 0
@@ -122,7 +190,9 @@ def _triangle_step(V):
 
 
 # the n = 7 threshold family: 3,332 trees, every pair shares at least one edge
-_THRESHOLD7 = realize_threshold_family(7, balanced_forest(7, 3), 2)
+_THRESHOLD7 = FamilySpec(
+    "threshold", 7, 1, edges=balanced_forest(7, 3).edges, threshold=2
+).realize()
 # prefix lengths of it whose last block is full, and one row short
 _EXACT_V = next(V for V in range(600, 3333) if V % _triangle_step(V) == 0)
 _SHORT_V = next(
@@ -162,6 +232,23 @@ def test_min_pairwise_intersection_two_masks_and_early_exit():
     assert min_pairwise_intersection(masks) == _min_overlap_loop(masks) == 0
 
 
+def test_min_pairwise_intersection_reads_the_floor_of_the_rows_left():
+    # majority bits S = 0..9; five groups of five bits at 70..94 (two words)
+    S = (1 << 10) - 1
+    groups = [sum(1 << (70 + 5 * k + i) for i in range(5)) for k in range(5)]
+    # 109 rows holding 6 bits of S sort first and fill the first block at
+    # V = 300; with every other row they share at least 10 bits
+    low = [0b111111 | sum(groups)] * 109
+    # 190 rows each hold S but one bit and one group: two of them share 8
+    high = [S & ~(1 << (r % 10)) | groups[r % 5] for r in range(190)]
+    masks = low + high + [S | sum(groups)]  # a last row holding all of S
+    blocks = [len(block) for _, block in pair_blocks(mask_matrix(masks))]
+    assert blocks[0] == 109 < 300
+    # after the first block the best is 10: the floor of the last row, but
+    # the rows left pair down to 8
+    assert min_pairwise_intersection(masks) == _min_overlap_loop(masks) == 8
+
+
 def _planted_masks(rng, V, width, core, keep):
     """V random width-bit masks; each holds each bit of `core` with chance `keep`."""
     out = []
@@ -174,7 +261,7 @@ def _planted_masks(rng, V, width, core, keep):
 def test_min_pairwise_intersection_matches_loop_above_and_on_the_floor():
     import numpy as np
 
-    from treefam.trees import _overlap_floor
+    from treefam.trees import _overlap_floors
 
     rng = random.Random(2022)
     on = above = 0
@@ -184,8 +271,13 @@ def test_min_pairwise_intersection_matches_loop_above_and_on_the_floor():
                 core = rng.sample(range(width), rng.randrange(1, 12))
                 masks = _planted_masks(rng, rng.randrange(2, 160), width, core, keep)
                 want = _min_overlap_loop(masks)
-                floor = _overlap_floor(mask_matrix(masks))
+                order, floors = _overlap_floors(mask_matrix(masks))
+                assert sorted(order.tolist()) == list(range(len(masks)))
+                floor = int(floors[0])
                 assert floor <= want
+                # floors[i] bounds every pair among the rows order[i:]
+                for i in (len(masks) // 2, len(masks) - 2):
+                    assert floors[i] <= _min_overlap_loop([masks[j] for j in order[i:]])
                 on += 0 < floor == want
                 above += floor < want
                 assert min_pairwise_intersection(masks) == want
@@ -232,6 +324,14 @@ def test_threshold_sweep_stops_at_the_floor_after_one_block(monkeypatch):
     assert seen == [0]
 
 
+def test_stars_plus_edge_sweep_ends_once_the_off_edge_stars_are_swept(monkeypatch):
+    # the n - 2 stars off the edge hold none of the majority edges (only the
+    # edge itself), so they sort first; every pair left then shares the edge
+    seen = _counted_blocks(monkeypatch)
+    assert FamilySpec("stars_plus_edge", 8, 1).verify() == (True, 1, 65542)
+    assert 1 <= len(seen) <= 8 - 1
+
+
 def test_n8_family_checks_are_pinned():
     from treefam.extremal import FamilySpec
 
@@ -244,11 +344,11 @@ def test_n8_family_checks_are_pinned():
 def test_realizations_reject_out_of_range_and_duplicate_edges():
     # (2,7) is not an edge of K_6; unchecked, its bit 9 is the edge (3,4)
     with pytest.raises(ValueError, match="out of range"):
-        realize_threshold_family(6, [(2, 7)], 1)
+        FamilySpec("threshold", 6, 1, edges=[(2, 7)], threshold=1).realize()
     with pytest.raises(ValueError, match="out of range"):
-        realize_stars_plus_edge(6, (0, 1))
+        FamilySpec("stars_plus_edge", 6, 1, edges=[(0, 1)]).realize()
     with pytest.raises(ValueError, match="duplicate"):
-        realize_threshold_family(6, [(1, 2), (2, 1)], 1)
+        FamilySpec("threshold", 6, 1, edges=[(1, 2), (2, 1)], threshold=1).realize()
 
 
 def test_family_spec_roundtrip_and_verify():
