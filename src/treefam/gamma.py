@@ -357,42 +357,44 @@ class _BudgetExhausted(Exception):
 
 
 def _degeneracy_order(mat) -> List[int]:
-    """Degeneracy order of the uint8 rows `mat` (minimum remaining degree, ties: lowest index)."""
+    """Degeneracy order of the uint8 rows `mat` (minimum remaining degree, ties: lowest index).
+
+    Once the minimum remaining degree is (vertices left) - 1, the vertices
+    left form a clique.  Each removal then takes 1 off every other degree,
+    so they stay tied and leave lowest index first: the order ends with
+    them in ascending order, in one step."""
     import numpy as np
 
     V = len(mat)
     deg = np.bitwise_count(mat).sum(axis=1, dtype=np.int32)
     removed = np.iinfo(np.int32).max
+    tail = int(deg.max(initial=0)) + 1  # the most vertices a clique tail can hold
     order = []
-    for _ in range(V):
+    for left in range(V, 0, -1):
         v = int(deg.argmin())  # first minimum, so ties go to the lowest index
+        if left <= tail and deg[v] == left - 1:
+            order += np.flatnonzero(deg < V).tolist()  # a removed vertex sits far above V
+            break
         order.append(v)
         deg -= np.unpackbits(mat[v], count=V, bitorder="little")
         deg[v] = removed  # later decrements cannot bring it near a real degree
     return order
 
 
-def _unpacked(bits, rows):
-    """Yield (lo, block), block = rows[lo:lo + step] of the bit matrix `bits` unpacked
-    to V 0/1 bytes a row; step >= 64 keeps a block near max(_BLOCK_CELLS, 64 V) bytes."""
-    import numpy as np
-
-    V = len(bits)
-    step = max(64, _BLOCK_CELLS // max(1, V))
-    for lo in range(0, len(rows), step):
-        yield lo, np.unpackbits(bits[rows[lo : lo + step]], axis=1, count=V, bitorder="little")
-
-
 def _relabel(mat, order: List[int]):
     """The uint8 bit rows `mat` renamed so that vertex order[i] becomes i: bit j of
     row i of the result is bit order[j] of row order[i].  Returns the renamed
-    rows as a (V, ceil(V/64)) little-endian uint64 array."""
+    rows as a (V, ceil(V/64)) little-endian uint64 array.  The rows are unpacked
+    to V 0/1 bytes a block at a time; at least 64 rows a block keeps a block
+    near max(_BLOCK_CELLS, 64 V) bytes."""
     import numpy as np
 
     V = len(mat)
     perm = np.asarray(order, dtype=np.intp)
     out = np.zeros((V, 8 * max(1, -(-V // 64))), np.uint8)
-    for lo, rows in _unpacked(mat, perm):
+    step = max(64, _BLOCK_CELLS // max(1, V))
+    for lo in range(0, V, step):
+        rows = np.unpackbits(mat[perm[lo : lo + step]], axis=1, count=V, bitorder="little")
         packed = np.packbits(np.take(rows, perm, axis=1), axis=1, bitorder="little")
         out[lo : lo + len(packed), : packed.shape[1]] = packed
     return out.view("<u8")
@@ -404,27 +406,49 @@ def _greedy_clique(mat) -> int:
     Ties go to the highest index: the start among the maximum degrees, then
     each step among the best scores, score[u] = |N(u) & cand| (below -V off
     cand).  A vertex leaving cand takes its row off every score, so a run
-    unpacks each row at most once, a block at a time."""
+    unpacks each row at most once, a block of rows at a time as _relabel
+    does.
+
+    A candidate u is universal, adjacent to the rest of cand, exactly when
+    score[u] = |cand| - 1, the highest score possible, so the greedy takes
+    one whenever one exists.  That removes only itself from cand and takes
+    1 off every other score, so the other universal candidates stay
+    universal and are taken next, one after another.  The seed is a mask,
+    so one step takes them all at once: it drops them from cand and takes
+    their count off every score, with no row unpacked."""
     import numpy as np
 
     V = len(mat)
     if V == 0:
         return 0
     bits = mat.view(np.uint8)
+    step = max(64, _BLOCK_CELLS // V)
     v = V - 1 - int(np.bitwise_count(mat).sum(axis=1, dtype=np.int64)[::-1].argmax())
     clique = 1 << v
     blocks = pair_blocks(mat, mat[v : v + 1])
     score = np.concatenate([shared_bits(b)[:, 0] for _, b in blocks], dtype=np.int32)
-    score[np.unpackbits(bits[v], count=V, bitorder="little") == 0] = -V - 1
+    keep = np.unpackbits(bits[v], count=V, bitorder="little").view(bool)
+    score[~keep] = -V - 1
+    ncand = int(np.count_nonzero(keep))  # |cand|, kept exact
     while True:
         v = V - 1 - int(score[::-1].argmax())
         if score[v] < 0:
             return clique
+        if score[v] == ncand - 1:
+            universal = (score == ncand - 1).nonzero()[0]
+            for u in universal.tolist():
+                clique |= 1 << u
+            score -= len(universal)
+            score[universal] = -V - 1
+            ncand -= len(universal)
+            continue
         clique |= 1 << v
         keep = np.unpackbits(bits[v], count=V, bitorder="little").view(bool)
-        leaving = np.flatnonzero((score >= 0) & ~keep)
+        leaving = ((score >= 0) & ~keep).nonzero()[0]
         score[leaving] = -V - 1
-        for _, rows in _unpacked(bits, leaving):
+        ncand -= len(leaving)
+        for lo in range(0, len(leaving), step):
+            rows = np.unpackbits(bits[leaving[lo : lo + step]], axis=1, count=V, bitorder="little")
             score -= rows.sum(axis=0, dtype=np.int32)
 
 

@@ -834,6 +834,33 @@ def test_blocked_dt_fits_the_conjectured_closed_form(dt8):
     assert values == {key: conjectured(*key) for key in values}
 
 
+def spider_star_pair(n, t):
+    """The conjectured D_t witness for 1 <= t <= n-4: F = K_{1,t} at vertex 1,
+    and T_0 the spider with centre t+2 joined to 1..t+1 and t+3..n-1, plus
+    the edge (t+3, n).  T_0 shares no edge with F and is no star."""
+    c = t + 2
+    forest = Forest(n, [(1, v) for v in range(2, t + 2)])
+    tree = Tree(n, [(min(v, c), max(v, c)) for v in range(1, n) if v != c] + [(t + 3, n)])
+    return tree, forest
+
+
+def test_spider_star_pair_meets_the_closed_form_at_every_n():
+    """The upper half of the conjecture: D_t(n) <= (t+1)(n-3)(n-1)^(n-4-t),
+    by the witness's own count, with no enumeration."""
+    pairs = [(n, t) for n in range(6, 41) for t in range(1, n - 3)]
+    assert len(pairs) == 665
+    for n, t in pairs:
+        tree, forest = spider_star_pair(n, t)
+        assert count_avoiding(n, tree, forest) == (t + 1) * (n - 3) * (n - 1) ** (n - 4 - t)
+
+
+def test_spider_star_pair_is_the_argmin(dt8):
+    reports = {(n, t): blocked_Dt(n, t) for n in (5, 6, 7) for t in range(1, n - 3)}
+    reports.update({(8, t): dt8[t] for t in range(1, 5)})
+    for (n, t), rep in reports.items():
+        assert (rep.argmin_tree, rep.argmin_forest) == spider_star_pair(n, t)
+
+
 # -- local lemma ------------------------------------------------------------------
 
 

@@ -1003,6 +1003,32 @@ def random_rows(seed, V, p):
     return adj
 
 
+def clique_among_sparse(seed, V, k, p):
+    """A k-clique joined to every other vertex, the other V - k sparse at
+    density p, its vertices at random labels among them."""
+    rng = random.Random(seed)
+    labels = list(range(V))
+    rng.shuffle(labels)
+    core = sum(1 << v for v in labels[:k])
+    adj = [0] * V
+    for i, a in enumerate(labels):
+        adj[a] = ((1 << V) - 1) ^ (1 << a) if i < k else core
+    for i, a in enumerate(labels[k:]):
+        for b in labels[k + i + 1 :]:
+            if rng.random() < p:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+    return adj
+
+
+# the inputs where the set-up takes tied vertices in one step: a clique tail
+# of the degeneracy order, universal candidates of the greedy seed
+BATCH_CASES = {
+    "complete-70": [((1 << 70) - 1) ^ (1 << v) for v in range(70)],
+    "dense-200": random_rows(5, 200, 0.97),
+    "dense-300": random_rows(6, 300, 0.99),
+    "clique40-sparse": clique_among_sparse(7, 100, 40, 0.1),
+}
 SETUP_CASES = [
     [],
     [0],
@@ -1012,10 +1038,12 @@ SETUP_CASES = [
     random_rows(2, 70, 0.1),
     random_rows(3, 130, 0.5),
     random_rows(4, 300, 0.9),  # more rows than one relabel chunk
+    *BATCH_CASES.values(),
 ]
+SETUP_IDS = [f"V={len(adj)}" for adj in SETUP_CASES[:-len(BATCH_CASES)]] + list(BATCH_CASES)
 
 
-@pytest.mark.parametrize("adj", SETUP_CASES, ids=lambda adj: f"V={len(adj)}")
+@pytest.mark.parametrize("adj", SETUP_CASES, ids=SETUP_IDS)
 def test_search_setup_matches_oracles(adj):
     import numpy as np
 
@@ -1031,10 +1059,11 @@ def test_search_setup_matches_oracles(adj):
         assert rmat.shape == (len(adj), max(1, -(-len(adj) // 64)))
 
 
-def greedy_clique_oracle(adj):
+def greedy_clique_oracle(adj, universal=None):
     """The greedy seed bit by bit: start at the highest index among the
     maximum degrees, then each step take the first best score |adj[v] & cand|
-    scanning down from the top bit."""
+    scanning down from the top bit.  A list `universal` gets one entry a
+    step: whether the vertex taken was adjacent to the rest of cand."""
     V = len(adj)
     if V == 0:
         return 0
@@ -1050,6 +1079,8 @@ def greedy_clique_oracle(adj):
             sc = (adj[v] & cand).bit_count()
             if sc > best_sc:
                 best_sc, best_v = sc, v
+        if universal is not None:
+            universal.append(best_sc == cand.bit_count() - 1)
         clique |= 1 << best_v
         cand &= adj[best_v]
     return clique
@@ -1064,9 +1095,59 @@ def check_greedy_clique(adj):
     assert _greedy_clique(rmat) == greedy_clique_oracle(int_rows(rmat))
 
 
-@pytest.mark.parametrize("adj", SETUP_CASES, ids=lambda adj: f"V={len(adj)}")
+@pytest.mark.parametrize("adj", SETUP_CASES, ids=SETUP_IDS)
 def test_greedy_clique_matches_oracle(adj):
     check_greedy_clique(adj)
+
+
+def clique_tail_oracle(adj, order):
+    """The length of the longest suffix of `order` that is a clique."""
+    tail = 0
+    for v in reversed(order):
+        if any(not adj[v] >> w & 1 for w in order[len(order) - tail :]):
+            break
+        tail += 1
+    return tail
+
+
+@pytest.mark.parametrize("adj", SETUP_CASES, ids=SETUP_IDS)
+def test_search_setup_takes_tied_vertices_in_one_step(adj, monkeypatch):
+    """The work the set-up leaves out, counted in rows unpacked.  The
+    degeneracy order unpacks one row per vertex before its clique tail and
+    none after.  The seed unpacks one row per step that takes a single
+    vertex, plus the rows of the candidates that leave in such a step, and
+    none in a step that takes every universal candidate."""
+    import numpy as np
+
+    V = len(adj)
+    mat = packed(adj)
+    order = _degeneracy_order(mat)
+    rmat = _relabel(mat, order[::-1])
+    radj = int_rows(rmat)
+    universal = []
+    greedy_clique_oracle(radj, universal)
+    tail = clique_tail_oracle(adj, order)
+    if any(adj is rows for rows in BATCH_CASES.values()):
+        assert tail > 1 and sum(universal) > 1  # both batches fire here
+
+    unpacked = []  # rows per np.unpackbits call, None for a single row
+    unpackbits = np.unpackbits
+
+    def counting(a, *args, **kw):
+        unpacked.append(len(a) if a.ndim == 2 else None)
+        return unpackbits(a, *args, **kw)
+
+    monkeypatch.setattr(np, "unpackbits", counting)
+    _degeneracy_order(mat)
+    assert unpacked == [None] * (V - tail)
+    unpacked.clear()
+    _greedy_clique(rmat)
+    # the first cand, the start's row, is unpacked once; every candidate
+    # leaves cand once, in a universal batch or as an unpacked row
+    singles = unpacked.count(None)
+    assert singles == (1 + universal.count(False) if V else 0)
+    first_cand = max((r.bit_count() for r in radj), default=0)
+    assert sum(k for k in unpacked if k) == first_cand - sum(universal)
 
 
 @pytest.mark.parametrize("graph,t", [("K5", 1), ("K5", 2), ("K5", 3), ("K5", 4), ("K6", 2),
@@ -1134,7 +1215,7 @@ def color_sort_setup(adj):
     return nadj, [full ^ (r | b) for r, b in zip(radj, bit)], bit
 
 
-@pytest.mark.parametrize("adj", SETUP_CASES[3:], ids=lambda adj: f"V={len(adj)}")
+@pytest.mark.parametrize("adj", SETUP_CASES[3:], ids=SETUP_IDS[3:])
 def test_color_sort_lists_the_classes_above_kmin(adj):
     # the search colours rows relabelled in reversed order from the top bit
     # down; under the bit reversal v -> V-1-v that is exactly the lowest-bit
@@ -1154,7 +1235,7 @@ def test_color_sort_lists_the_classes_above_kmin(adj):
             assert [reverse_bits(r, V) for r in rec] == record_oracle(P, adj, kmin)
 
 
-@pytest.mark.parametrize("adj", SETUP_CASES[3:], ids=lambda adj: f"V={len(adj)}")
+@pytest.mark.parametrize("adj", SETUP_CASES[3:], ids=SETUP_IDS[3:])
 def test_color_sort_from_a_parent_record_is_the_colouring_from_scratch(adj):
     # P inside P0 coloured from P0's record gives the from-scratch order,
     # colours and record (each record entry is exact once ANDed with P)
