@@ -104,42 +104,69 @@ def _spanning_tree_masks(g: SimpleGraph) -> Iterator[int]:
     classes: the include branch (contract) comes first, then the exclude
     branch (delete), which is pruned when the edge is a bridge of the
     contracted graph.  Each edge carries its bit, so a finished walk is the
-    OR of its chosen edges.  Disconnected g yields nothing.  Raises
-    CapExceeded lazily once more than DEFAULT_GAMMA_CAP trees have been
-    produced.
+    OR of its chosen edges.  A class is named by a label on each of its
+    vertices, set when the edge is contracted and restored before the
+    exclude branch, so both the filter of the include branch and the
+    bridge check read it directly.  Each final contraction hands up its
+    trees as one list.  Disconnected g yields nothing.  Raises CapExceeded
+    lazily once more than DEFAULT_GAMMA_CAP trees have been produced.
     """
     if not g.is_connected():
         return
     n = g.n
+    if n == 1:
+        yield 0  # the one spanning tree of K_1 has no edges
+        return
     bit = {e: 1 << edge_bit(n, *e) for e in g.edges}
-    produced = 0
-    dsu = _DSU(n)  # every rec call leaves it as it found it
+    label = list(range(n + 1))  # label[v]: a vertex of v's class
+    vertices = range(1, n + 1)
+
+    def joined(edges, a, b):
+        """Whether the edges join the classes labelled a and b."""
+        nbr = [0] * (n + 1)
+        for u, v in edges:
+            x, y = label[u], label[v]
+            nbr[x] |= 1 << y
+            nbr[y] |= 1 << x
+        reach = todo = 1 << a
+        while todo:
+            x = todo.bit_length() - 1
+            todo ^= 1 << x
+            new = nbr[x] & ~reach
+            if new >> b & 1:
+                return True
+            reach |= new
+            todo |= new
+        return False
 
     def rec(avail, chosen, nclasses):
-        nonlocal produced
         # avail holds the edges between two classes and connects them all
         if nclasses == 2:
             # so each edge of avail joins the last two classes and finishes a
             # tree, in the order the include and exclude branches reach them
-            for e in avail:
-                produced += 1
-                _check_cap("gamma_cap", DEFAULT_GAMMA_CAP, produced, "spanning trees streamed")
-                yield chosen | bit[e]
+            yield [chosen | bit[e] for e in avail]
             return
         pick, rest = avail[0], avail[1:]
-        # include (contract)
-        r = dsu.union(*pick)
-        inc_avail = [e for e in rest if dsu.find(e[0]) != dsu.find(e[1])]
-        yield from rec(inc_avail, chosen | bit[pick], nclasses - 1)
-        dsu.undo(r)
-        # exclude (delete) -- only if the remaining edges still connect everything
-        if dsu.merges(rest) == nclasses - 1:
+        a, b = label[pick[0]], label[pick[1]]
+        # include (contract): b's class takes the label a
+        moved = [v for v in vertices if label[v] == b]
+        for v in moved:
+            label[v] = a
+        yield from rec([e for e in rest if label[e[0]] != label[e[1]]], chosen | bit[pick],
+                       nclasses - 1)
+        for v in moved:
+            label[v] = b
+        # exclude (delete) -- only if pick is no bridge, i.e. the remaining
+        # edges still join its two classes
+        if joined(rest, a, b):
             yield from rec(rest, chosen, nclasses)
 
-    if n == 1:
-        yield 0  # the one spanning tree of K_1 has no edges
-    else:
-        yield from rec(list(g.edges), 0, n)
+    produced = 0
+    for trees in rec(list(g.edges), 0, n):
+        for m in trees:
+            produced += 1
+            _check_cap("gamma_cap", DEFAULT_GAMMA_CAP, produced, "spanning trees streamed")
+            yield m
 
 
 def enumerate_spanning_trees(g: SimpleGraph) -> Iterator[Tree]:
@@ -476,7 +503,22 @@ def _color_sort(
     when gone lies inside rec0[k - 1]; the records are nested, so a binary
     search finds the deepest such k, capped at P's own whole blocks since
     its listed classes must be scanned.
+
+    A call that can list nothing stops early: every class takes a vertex,
+    so no colour passes _REC_STEP * done + |work| after `done` blocks, and
+    once that is at most kmin it returns ([], [], rec), a full scan's
+    order and colours with the record cut short (a search pushes no frame
+    for such a child, so nobody reads it).  The check runs at the start,
+    where the block loop ends, and inside it right after a reused prefix
+    or else at the first block past halfway, then at the first block the
+    slack could reach at the drop per block since the last check; never
+    at the last block but one, where four small classes cost about what
+    the check does.  The greedy classes mostly shrink, so the cut seldom
+    comes much later than a check at every block would make it.
     """
+    slack = P.bit_count() - kmin
+    if slack <= 0:
+        return [], [], []
     order: List[int] = []
     colors: List[int] = []
     rec: List[int] = []
@@ -494,34 +536,52 @@ def _color_sort(
                     hi = mid
             rec = rec0[:lo]
             work &= rec0[lo - 1]
-    # the whole blocks left, with their class scans written out: where the
-    # classes hold one to three vertices (Gamma_1(K_5), C12+3), a loop over
-    # a block's classes costs 5-13% more
     done = len(rec)
-    while work and done < top:
-        q = work
-        while q:
-            v = q.bit_length() - 1
-            work ^= bit[v]
-            q &= nadj[v]
-        q = work
-        while q:
-            v = q.bit_length() - 1
-            work ^= bit[v]
-            q &= nadj[v]
-        q = work
-        while q:
-            v = q.bit_length() - 1
-            work ^= bit[v]
-            q &= nadj[v]
-        q = work
-        while q:
-            v = q.bit_length() - 1
-            work ^= bit[v]
-            q &= nadj[v]
-        rec.append(work)
-        done += 1
+    # the block and slack of the last check, and the block the next one is due
+    seen, was = 0, slack
+    due = done or top // 2 + 1
+    if due >= top - 1:
+        due = top
+    while True:
+        # whole blocks up to the next check, with their class scans written
+        # out: where the classes hold one to three vertices (Gamma_1(K_5),
+        # C12+3), a loop over a block's classes costs 5-13% more
+        while work and done < due:
+            q = work
+            while q:
+                v = q.bit_length() - 1
+                work ^= bit[v]
+                q &= nadj[v]
+            q = work
+            while q:
+                v = q.bit_length() - 1
+                work ^= bit[v]
+                q &= nadj[v]
+            q = work
+            while q:
+                v = q.bit_length() - 1
+                work ^= bit[v]
+                q &= nadj[v]
+            q = work
+            while q:
+                v = q.bit_length() - 1
+                work ^= bit[v]
+                q &= nadj[v]
+            rec.append(work)
+            done += 1
+        if not work or done >= top:
+            break
+        slack = _REC_STEP * done + work.bit_count() - kmin
+        if slack <= 0:
+            return [], [], rec
+        fell = was - slack
+        due = done - (-slack * (done - seen) // fell) if fell > 0 else top
+        if due >= top - 1:
+            due = top
+        seen, was = done, slack
     color = _REC_STEP * done
+    if color + work.bit_count() <= kmin:
+        return [], [], rec
     while work:
         color += 1
         q = work
@@ -628,7 +688,8 @@ def _max_clique_bitset(
     # each frame is [size, rmask, local, order, colors, i, H, P0, rec] with i
     # scanning the coloured candidates from the highest bound downwards; P0
     # is the set it coloured, which local shrinks from, and rec that
-    # colouring's record, where its children's colourings start
+    # colouring's record, where its children's colourings start.  A child
+    # whose colouring lists nothing counts as a node but gets no frame
     first_order, first_colors, first_rec = _color_sort(full, nadj, best_size, bit)
     stack = [[0, 0, full, first_order, first_colors, len(first_order) - 1,
               group, full, first_rec]]
@@ -660,6 +721,10 @@ def _max_clique_bitset(
                 if p2:
                     order2, colors2, rec2 = _color_sort(p2, nadj, best_size - size - 1, bit,
                                                         frame[7], frame[8])
+                    if not order2:
+                        # a dead end, and since a non-empty p2 lists nothing
+                        # only at kmin >= 1, size + 1 cannot beat best_size
+                        continue
                     frame[5] = i
                     stack.append([size + 1, rmask | vbit, p2, order2, colors2,
                                   len(order2) - 1, stab, p2, rec2])

@@ -635,8 +635,16 @@ def _overlap_floors(mat):
     import numpy as np
 
     V = len(mat)
-    # summed as int32: numpy's default uint64 accumulator is 1.2-1.5x slower here
-    held = np.unpackbits(mat.view(np.uint8), axis=1, bitorder="little").sum(axis=0, dtype=np.int32)
+    # rows holding each bit: one bincount of (byte column, byte value) pairs,
+    # times the bits of each byte value, rather than a sum over V x 64W
+    # unpacked bits
+    cells = mat.view(np.uint8)
+    C = cells.shape[1]
+    counts = np.bincount((cells + np.arange(0, 256 * C, 256)).ravel(), minlength=256 * C)
+    byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+    # a float64 product is exact for these sums of at most V, and at 8 x 256
+    # x 8 it takes 4 us against 11 us for numpy's integer matmul
+    held = (counts.reshape(C, 256) @ byte_bits.astype(np.float64)).ravel().astype(np.int64)
     s = np.packbits(2 * held >= V, bitorder="little").view("<u8")
     hits = shared_bits((mat & s)[:, None])[:, 0]
     order = np.argsort(hits, kind="stable")  # radix-sorts one-word (uint8) counts

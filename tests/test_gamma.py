@@ -692,6 +692,35 @@ def test_search_tree_is_pinned(graph, t, search, budget, size, optimal, nodes, m
         assert res.family.member_mask == got
 
 
+def test_a_child_whose_colouring_lists_nothing_is_closed(monkeypatch):
+    """The search trusts its colouring bound: a child whose colouring lists
+    nothing is a node, but gets no frame and is never taken as the best.
+
+    A stand-in colouring lists every candidate at the bound |P| while kmin
+    >= 0 and nothing below.  The greedy seed is a triangle through the hub,
+    so in the K_5 beside it a frame of three vertices has two candidates:
+    the first child is closed (kmin = -1), and the second, left with no
+    candidate, is a leaf.  The search returns that leaf's 4-clique, not the
+    closed child's {0, 1, 2, 3}."""
+    import treefam.gamma as gamma
+
+    k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    hub = [(5, v) for v in range(6, 14)] + [(v, v + 1) for v in range(6, 14, 2)]
+    adj = [0] * 14
+    for u, v in k5 + hub:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    assert _max_clique_bitset(packed(adj), DEFAULT_NODE_BUDGET)[0] == 0b11111
+    assert greedy_clique_oracle(adj) & 0b11111 == 0  # the seed misses the K_5
+
+    def colouring(P, nadj, kmin, bit, P0=0, rec0=()):
+        listed = [v for v in range(P.bit_length()) if P >> v & 1] if kmin >= 0 else []
+        return listed, [P.bit_count()] * len(listed), []
+
+    monkeypatch.setattr(gamma, "_color_sort", colouring)
+    assert _max_clique_bitset(packed(adj), DEFAULT_NODE_BUDGET) == (0b10111, True, 23)
+
+
 # The public searches on complete hosts, which skip S_n-orbits of trees.
 # Gamma_2(K_6) searched to the end (144, optimal, 32,639 nodes) is pinned in
 # test_extremal.test_brute_force_62_is_certified.
@@ -1203,6 +1232,46 @@ def record_oracle(P, adj, kmin):
     return rec
 
 
+def cut_block_oracle(P, adj, kmin):
+    """Where a from-scratch colouring of P stops at kmin, from the oracle's
+    class counts: (whole blocks recorded, vertices coloured), or None when
+    it lists a class.
+
+    The slack after k blocks is _REC_STEP * k + |left| - kmin.  It is checked
+    at block 0, at the first block past halfway, then at the first block it
+    could reach at the drop per block since the last check, never at the
+    last block but one, and once more where the block loop ends; the cut is
+    the first check that finds it <= 0.  Past the block loop with slack
+    left, the tail is coloured."""
+    order, colors = color_sort_oracle(P, adj)
+    if max(colors, default=0) > kmin:
+        return None
+    left = [P.bit_count()]  # left[c]: vertices after the first c classes
+    for c in range(1, max(colors, default=0) + 1):
+        left.append(left[-1] - colors.count(c))
+    top = kmin // _REC_STEP
+
+    def left_after(k):  # vertices left after k whole blocks
+        return left[min(_REC_STEP * k, len(left) - 1)]
+
+    def slack(k):
+        return _REC_STEP * k + left_after(k) - kmin
+
+    if slack(0) <= 0:
+        return 0, 0
+    seen, due, k = 0, top // 2 + 1, 0
+    while True:
+        if due >= top - 1:
+            due = top
+        while k < due and left_after(k):
+            k += 1
+        if not left_after(k) or k >= top or slack(k) <= 0:
+            return k, left[0] - (left_after(k) if slack(k) <= 0 else 0)
+        fell = slack(seen) - slack(k)
+        due = k - (-slack(k) * (k - seen) // fell) if fell > 0 else top
+        seen = k
+
+
 def color_sort_setup(adj):
     """(nadj, rnadj, bit) for the search's colouring of adj relabelled in
     reversed order, checked against the bit reversal v -> V-1-v."""
@@ -1213,6 +1282,13 @@ def color_sort_setup(adj):
     bit = [1 << v for v in range(V)]
     full = (1 << V) - 1
     return nadj, [full ^ (r | b) for r, b in zip(radj, bit)], bit
+
+
+def check_record(rec, order, want):
+    """The whole record when the colouring lists a class; when it lists
+    none the colouring stopped early, and its record is a prefix of the
+    whole one, each entry exact."""
+    assert rec == want if order else rec == want[:len(rec)]
 
 
 @pytest.mark.parametrize("adj", SETUP_CASES[3:], ids=SETUP_IDS[3:])
@@ -1232,13 +1308,71 @@ def test_color_sort_lists_the_classes_above_kmin(adj):
             assert lowest_bit_color_sort(P, nadj, kmin) == want
             order, colors, rec = _color_sort(reverse_bits(P, V), rnadj, kmin, bit)
             assert ([V - 1 - v for v in order], colors) == want
-            assert [reverse_bits(r, V) for r in rec] == record_oracle(P, adj, kmin)
+            check_record([reverse_bits(r, V) for r in rec], order, record_oracle(P, adj, kmin))
+
+
+@pytest.mark.parametrize("adj", SETUP_CASES[3:], ids=SETUP_IDS[3:])
+def test_color_sort_stops_at_the_block_the_class_counts_give(adj):
+    # a colouring that can list nothing stops once the slack over kmin is
+    # gone, at every kmin from the number of colours up, and colours no
+    # vertex past that block: each vertex coloured reads its row once
+    class Counted(list):
+        def __getitem__(self, v):
+            self.reads += 1
+            return list.__getitem__(self, v)
+
+    V = len(adj)
+    _, rnadj, bit = color_sort_setup(adj)
+    rows = Counted(rnadj)
+    rng = random.Random(2000 + V)
+    fired = set()
+    for _ in range(20):
+        P = rng.getrandbits(V)
+        ncolors = max(color_sort_oracle(P, adj)[1], default=0)
+        for kmin in sorted({-1, 0, 4, ncolors - 1, ncolors, ncolors + 3, 4 * ncolors,
+                            P.bit_count(), P.bit_count() + 1}):
+            rows.reads = 0
+            order, _, rec = _color_sort(reverse_bits(P, V), rows, kmin, bit)
+            cut = cut_block_oracle(P, adj, kmin)
+            assert (order == []) == (cut is not None)
+            if cut is None:
+                assert rows.reads == P.bit_count()
+                continue
+            blocks, coloured = cut
+            assert [reverse_bits(r, V) for r in rec] == record_oracle(P, adj, kmin)[:blocks]
+            assert rows.reads == coloured
+            fired.add("start" if not coloured else "tail" if coloured == P.bit_count() else
+                      "mid" if blocks < kmin // _REC_STEP else "end")
+    # on a complete graph every class is one vertex, so the slack never
+    # falls and only the start cuts; under 2 * _REC_STEP vertices there is
+    # at most one whole block; elsewhere the loop's end cuts, and on the
+    # Gamma_1(K_5) rows and the dense cases a check inside the loop does
+    if all(r.bit_count() == V - 1 for r in adj):
+        assert fired == {"start"}
+    elif V >= 2 * _REC_STEP:
+        assert "end" in fired
+    if adj is SETUP_CASES[3] or adj is BATCH_CASES["dense-200"] or adj is BATCH_CASES["dense-300"]:
+        assert "mid" in fired
+
+
+def test_color_sort_at_most_kmin_candidates_scans_nothing():
+    # |P| <= kmin leaves no class above kmin: no row is read, no record kept
+    class Unread(list):
+        def __getitem__(self, i):
+            raise AssertionError("a row was read")
+
+    P = 0b1011011
+    for kmin in (P.bit_count(), P.bit_count() + 5):
+        for P0, rec0 in ((0, ()), (P | 1 << 9, [P, P, P])):
+            assert _color_sort(P, Unread(), kmin, Unread(), P0, rec0) == ([], [], [])
 
 
 @pytest.mark.parametrize("adj", SETUP_CASES[3:], ids=SETUP_IDS[3:])
 def test_color_sort_from_a_parent_record_is_the_colouring_from_scratch(adj):
-    # P inside P0 coloured from P0's record gives the from-scratch order,
-    # colours and record (each record entry is exact once ANDed with P)
+    # P inside P0 coloured from P0's whole record gives the from-scratch
+    # order, colours and record (each record entry is exact once ANDed with
+    # P); a search reads only the record of a colouring that lists a class,
+    # which is whole
     V = len(adj)
     nadj, rnadj, bit = color_sort_setup(adj)
     rng = random.Random(1000 + V)
@@ -1262,13 +1396,14 @@ def test_color_sort_from_a_parent_record_is_the_colouring_from_scratch(adj):
                 rng.getrandbits(V) & rP0,
             ]
             for kmin0 in (kmin, ncolors):
-                _, _, rec0 = _color_sort(rP0, rnadj, kmin0, bit)
+                rec0 = [reverse_bits(r, V) for r in record_oracle(P0, adj, kmin0)]
                 for gone in cases:
                     P = rP0 & ~gone
                     want = _color_sort(P, rnadj, kmin, bit)
                     order, colors, rec = _color_sort(P, rnadj, kmin, bit, rP0, rec0)
                     assert (order, colors) == want[:2]
-                    assert [r & P for r in rec] == want[2]
+                    whole = record_oracle(reverse_bits(P, V), adj, kmin)
+                    check_record([reverse_bits(r & P, V) for r in rec], order, whole)
                     oracle = lowest_bit_color_sort(reverse_bits(P, V), nadj, kmin)
                     assert ([V - 1 - v for v in order], colors) == oracle
                     shared += bool(rec0) and bool(rec) and rec[0] is rec0[0]
