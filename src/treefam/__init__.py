@@ -44,7 +44,6 @@ from .gamma import (
     DisjointnessGraph,
     PackingResult,
     SearchResult,
-    SimpleGraph,
     TreeFamily,
     build_gamma,
     enumerate_spanning_trees,
@@ -59,6 +58,7 @@ from .trees import (
     CapExceeded,
     Edge,
     Forest,
+    SimpleGraph,
     Tree,
     cayley_count,
     components,

@@ -24,6 +24,7 @@ from .trees import (
     Tree,
     _DSU,
     _as_ints,
+    _forest_on,
     _normalize_edges,
     cayley_count,
     edge_hits,
@@ -33,11 +34,7 @@ from .trees import (
 def _edges(n: int, f) -> Tuple[Edge, ...]:
     """The canonical edge tuple of a Forest on n vertices or of a validated
     edge iterable; every count here reads its edges through this."""
-    if not isinstance(f, Forest):
-        return _normalize_edges(n, f)
-    if f.n != n:
-        raise ValueError(f"the forest lives on n={f.n}, not n={n}")
-    return f.edges
+    return _forest_on(n, f).edges if isinstance(f, Forest) else _normalize_edges(n, f)
 
 
 def count_trees_containing(n: int, f) -> int:
@@ -120,7 +117,8 @@ def _containing_avoiding(n: int, s, forced) -> int:
     edges of K_n outside s: positive semidefinite, and singular when every
     tree meets s.  For an acyclic s only the last pivot can then be 0, as
     _det_spd needs: two classes with every outward edge in s would close a
-    cycle.
+    cycle.  With no `forced` and s the edges of K_n outside a connected g,
+    it is L_g + J, positive definite (gamma._spanning_tree_count).
     """
     det, blocks = _contract(n, s, forced)
     for diag, lap in blocks:

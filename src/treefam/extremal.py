@@ -39,6 +39,7 @@ from .trees import (
     _DSU,
     _as_ints,
     _check_cap,
+    _forest_on,
     _pair_edges,
     _tree,
     all_edges,
@@ -61,9 +62,7 @@ COMPONENT_SHAPES = ("path", "star", "caterpillar")
 
 def trivial_family_size(n: int, f: Forest) -> int:
     """|T_n[F]| for a t-edge forest F: the trivially t-intersecting family."""
-    if not isinstance(f, Forest):
-        f = Forest(n, f)  # raises on cycles: non-forests rejected
-    return count_trees_containing(n, f)
+    return count_trees_containing(n, _forest_on(n, f))  # a cycle raises
 
 
 def stars_plus_edge_size(n: int) -> int:
@@ -376,9 +375,7 @@ def count_avoiding(n: int, t0: Forest, f: Forest, method: str = "ie") -> int:
     agree; tests hold them to that.
     """
     (n,) = _as_ints("n", n, low=(2,))
-    t0, f = (x if isinstance(x, Forest) else Forest(n, x) for x in (t0, f))
-    if t0.n != n or f.n != n:
-        raise ValueError("t0 and f must live on the same n")
+    t0, f = _forest_on(n, t0), _forest_on(n, f)
     base = f.edges
     avoid = tuple(sorted(set(t0.edges) - set(base)))
     if method == "ie":
@@ -495,9 +492,8 @@ def blocked_Dt(n: int, t: int) -> BlockedReport:
     pairs = 0
     for bits in orbits:
         f = Forest(n, [edges[b] for b in bits])
-        classes = f.components() + [(x,) for x in f.isolated_vertices()]
         # a class's cut is the XOR of its stars; one class is left out
-        cuts = np.array([np.bitwise_xor.reduce(stars[np.array(c) - 1]) for c in classes[1:]])
+        cuts = np.array([np.bitwise_xor.reduce(stars[np.array(c) - 1]) for c in f.classes()[1:]])
         masks, k = (cuts[:, None] & cuts)[:, :, None], len(cuts)
         sign = 2 * np.eye(k, dtype=np.int64)[:, :, None] - 1
         fmask = np.uint64(sum(1 << b for b in bits))
@@ -644,8 +640,7 @@ def lemma_notstar_check(n: int, t0: Forest) -> NotstarReport:
     the enumeration path when n is within the cap).
     """
     (n,) = _as_ints("n", n, low=(5,))
-    if not isinstance(t0, Forest):
-        t0 = Forest(n, t0)
+    t0 = _forest_on(n, t0)
     if is_d_star_like(t0, 6):
         deg = t0.degrees()
         witness = max(t0.edges, key=lambda e: deg[e[0]] + deg[e[1]] - 2)

@@ -16,20 +16,20 @@ import os
 import struct
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
+from .counting import _containing_avoiding
 from .trees import (
     CapExceeded,
     Edge,
+    SimpleGraph,
     Tree,
     _BLOCK_CELLS,
     _DSU,
     _as_ints,
     _check_cap,
-    _normalize_edges,
     _tree,
     all_edges,
-    cayley_count,
     edge_bit,
     mask_matrix,
     mask_to_edges,
@@ -49,54 +49,22 @@ _DUMP_MAGIC = b"GAMADJ01"
 _REC_STEP = 4
 
 
-class SimpleGraph:
-    """A simple graph on {1..n}: canonical sorted edge list, no loops/duplicates."""
-
-    __slots__ = ("n", "edges")
-
-    def __init__(self, n: int, edges: Iterable = ()):
-        (n,) = _as_ints("n", n, low=(1,))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", _normalize_edges(n, edges))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SimpleGraph is immutable")
-
-    def __repr__(self):
-        return f"SimpleGraph(n={self.n}, m={len(self.edges)})"
-
-    @classmethod
-    def complete(cls, n: int) -> "SimpleGraph":
-        (n,) = _as_ints("n", n, low=(1,))
-        return cls(n, all_edges(n))
-
-    @classmethod
-    def cycle(cls, n: int) -> "SimpleGraph":
-        (n,) = _as_ints("n", n, low=(3,))
-        return cls(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
-
-    @classmethod
-    def path(cls, n: int) -> "SimpleGraph":
-        (n,) = _as_ints("n", n, low=(1,))
-        return cls(n, [(i, i + 1) for i in range(1, n)])
-
-    @classmethod
-    def from_edge_list_text(cls, text: str, n: Optional[int] = None) -> "SimpleGraph":
-        from .trees import parse_edge_list
-
-        es = parse_edge_list(text)
-        if n is None:
-            n = max((v for _, v in es), default=1)
-        return cls(n, es)
-
-    def is_complete(self) -> bool:
-        return len(self.edges) == self.n * (self.n - 1) // 2
-
-    def is_connected(self) -> bool:
-        return _DSU(self.n).merges(self.edges) == self.n - 1
+def _spanning_tree_count(g: SimpleGraph) -> int:
+    """The number of spanning trees of g: 0 if g is disconnected, else by the
+    matrix-tree theorem N_0 over the edges of K_n outside g, det(L_g + J) / n^2."""
+    if not g.is_connected():
+        return 0
+    return _containing_avoiding(g.n, tuple(sorted(set(all_edges(g.n)) - set(g.edges))), ())
 
 
-def _spanning_tree_masks(g: SimpleGraph) -> Iterator[int]:
+def _check_gamma_cap(g: SimpleGraph) -> None:
+    """Refuse a host with more than DEFAULT_GAMMA_CAP spanning trees, before any is built."""
+    host = f"K_{g.n}" if g.is_complete() else repr(g)
+    _check_cap("gamma_cap", DEFAULT_GAMMA_CAP, _spanning_tree_count(g),
+               f"vertices in Gamma over {host}")
+
+
+def _spanning_tree_masks(g: SimpleGraph) -> List[int]:
     """The edge bitmask of every spanning tree of g, each exactly once,
     deterministic order.
 
@@ -107,19 +75,18 @@ def _spanning_tree_masks(g: SimpleGraph) -> Iterator[int]:
     OR of its chosen edges.  A class is named by a label on each of its
     vertices, set when the edge is contracted and restored before the
     exclude branch, so both the filter of the include branch and the
-    bridge check read it directly.  Each final contraction hands up its
-    trees as one list.  Disconnected g yields nothing.  Raises CapExceeded
-    lazily once more than DEFAULT_GAMMA_CAP trees have been produced.
+    bridge check read it directly.  Each final contraction extends the one
+    list of trees.  Disconnected g has none.  No cap is checked here: the
+    callers check the trees' count first.
     """
     if not g.is_connected():
-        return
+        return []
     n = g.n
     if n == 1:
-        yield 0  # the one spanning tree of K_1 has no edges
-        return
+        return [0]  # the one spanning tree of K_1 has no edges
     bit = {e: 1 << edge_bit(n, *e) for e in g.edges}
     label = list(range(n + 1))  # label[v]: a vertex of v's class
-    vertices = range(1, n + 1)
+    out: List[int] = []
 
     def joined(edges, a, b):
         """Whether the edges join the classes labelled a and b."""
@@ -144,35 +111,31 @@ def _spanning_tree_masks(g: SimpleGraph) -> Iterator[int]:
         if nclasses == 2:
             # so each edge of avail joins the last two classes and finishes a
             # tree, in the order the include and exclude branches reach them
-            yield [chosen | bit[e] for e in avail]
+            out.extend([chosen | bit[e] for e in avail])
             return
         pick, rest = avail[0], avail[1:]
         a, b = label[pick[0]], label[pick[1]]
         # include (contract): b's class takes the label a
-        moved = [v for v in vertices if label[v] == b]
+        moved = [v for v in range(1, n + 1) if label[v] == b]
         for v in moved:
             label[v] = a
-        yield from rec([e for e in rest if label[e[0]] != label[e[1]]], chosen | bit[pick],
-                       nclasses - 1)
+        rec([e for e in rest if label[e[0]] != label[e[1]]], chosen | bit[pick], nclasses - 1)
         for v in moved:
             label[v] = b
         # exclude (delete) -- only if pick is no bridge, i.e. the remaining
         # edges still join its two classes
         if joined(rest, a, b):
-            yield from rec(rest, chosen, nclasses)
+            rec(rest, chosen, nclasses)
 
-    produced = 0
-    for trees in rec(list(g.edges), 0, n):
-        for m in trees:
-            produced += 1
-            _check_cap("gamma_cap", DEFAULT_GAMMA_CAP, produced, "spanning trees streamed")
-            yield m
+    rec(list(g.edges), 0, n)
+    return out
 
 
 def enumerate_spanning_trees(g: SimpleGraph) -> Iterator[Tree]:
-    """All spanning trees of g as Trees, in the order of _spanning_tree_masks."""
-    for m in _spanning_tree_masks(g):
-        yield _tree(g.n, mask_to_edges(g.n, m))
+    """All spanning trees of g as Trees, in the order of _spanning_tree_masks.
+    Refuses more than DEFAULT_GAMMA_CAP of them at the call, before any tree."""
+    _check_gamma_cap(g)
+    return (_tree(g.n, mask_to_edges(g.n, m)) for m in _spanning_tree_masks(g))
 
 
 # -- disjointness graph -------------------------------------------------------
@@ -303,12 +266,8 @@ def build_gamma(g: SimpleGraph, t: int) -> DisjointnessGraph:
     (t,) = _as_ints("t", t, low=(1,))
     if t > g.n - 1:
         raise ValueError(f"t={t} out of range 1..{g.n - 1}")
-    if g.is_complete():
-        _check_cap("gamma_cap", DEFAULT_GAMMA_CAP, cayley_count(g.n),
-                   f"vertices in Gamma over K_{g.n}")
-        masks = tree_masks(g.n)
-    else:
-        masks = list(_spanning_tree_masks(g))
+    _check_gamma_cap(g)
+    masks = tree_masks(g.n) if g.is_complete() else _spanning_tree_masks(g)
     return DisjointnessGraph(g, t, masks)
 
 
@@ -908,13 +867,7 @@ def packing_number(g: SimpleGraph) -> PackingResult:
         raise ValueError(f"packing needs n >= 2 vertices, got n={g.n}")
     _check_cap("packing_cap", 10, g.n, "vertices for partition enumeration")
     if not g.is_connected():
-        dsu = _DSU(g.n)
-        for u, v in g.edges:
-            dsu.union(u, v)
-        blocks: dict = {}
-        for x in range(1, g.n + 1):
-            blocks.setdefault(dsu.find(x), []).append(x)
-        return PackingResult(0, [], [tuple(b) for b in blocks.values()], 0)
+        return PackingResult(0, [], g.classes(), 0)
     bound, partition, cross = _partition_minimum(g)
     witness = _find_edge_disjoint_trees(g, bound)
     if witness is None:

@@ -4,8 +4,10 @@ Everything downstream (counting, spread checks, disjointness graphs) builds
 on the representations here:
 
   * an edge is an ordered pair (u, v) with 1 <= u < v <= n;
-  * a Forest stores a strictly sorted tuple of edges and is validated acyclic,
-    so equal forests have equal (hashable) representations;
+  * a SimpleGraph stores a strictly sorted tuple of edges (the host of
+    Gamma_t is one);
+  * a Forest is a SimpleGraph validated acyclic, so equal forests have equal
+    (hashable) representations;
   * a Tree is a Forest with exactly n - 1 edges (hence connected);
   * the Prufer bijection (smallest-labelled-leaf deletion convention) gives a
     total order on the n^(n-2) spanning trees of K_n: the "tree index" of a
@@ -137,40 +139,56 @@ class _DSU:
         return len(done)
 
 
-class Forest:
-    """An acyclic edge set on {1, ..., n}, stored in canonical sorted form."""
+class SimpleGraph:
+    """A simple graph on {1, ..., n}: a canonical sorted edge tuple, with no
+    loops or repeated edges.  The one edge-set type: a Forest is a simple
+    graph with no cycle, and a Tree a forest with n - 1 edges."""
 
     __slots__ = ("n", "edges")
     _least_n = 1
 
     def __init__(self, n: int, edges: Iterable = ()):
         (n,) = _as_ints("n", n, low=(self._least_n,))
-        es = _normalize_edges(n, edges)
-        dsu = _DSU(n)
-        for u, v in es:
-            if not dsu.union(u, v):
-                raise ValueError(f"edge set contains a cycle through ({u},{v})")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", es)
+        object.__setattr__(self, "edges", _normalize_edges(n, edges))
 
     def __setattr__(self, name, value):
-        raise AttributeError("Forest is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Forest)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
-
-    def __len__(self):
-        return len(self.edges)
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __repr__(self):
-        return f"{type(self).__name__}(n={self.n}, edges={list(self.edges)})"
+        return f"SimpleGraph(n={self.n}, m={len(self.edges)})"
+
+    @classmethod
+    def complete(cls, n: int) -> "SimpleGraph":
+        (n,) = _as_ints("n", n, low=(1,))
+        return cls(n, all_edges(n))
+
+    @classmethod
+    def cycle(cls, n: int) -> "SimpleGraph":
+        (n,) = _as_ints("n", n, low=(3,))
+        return cls(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
+
+    @classmethod
+    def path(cls, n: int) -> "SimpleGraph":
+        (n,) = _as_ints("n", n, low=(1,))
+        return cls(n, [(i, i + 1) for i in range(1, n)])
+
+    def is_complete(self) -> bool:
+        return len(self.edges) == self.n * (self.n - 1) // 2
+
+    def is_connected(self) -> bool:
+        return _DSU(self.n).merges(self.edges) == self.n - 1
+
+    def classes(self) -> list:
+        """The vertex classes (connected components), isolated vertices
+        included, as sorted tuples in order of their smallest member."""
+        dsu = _DSU(self.n)
+        for u, v in self.edges:
+            dsu.union(u, v)
+        groups: dict = {}
+        for x in range(1, self.n + 1):
+            groups.setdefault(dsu.find(x), []).append(x)
+        return [tuple(g) for g in groups.values()]
 
     def edge_set(self) -> frozenset:
         return frozenset(self.edges)
@@ -183,34 +201,6 @@ class Forest:
             deg[v] += 1
         return deg
 
-    def components(self) -> list:
-        """Non-trivial connected components as sorted vertex tuples.
-
-        Isolated vertices are not included; see isolated_vertices().
-        Component order: by smallest member vertex.
-        """
-        dsu = _DSU(self.n)
-        touched = set()
-        for u, v in self.edges:
-            dsu.union(u, v)
-            touched.add(u)
-            touched.add(v)
-        groups = {}
-        for x in sorted(touched):
-            groups.setdefault(dsu.find(x), []).append(x)
-        return [tuple(g) for g in sorted(groups.values())]
-
-    def component_sizes(self) -> Tuple[int, ...]:
-        """Sizes q_1, ..., q_m of the non-trivial components (each >= 2)."""
-        return tuple(len(c) for c in self.components())
-
-    def isolated_vertices(self) -> Tuple[int, ...]:
-        touched = set()
-        for u, v in self.edges:
-            touched.add(u)
-            touched.add(v)
-        return tuple(x for x in range(1, self.n + 1) if x not in touched)
-
     # -- serialization ------------------------------------------------------
 
     def to_edge_list_text(self) -> str:
@@ -220,18 +210,51 @@ class Forest:
         return json.dumps([[u, v] for u, v in self.edges])
 
     @classmethod
-    def from_edge_list_text(cls, text: str, n: Optional[int] = None) -> "Forest":
+    def from_edge_list_text(cls, text: str, n: Optional[int] = None):
         es = parse_edge_list(text)
-        if n is None:
-            n = max((v for _, v in es), default=1)
-        return cls(n, es)
+        return cls(max((v for _, v in es), default=1) if n is None else n, es)
 
     @classmethod
-    def from_json_array(cls, text: str, n: Optional[int] = None) -> "Forest":
+    def from_json_array(cls, text: str, n: Optional[int] = None):
         es = _pair_edges(json.loads(text))
-        if n is None:
-            n = max((v for _, v in es), default=1)
-        return cls(n, es)
+        return cls(max((v for _, v in es), default=1) if n is None else n, es)
+
+
+class Forest(SimpleGraph):
+    """An acyclic edge set on {1, ..., n}, stored in canonical sorted form."""
+
+    __slots__ = ()
+
+    def __init__(self, n: int, edges: Iterable = ()):
+        super().__init__(n, edges)
+        dsu = _DSU(self.n)
+        for u, v in self.edges:
+            if not dsu.union(u, v):
+                raise ValueError(f"edge set contains a cycle through ({u},{v})")
+
+    def __eq__(self, other):
+        return isinstance(other, Forest) and (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
+
+    def __len__(self):
+        return len(self.edges)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n}, edges={list(self.edges)})"
+
+    def components(self) -> list:
+        """Non-trivial connected components as sorted vertex tuples, by
+        smallest member; isolated_vertices() holds the rest of classes()."""
+        return [c for c in self.classes() if len(c) > 1]
+
+    def component_sizes(self) -> Tuple[int, ...]:
+        """Sizes q_1, ..., q_m of the non-trivial components (each >= 2)."""
+        return tuple(len(c) for c in self.components())
+
+    def isolated_vertices(self) -> Tuple[int, ...]:
+        return tuple(c[0] for c in self.classes() if len(c) == 1)
 
 
 class Tree(Forest):
@@ -243,6 +266,16 @@ class Tree(Forest):
         super().__init__(n, edges)
         if len(self.edges) != self.n - 1:
             raise ValueError(f"not a spanning tree: {len(self)} edges on {self.n} vertices")
+
+
+def _forest_on(n: int, f) -> Forest:
+    """f, a Forest on n or an edge iterable, as a Forest on n: a Forest on
+    another n is a ValueError, and so is an edge iterable with a cycle."""
+    if not isinstance(f, Forest):
+        return Forest(n, f)
+    if f.n != n:
+        raise ValueError(f"the forest lives on n={f.n}, not n={n}")
+    return f
 
 
 def _tree(n: int, edges: Iterable[Edge]) -> Tree:

@@ -957,6 +957,17 @@ def test_notstar_rejects_6_star_like():
         lemma_notstar_check(7, path7)
 
 
+def test_notstar_rejects_a_forest_on_another_n():
+    # judged on the forest's own n = 5, this path read as 6-star-like
+    with pytest.raises(ValueError, match=r"^the forest lives on n=5, not n=10$"):
+        lemma_notstar_check(10, Forest(5, [(1, 2), (2, 3)]))
+    for call in (lambda: count_avoiding(10, Forest(5), Forest(10)),
+                 lambda: count_avoiding(10, Forest(10), Forest(5)),
+                 lambda: trivial_family_size(10, Forest(5, [(1, 2)]))):
+        with pytest.raises(ValueError, match=r"^the forest lives on n=5, not n=10$"):
+            call()
+
+
 def test_notstar_n8_exhaustive_sweep():
     """Every non-6-star-like forest with <= 4 edges passes at n = 8."""
     n = 8

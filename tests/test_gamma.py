@@ -32,6 +32,7 @@ from treefam.gamma import (
     _orbit_and_stabiliser,
     _relabel,
     _rows,
+    _spanning_tree_count,
     _spanning_tree_masks,
     build_gamma,
     enumerate_spanning_trees,
@@ -125,15 +126,44 @@ def test_spanning_tree_masks_follow_the_walk_oracle(g):
         assert len(want) == len(set(want)) and set(want) == brute
 
 
+@pytest.mark.parametrize("g", WALK_HOSTS, ids=lambda g: f"n{g.n}m{len(g.edges)}")
+def test_spanning_tree_count_matches_the_walk(g):
+    assert _spanning_tree_count(g) == len(_spanning_tree_masks(g))
+
+
+def test_spanning_tree_count_of_a_disconnected_host():
+    assert _spanning_tree_count(SimpleGraph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6)])) == 0
+    assert _spanning_tree_count(SimpleGraph(3)) == 0
+
+
+# more than 20,000 trees each: K_8 less an edge has 196,608, and every other
+# edge of K_12 (33 of them) 13,886,208
+BIG_HOSTS = [SimpleGraph(8, all_edges(8)[1:]), SimpleGraph(12, all_edges(12)[::2])]
+
+
+@pytest.mark.parametrize("g", BIG_HOSTS, ids=lambda g: f"n{g.n}m{len(g.edges)}")
+def test_gamma_cap_refuses_before_the_walk(g, monkeypatch):
+    import treefam.gamma
+
+    def unwalked(host):
+        raise AssertionError(f"the walk ran on {host!r} past the cap")
+
+    count = _spanning_tree_count(g)
+    assert count > 20000
+    monkeypatch.setattr(treefam.gamma, "_spanning_tree_masks", unwalked)
+    for call in (lambda: build_gamma(g, 1), lambda: enumerate_spanning_trees(g)):
+        with pytest.raises(CapExceeded) as ei:
+            call()
+        assert (ei.value.cap_name, ei.value.cap_value) == ("gamma_cap", 20000)
+        assert f"{count} vertices" in str(ei.value)
+
+
 def test_enumerate_spanning_trees_cap():
-    # the stream yields exactly the fixed 20,000 trees of K_8, then refuses
-    stream = enumerate_spanning_trees(SimpleGraph.complete(8))
-    got = 0
+    # K_8's 262,144 trees are refused at the call, before the first tree
     with pytest.raises(CapExceeded) as ei:
-        for _ in stream:
-            got += 1
-    assert got == 20000
+        enumerate_spanning_trees(SimpleGraph.complete(8))
     assert (ei.value.cap_name, ei.value.cap_value) == ("gamma_cap", 20000)
+    assert "262144" in str(ei.value)
     with pytest.raises(TypeError):
         enumerate_spanning_trees(SimpleGraph.complete(4), cap=10)
 

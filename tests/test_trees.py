@@ -10,6 +10,7 @@ from forest_oracle import forests
 
 import treefam
 import treefam.cli
+from treefam import trees
 from treefam.extremal import FamilySpec, blocked_Dt, brute_force_max_t_intersecting
 from treefam.gamma import SimpleGraph, build_gamma, enumerate_spanning_trees, packing_number
 from treefam.trees import (
@@ -100,6 +101,54 @@ def test_components_examples():
     assert components(f) == [(1, 2, 3), (4, 5)]
     assert f.component_sizes() == (3, 2)
     assert f.isolated_vertices() == (6,)
+
+
+def test_one_edge_set_type():
+    # the Gamma host, the forests and the trees share one class
+    assert SimpleGraph is trees.SimpleGraph is treefam.SimpleGraph
+    assert issubclass(Forest, SimpleGraph) and issubclass(Tree, Forest)
+    assert repr(SimpleGraph(4, [(1, 2)])) == "SimpleGraph(n=4, m=1)"
+    assert repr(Forest(4, [(1, 2)])) == "Forest(n=4, edges=[(1, 2)])"
+    with pytest.raises(AttributeError, match="SimpleGraph is immutable"):
+        SimpleGraph(3).n = 4
+
+
+def _flood_classes(g):
+    """The vertex classes of g by a flood from each unseen vertex."""
+    nbr = {v: set() for v in range(1, g.n + 1)}
+    for u, v in g.edges:
+        nbr[u].add(v)
+        nbr[v].add(u)
+    seen, out = set(), []
+    for s in range(1, g.n + 1):
+        if s in seen:
+            continue
+        todo, cls = [s], {s}
+        while todo:
+            for w in nbr[todo.pop()] - cls:
+                cls.add(w)
+                todo.append(w)
+        seen |= cls
+        out.append(tuple(sorted(cls)))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_classes_match_a_flood(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        # sparse hosts keep isolated vertices and several classes
+        g = SimpleGraph(n, [e for e in all_edges(n) if rng.random() < 1.5 / n])
+        want = _flood_classes(g)
+        assert g.classes() == want
+        # a spanning forest of g has g's classes, split by size
+        dsu = _DSU(n)
+        f = Forest(n, [e for e in g.edges if dsu.union(*e)])
+        assert f.classes() == want
+        assert f.components() == [c for c in want if len(c) > 1]
+        assert f.isolated_vertices() == tuple(c[0] for c in want if len(c) == 1)
+    if n >= 2:
+        assert sample_uniform_tree(n, n).classes() == [tuple(range(1, n + 1))]
 
 
 # -- Prufer bijection --------------------------------------------------------
