@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from .counting import _containing_avoiding, _det_spd_batch, count_at_least, count_trees_containing
@@ -434,30 +435,37 @@ class BlockedReport:
         }
 
 
-def _forest_orbits(n: int, t: int) -> List[Tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _forest_orbits(n: int, t: int) -> Tuple[Tuple[int, ...], ...]:
     """The lexicographically first t-edge forest of each S_n-orbit, as
     ascending edge-bit tuples, in lexicographic order.  Canonical
     augmentation: such a forest less its last edge is the first of its own
-    orbit, so each level grows the one below by a later edge and keeps the
-    acyclic results first in their orbit (the OR of their _edge_image_bits
-    rows), where G comes before F if the lowest bit of F ^ G is in G."""
+    orbit, so level t grows level t - 1 (memoised, so each level is walked
+    once per process) by a later edge that joins two of its classes, and
+    keeps the results first in their orbit (the OR of their _edge_image_bits
+    rows, a block of candidates at a time), where G comes before F if the
+    lowest bit of F ^ G is in G."""
     import numpy as np
 
+    if t == 0:
+        return ((),)
     images = _edge_image_bits(n)
     edges = all_edges(n)
-    level = [((), np.zeros(images.shape[1], dtype=np.uint64))]
-    for _ in range(t):
-        grown = []
-        for bits, orbit in level:
-            lo = bits[-1] + 1 if bits else 0
-            cand = images[lo:] | orbit  # row j: the orbit of bits + (lo + j,)
+    step = max(1, _BLOCK_CELLS // images.shape[1])
+    grown = []
+    for bits in _forest_orbits(n, t - 1):
+        dsu = _DSU(n)
+        for b in bits:
+            dsu.union(*edges[b])
+        lo = bits[-1] + 1 if bits else 0
+        free = [b for b in range(lo, len(edges)) if dsu.find(edges[b][0]) != dsu.find(edges[b][1])]
+        orbit = np.bitwise_or.reduce(images[list(bits)], axis=0)
+        for i in range(0, len(free), step):
+            rows = free[i : i + step]
+            cand = images[rows] | orbit  # row j: the orbit of bits + (rows[j],)
             diff = cand ^ cand[:, :1]  # column 0 is the identity
-            for j in np.flatnonzero(~(diff & (0 - diff) & cand).any(axis=1)).tolist():
-                f = bits + (lo + j,)
-                if _DSU(n).merges([edges[b] for b in f]) == len(f):
-                    grown.append((f, cand[j].copy()))
-        level = grown
-    return [f for f, _ in level]
+            grown += [bits + (rows[j],) for j in np.flatnonzero(~(diff & (0 - diff) & cand).any(axis=1))]
+    return tuple(grown)
 
 
 def blocked_Dt(n: int, t: int) -> BlockedReport:
@@ -497,15 +505,18 @@ def blocked_Dt(n: int, t: int) -> BlockedReport:
         masks, k = (cuts[:, None] & cuts)[:, :, None], len(cuts)
         sign = 2 * np.eye(k, dtype=np.int64)[:, :, None] - 1
         fmask = np.uint64(sum(1 << b for b in bits))
-        idxs = np.flatnonzero(not_star & (np.bitwise_count(arr & fmask) < t))
-        pairs += len(idxs)
-        for lo in range(0, len(idxs), _BLOCK_CELLS // (k * k)):
-            sel = idxs[lo : lo + _BLOCK_CELLS // (k * k)]
-            lap = sign * np.bitwise_count(masks & ~arr[sel])  # (k, k, B)
+        step = _BLOCK_CELLS // (k * k)
+        for lo in range(0, len(arr), step):
+            block = arr[lo : lo + step]
+            sel = np.flatnonzero(not_star[lo : lo + step] & (np.bitwise_count(block & fmask) < t))
+            if len(sel) == 0:
+                continue
+            pairs += len(sel)
+            lap = sign * np.bitwise_count(masks & ~block[sel])  # (k, k, B)
             counts = _det_spd_batch(lap.transpose(2, 0, 1))
             j = int(np.argmin(counts))
             if best is None or counts[j] < best[0]:
-                best = (int(counts[j]), f, int(sel[j]))
+                best = (int(counts[j]), f, lo + int(sel[j]))
     if best is None:
         raise ValueError(f"no admissible (F, T_0) pair at n={n}, t={t}")
     value, f, idx = best

@@ -155,6 +155,9 @@ class SimpleGraph:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):  # pickle and deepcopy rebuild through __init__
+        return (type(self), (self.n, self.edges))
+
     def __repr__(self):
         return f"SimpleGraph(n={self.n}, m={len(self.edges)})"
 
@@ -260,6 +263,7 @@ class Forest(SimpleGraph):
 class Tree(Forest):
     """A spanning tree of K_n: an acyclic edge set with exactly n - 1 edges."""
 
+    __slots__ = ()
     _least_n = 2
 
     def __init__(self, n: int, edges: Iterable):

@@ -793,6 +793,47 @@ def test_blocked_dt_counts_forest_orbits(n, orbits, pairs):
     assert blocked_Dt(n, 1).to_dict()["orbits"] == 1
 
 
+@pytest.mark.parametrize("n, trees", [(6, 6), (7, 11), (8, 23)])
+def test_forest_orbits_reach_the_unlabelled_trees_once(n, trees):
+    """At t = n - 1 the orbits are the unlabelled trees on n vertices; a
+    level is walked once per process and then read from the memo."""
+    from treefam.extremal import _forest_orbits
+
+    assert len(_forest_orbits(n, n - 1)) == trees
+    assert _forest_orbits(n, n - 1) is _forest_orbits(n, n - 1)
+
+
+@pytest.fixture
+def cold_orbit_caches():
+    from treefam import extremal, gamma
+
+    def clear():
+        extremal._forest_orbits.cache_clear()
+        gamma._edge_image_bits.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def test_dt_blocks_do_not_change_results(cold_orbit_caches, monkeypatch):
+    """The S_n table, the orbit walk and the D_t scan agree between the
+    default blocks and blocks of 64 cells."""
+    from treefam import extremal, gamma
+
+    def run():
+        return [(gamma._edge_image_bits(n).tolist(),
+                 [(extremal._forest_orbits(n, t), blocked_Dt(n, t).to_dict()) for t in range(1, n - 1)])
+                for n in (4, 5, 6)]
+
+    default = run()
+    extremal._forest_orbits.cache_clear()
+    gamma._edge_image_bits.cache_clear()
+    monkeypatch.setattr(extremal, "_BLOCK_CELLS", 64)
+    monkeypatch.setattr(gamma, "_BLOCK_CELLS", 64)
+    assert run() == default
+
+
 @pytest.fixture(scope="module")
 def dt8():
     return {t: blocked_Dt(8, t) for t in range(1, 7)}

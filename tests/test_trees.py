@@ -82,6 +82,29 @@ def test_forest_is_immutable():
         f.n = 5
 
 
+@pytest.mark.parametrize("g", [
+    SimpleGraph(4, [(1, 2), (2, 3), (1, 3)]),
+    Forest(4, [(1, 2), (3, 4)]),
+    Tree(4, [(1, 2), (2, 3), (3, 4)]),
+], ids=["SimpleGraph", "Forest", "Tree"])
+@pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+def test_edge_sets_survive_pickle_and_deepcopy(g, how):
+    import copy
+    import pickle
+
+    other = pickle.loads(pickle.dumps(g)) if how == "pickle" else copy.deepcopy(g)
+    assert type(other) is type(g) and other is not g
+    assert (other.n, other.edges) == (g.n, g.edges)
+    assert not isinstance(g, Forest) or other == g
+    with pytest.raises(AttributeError, match="is immutable"):
+        other.n = 5
+
+
+def test_tree_has_no_instance_dict():
+    assert not hasattr(Tree(3, [(1, 2), (2, 3)]), "__dict__")
+    assert not hasattr(Forest(3, [(1, 2)]), "__dict__")
+
+
 def test_tree_requires_spanning():
     Tree(4, [(1, 2), (2, 3), (3, 4)])
     with pytest.raises(ValueError):
