@@ -47,7 +47,6 @@ from .gamma import (
     TreeFamily,
     build_gamma,
     enumerate_spanning_trees,
-    iter_set_partitions,
     max_clique,
     max_independent_set,
     packing_number,

@@ -493,7 +493,9 @@ def blocked_Dt(n: int, t: int) -> BlockedReport:
         raise ValueError(f"t={t} out of range 1..{n - 2}")
     arr = tree_mask_array(n)
     stars = np.array(star_masks(n), dtype=np.uint64)
-    not_star = ~np.isin(arr, stars)
+    # star c is the Prufer code (c, ..., c), tree index (c - 1)(n^(n-2) - 1)/(n - 1)
+    not_star = np.ones(len(arr), dtype=bool)
+    not_star[np.arange(n) * ((n ** (n - 2) - 1) // (n - 1))] = False
     edges = all_edges(n)
     orbits = _forest_orbits(n, t)
     best = None  # (count, forest, tree index)

@@ -3,8 +3,8 @@
 Gamma_t(G) has one vertex per spanning tree of G; two trees are adjacent when
 they share fewer than t edges, so pairwise t-intersecting families are exactly
 the independent sets.  This module builds Gamma_t with bit-packed adjacency
-rows, computes the tree packing number via the Tutte/Nash-Williams partition
-minimum (with a search-found witness packing), and runs an exact
+rows, computes the tree packing number by Edmonds' matroid partition (a
+witness packing and a Tutte/Nash-Williams partition that meets it), and runs an exact
 branch-and-bound (greedy colouring bound, degeneracy order, node budget,
 S_n-orbit pruning when the host graph is complete) for maximum cliques and
 maximum independent sets.
@@ -26,7 +26,6 @@ from .trees import (
     SimpleGraph,
     Tree,
     _BLOCK_CELLS,
-    _DSU,
     _as_ints,
     _check_cap,
     _tree,
@@ -745,23 +744,7 @@ def max_independent_set(
     return _search(gamma, budget, True)
 
 
-# -- tree packing (Tutte / Nash-Williams) -------------------------------------
-
-
-def iter_set_partitions(n: int) -> Iterator[Tuple[int, ...]]:
-    """Restricted-growth strings: block label of each of n items, a[0] = 0."""
-    (n,) = _as_ints("n", n, low=(0,))
-    a = [0] * n
-
-    def rec(i, mx):
-        if i == n:
-            yield tuple(a)
-            return
-        for v in range(mx + 2):
-            a[i] = v
-            yield from rec(i + 1, max(mx, v))
-
-    return rec(1, 0) if n else iter(())
+# -- tree packing (Edmonds' matroid partition) -------------------------------
 
 
 class PackingResult:
@@ -785,98 +768,92 @@ class PackingResult:
         }
 
 
-def _partition_minimum(g: SimpleGraph) -> Tuple[int, List[Tuple[int, ...]], int]:
-    """min over partitions (k >= 2 blocks) of floor(cross/(k-1)), with argmin."""
-    n = g.n
-    best = None
-    best_labels = None
-    best_cross = None
-    for labels in iter_set_partitions(n):
-        k = max(labels) + 1
-        if k < 2:
-            continue
-        cross = 0
-        for u, v in g.edges:
-            if labels[u - 1] != labels[v - 1]:
-                cross += 1
-        val = cross // (k - 1)
-        if best is None or val < best:
-            best, best_labels, best_cross = val, labels, cross
-    blocks: dict = {}
-    for i, lab in enumerate(best_labels):
-        blocks.setdefault(lab, []).append(i + 1)
-    return best, [tuple(b) for b in blocks.values()], best_cross
+def _forest_path(adj: list, u: int, v: int) -> Optional[List[Edge]]:
+    """The edges of the u-v path in the forest whose neighbour sets are adj,
+    or None when u and v lie in different trees, so that u-v fits."""
+    parent = {u: 0}
+    stack = [u]
+    while stack and v not in parent:
+        x = stack.pop()
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                stack.append(y)
+    if v not in parent:
+        return None
+    path = []
+    while v != u:
+        p = parent[v]
+        path.append((p, v) if p < v else (v, p))
+        v = p
+    return path
 
 
-def _find_edge_disjoint_trees(g: SimpleGraph, l: int) -> Optional[List[Tree]]:
-    """Backtracking search for l pairwise edge-disjoint spanning trees of g.
+def _place(forests: list, home: dict, starts: Sequence[Edge]):
+    """Matroid partition's exchange step: put one edge of `starts` into a
+    forest along a shortest exchange path and return None, or return every
+    edge reachable from `starts` when no path exists.
 
-    Edges are processed in lexicographic order; each is assigned to one of the
-    l forests (if it joins two of that forest's components) or skipped when
-    enough edges remain.  Symmetry break: forest k may receive its first edge
-    only after forest k-1 has one.  Prune: every forest must stay completable
-    from the unprocessed edges.  Deterministic; first solution wins.
-    """
-    n = g.n
-    m = len(g.edges)
-    if m < l * (n - 1) or l <= 0:
-        return [] if l == 0 else None
-    edges = list(g.edges)
-    forests = [_DSU(n) for _ in range(l)]
-    chosen: List[List[Edge]] = [[] for _ in range(l)]  # forest k's edges
-
-    def completable(start: int) -> bool:
-        if sum(n - 1 - len(es) for es in chosen) > m - start:
-            return False
-        rest = edges[start:]
-        return all(
-            len(es) == n - 1 or f.merges(rest) == n - 1 - len(es)
-            for f, es in zip(forests, chosen)
-        )
-
-    def rec(i: int) -> bool:
-        if all(len(es) == n - 1 for es in chosen):
-            return True
-        if i == m or not completable(i):
-            return False
-        first_empty = True
-        for f, es in zip(forests, chosen):
-            if not es:
-                if not first_empty:
-                    break  # symmetry: empty forests are interchangeable
-                first_empty = False
-            if len(es) == n - 1:
+    A breadth-first search over edges: an edge x that closes a cycle in
+    forest i (one that does not hold it) reaches every edge on that cycle,
+    which could leave i for x.  At the first x that fits a forest the path
+    is applied backwards, each edge entering the forest its successor left;
+    a shortest path keeps every forest acyclic.  `home` maps each placed
+    edge to the index of its forest and is updated with `forests`."""
+    prev = {e: (None, None) for e in starts}
+    queue = list(starts)
+    for x in queue:
+        for i, adj in enumerate(forests):
+            if home.get(x) == i:
                 continue
-            r = f.union(*edges[i])
-            if not r:
-                continue
-            es.append(edges[i])
-            if rec(i + 1):
-                return True
-            es.pop()
-            f.undo(r)
-        # skip this edge if the remainder can still supply everyone
-        return rec(i + 1)
-
-    return [Tree(n, es) for es in chosen] if rec(0) else None
+            cycle = _forest_path(adj, *x)
+            if cycle is None:
+                while x is not None:
+                    (u, v), j = x, home.get(x)
+                    if j is not None:
+                        forests[j][u].discard(v)
+                        forests[j][v].discard(u)
+                    forests[i][u].add(v)
+                    forests[i][v].add(u)
+                    home[x] = i
+                    x, i = prev[x]
+                return None
+            for y in cycle:
+                if y not in prev:
+                    prev[y] = (x, i)
+                    queue.append(y)
+    return prev.keys()
 
 
 def packing_number(g: SimpleGraph) -> PackingResult:
     """Maximum number of pairwise edge-disjoint spanning trees of g.
 
-    Computed as the Nash-Williams partition minimum (exhaustive over set
-    partitions, so n <= 10), certified from below by an explicitly found
-    packing of that many trees.
+    Edmonds' matroid partition: for k = 1, 2, ... it grows k edge-disjoint
+    forests, inserting each edge of g in sorted order by `_place`, and
+    stops at the first k whose forests hold fewer than k(n - 1) edges; the
+    k - 1 spanning trees of the round before are the witness.  The edges S
+    reachable from the edges that fit nowhere are closed (each forest holds
+    a spanning forest of (V, S)) and every other edge is placed, so the
+    partition P into the classes of (V, S) has cross(P) < k(|P| - 1) and
+    bounds the packing by floor(cross / (|P| - 1)) = k - 1.
     """
     if g.n < 2:
         raise ValueError(f"packing needs n >= 2 vertices, got n={g.n}")
-    _check_cap("packing_cap", 10, g.n, "vertices for partition enumeration")
     if not g.is_connected():
         return PackingResult(0, [], g.classes(), 0)
-    bound, partition, cross = _partition_minimum(g)
-    witness = _find_edge_disjoint_trees(g, bound)
-    if witness is None:
-        raise AssertionError(
-            f"no packing of size {bound} found; partition bound must be wrong"
-        )
-    return PackingResult(bound, witness, partition, cross)
+    n = g.n
+    forests: list = []
+    home: dict = {}
+    while True:
+        forests.append([set() for _ in range(n + 1)])
+        stuck = [e for e in g.edges if e not in home and _place(forests, home, [e]) is not None]
+        if len(home) < len(forests) * (n - 1):
+            break
+        witness = [Tree(n, [e for e, j in home.items() if j == i]) for i in range(len(forests))]
+    partition = SimpleGraph(n, _place(forests, home, stuck)).classes()
+    label = {x: i for i, block in enumerate(partition) for x in block}
+    cross = sum(1 for u, v in g.edges if label[u] != label[v])
+    if cross // (len(partition) - 1) != len(witness):
+        raise RuntimeError(f"partition bound {cross} / ({len(partition)} - 1) does not "
+                           f"match the {len(witness)} witness trees")
+    return PackingResult(len(witness), witness, partition, cross)

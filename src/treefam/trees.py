@@ -36,8 +36,8 @@ DEFAULT_ENUM_CAP = 8
 
 
 class CapExceeded(ValueError):
-    """One of the three fixed limits on exhaustive work (enumeration, Gamma
-    vertices or packing) was hit; cap_name and cap_value name it."""
+    """One of the two fixed limits on exhaustive work (enumeration or Gamma
+    vertices) was hit; cap_name and cap_value name it."""
 
     def __init__(self, message: str, cap_name: str, cap_value: int):
         super().__init__(message)

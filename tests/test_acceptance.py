@@ -178,9 +178,9 @@ def test_criterion_05_spread():
 
 
 def test_criterion_06_nash_williams_packing():
-    summary = "packing_number(K_n) = floor(n/2) with a verified witness, n=4..8"
+    summary = "packing_number(K_n) = floor(n/2) with a verified witness, n=4..16"
     with _Criterion(6, 60, summary):
-        for n in range(4, 9):
+        for n in range(4, 17):
             res = packing_number(SimpleGraph.complete(n))
             assert res.number == n // 2
             assert len(res.witness) == res.number

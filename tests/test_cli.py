@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import treefam
+from packing_oracle import check_packing_certificate
+from treefam import PackingResult, SimpleGraph, Tree
 from treefam.cli import COMMANDS, EXIT_OK, EXIT_UNKNOWN_COMMAND, EXIT_VALIDATION, main
 
 
@@ -124,7 +126,6 @@ def test_cap_violation_names_the_cap(capsys):
     (("dt", "--n", "9", "--t", "1"), "enum_cap", 8),
     (("gamma", "build", "--graph", "K8", "--t", "1"), "gamma_cap", 20000),
     (("search", "max", "--n", "8", "--t", "1"), "gamma_cap", 20000),
-    (("gamma", "packing", "--graph", "K11"), "packing_cap", 10),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
 def test_each_limit_fires_past_its_boundary(capsys, argv, cap, value):
     code, out = run(capsys, *argv, "--reproducible")
@@ -514,6 +515,12 @@ def test_gamma_commands(capsys, tmp_path):
     assert code == EXIT_OK and data["size"] == 1  # any two C5 trees share edges
 
 
+def _packing_output(g, data):
+    """The JSON of `gamma packing` as a PackingResult on g, for the oracle."""
+    return PackingResult(data["packing"], [Tree(g.n, w) for w in data["witness"]],
+                         data["partition"], data["cross_edges"])
+
+
 def test_gamma_packing_of_a_graph_file(capsys, tmp_path):
     # this graph used to exit 2 with "edge set contains a cycle"
     g = tmp_path / "g.txt"
@@ -521,8 +528,22 @@ def test_gamma_packing_of_a_graph_file(capsys, tmp_path):
     code, data = run_json(capsys, "gamma", "packing", "--graph", str(g),
                           "--reproducible")
     assert code == EXIT_OK
-    assert data["packing"] == 2 and data["partition"] == [[1, 2, 3, 4], [5]]
-    assert len(data["witness"]) == 2
+    assert data == {
+        "packing": 2,
+        "witness": [[[1, 2], [1, 3], [1, 5], [3, 4]], [[1, 4], [2, 3], [2, 4], [4, 5]]],
+        "partition": [[1], [2], [3], [4], [5]],
+        "cross_edges": 8,
+    }
+    host = SimpleGraph.from_edge_list_text(g.read_text())
+    check_packing_certificate(host, _packing_output(host, data))
+
+
+def test_gamma_packing_past_the_old_cap(capsys):
+    # K11 was refused by a packing cap of n = 10 vertices
+    code, data = run_json(capsys, "gamma", "packing", "--graph", "K11", "--reproducible")
+    assert code == EXIT_OK and data["packing"] == 5
+    host = SimpleGraph.complete(11)
+    check_packing_certificate(host, _packing_output(host, data))
 
 
 @pytest.mark.parametrize("graph", ["K1", "P1", "empty file"])

@@ -32,7 +32,7 @@ from treefam.extremal import (
     lemma_notstar_check,
     stars_plus_edge_size,
 )
-from treefam.gamma import SimpleGraph, TreeFamily, build_gamma, iter_set_partitions
+from treefam.gamma import SimpleGraph, TreeFamily, build_gamma
 from treefam.spread import verify_r_spread, verify_rt_spread
 from treefam.trees import (
     CapExceeded,
@@ -163,7 +163,6 @@ _GATED = [
     ("gamma-t", lambda v: build_gamma(SimpleGraph.complete(4), v), 1, "t"),
     ("family-mask", lambda v: TreeFamily(build_gamma(SimpleGraph.complete(4), 1), v),
      1, "member mask"),
-    ("partitions-n", lambda v: iter_set_partitions(v), 3, "n"),
 ]
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import treefam
+from packing_oracle import check_packing_certificate, partition_minimum, set_partitions
 from spanning_tree_oracle import spanning_trees
 
 from treefam.extremal import brute_force_max_t_intersecting
@@ -36,7 +37,6 @@ from treefam.gamma import (
     _spanning_tree_masks,
     build_gamma,
     enumerate_spanning_trees,
-    iter_set_partitions,
     max_clique,
     max_independent_set,
     packing_number,
@@ -375,9 +375,9 @@ def test_tree_family_rejects_masks_outside_the_vertices():
 
 
 def test_set_partition_count():
-    # Bell numbers
-    assert sum(1 for _ in iter_set_partitions(4)) == 15
-    assert sum(1 for _ in iter_set_partitions(6)) == 203
+    # Bell numbers: the partition-scan oracle sees every partition
+    assert sum(1 for _ in set_partitions(4)) == 15
+    assert sum(1 for _ in set_partitions(6)) == 203
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -415,32 +415,13 @@ def test_packing_needs_two_vertices(g):
         packing_number(g)
 
 
-def test_packing_cap():
-    with pytest.raises(CapExceeded):
-        packing_number(SimpleGraph.complete(11))
-
-
-def check_packing_certificate(g, res):
-    """Independent check of a packing result: the witness trees are pairwise
-    edge-disjoint spanning trees of g, and the partition's cross-edge bound
-    floor(cross / (k - 1)) equals their number, so neither can improve."""
-    graph_edges = set(g.edges)
-    used = set()
-    for tr in res.witness:
-        es = tr.edges
-        assert len(es) == g.n - 1 and set(es) <= graph_edges
-        assert not used & set(es)
-        used |= set(es)
-        reached = {1}
-        for _ in range(g.n):
-            reached |= {b for u, v in es for a, b in ((u, v), (v, u)) if a in reached}
-        assert reached == set(range(1, g.n + 1))
-    assert len(res.witness) == res.number
-    label = {x: i for i, block in enumerate(res.partition) for x in block}
-    assert sorted(label) == list(range(1, g.n + 1))
-    cross = sum(1 for u, v in g.edges if label[u] != label[v])
-    assert res.cross_edges == cross
-    assert cross // (len(res.partition) - 1) == res.number
+def test_packing_past_the_old_cap():
+    # n = 10 was the largest host the partition scan took
+    for n in range(11, 17):
+        g = SimpleGraph.complete(n)
+        res = packing_number(g)
+        assert res.number == n // 2
+        check_packing_certificate(g, res)
 
 
 def test_packing_of_a_graph_once_refused():
@@ -449,7 +430,7 @@ def test_packing_of_a_graph_once_refused():
     g = SimpleGraph(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 4), (4, 5)])
     res = packing_number(g)
     assert res.number == 2
-    assert res.partition == [(1, 2, 3, 4), (5,)]
+    assert res.partition == [(1,), (2,), (3,), (4,), (5,)] and res.cross_edges == 8
     check_packing_certificate(g, res)
 
 
@@ -459,7 +440,9 @@ def test_packing_of_random_graphs_is_certified():
         n = rng.randint(3, 7)
         density = rng.uniform(0.3, 0.95)
         g = SimpleGraph(n, [e for e in all_edges(n) if rng.random() < density])
-        check_packing_certificate(g, packing_number(g))
+        res = packing_number(g)
+        check_packing_certificate(g, res)
+        assert res.number == (partition_minimum(g) if g.is_connected() else 0)
 
 
 # -- exact search ------------------------------------------------------------------
@@ -487,12 +470,26 @@ def test_clique_at_t_nminus1_is_everything():
     assert max_clique(dg).size == 16
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
-def test_clique_number_matches_packing_number(n):
-    """omega(Gamma_1(K_n)) and the partition minimum certify each other."""
-    res = max_clique(build_gamma(SimpleGraph.complete(n), 1))
+def _connected_hosts(count, seed):
+    """Seeded random connected hosts on 4..6 vertices."""
+    rng = random.Random(seed)
+    hosts = []
+    while len(hosts) < count:
+        n, density = rng.randint(4, 6), rng.uniform(0.4, 0.9)
+        g = SimpleGraph(n, [e for e in all_edges(n) if rng.random() < density])
+        if g.is_connected():
+            hosts.append(pytest.param(g, id=f"random{len(hosts)}-n{n}-m{len(g.edges)}"))
+    return hosts
+
+
+@pytest.mark.parametrize("g", [pytest.param(SimpleGraph.complete(n), id=str(n))
+                               for n in (4, 5, 6)] + _connected_hosts(12, 31))
+def test_clique_number_matches_packing_number(g):
+    """omega(Gamma_1(G)), a largest set of pairwise edge-disjoint spanning
+    trees, and the matroid-partition packing number certify each other."""
+    res = max_clique(build_gamma(g, 1))
     assert res.optimal
-    assert res.size == packing_number(SimpleGraph.complete(n)).number == n // 2
+    assert res.size == packing_number(g).number
 
 
 def test_mis_gamma1_k4():

@@ -12,7 +12,7 @@ import treefam
 import treefam.cli
 from treefam import trees
 from treefam.extremal import FamilySpec, blocked_Dt, brute_force_max_t_intersecting
-from treefam.gamma import SimpleGraph, build_gamma, enumerate_spanning_trees, packing_number
+from treefam.gamma import SimpleGraph, build_gamma, enumerate_spanning_trees
 from treefam.trees import (
     CapExceeded,
     Forest,
@@ -283,9 +283,8 @@ K8 = SimpleGraph.complete(8)
     (lambda: build_gamma(K8, 1), None, "gamma_cap", 20000),
     (lambda: list(enumerate_spanning_trees(K8)), None, "gamma_cap", 20000),
     (lambda: brute_force_max_t_intersecting(8, 1), None, "gamma_cap", 20000),
-    (lambda: packing_number(SimpleGraph.complete(11)), None, "packing_cap", 10),
 ], ids=["enumerate_trees", "edge_hits", "tree_mask_array", "blocked_Dt", "build_gamma",
-        "spanning_tree_stream", "search", "packing"])
+        "spanning_tree_stream", "search"])
 def test_each_limit_fires_past_its_boundary(over, under, name, value):
     if under is not None:
         under()
