@@ -11,10 +11,8 @@ from .counting import (
     count_exactly,
     count_matching_family,
     count_trees_containing,
-    enumeration_count_containing,
     exact_k_distribution,
     is_lower_bound_vacuous,
-    verify_by_enumeration,
 )
 from .extremal import (
     BlockedReport,

@@ -8,27 +8,24 @@ containing a fixed forest F with component sizes q_1..q_m,
 plus one matrix-tree kernel, exact_k_distribution, for "contains a forced
 forest and exactly k edges of a set S" (exact Bareiss determinants, no cap on
 |S|), whose k = 0 term _containing_avoiding reads from one determinant
-per block, and an enumeration oracle that recounts any of it by streaming all
-n^(n-2) trees.  Every count is an exact Python int; nothing here touches
-floats.
+per block.  The tests recount all of it by enumerating the n^(n-2) trees
+(tests/enumeration_oracle.py).  Every count is an exact Python int;
+nothing here touches floats.
 """
 
 from __future__ import annotations
 
 from math import prod
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 from .trees import (
     Edge,
     Forest,
-    Tree,
     _DSU,
     _as_ints,
     _forest_on,
     _normalize_edges,
     cayley_count,
-    edge_hits,
-    enumerate_trees,
 )
 
 def _edges(n: int, f) -> Tuple[Edge, ...]:
@@ -223,28 +220,34 @@ _INT64_HADAMARD_SQ = 2.0 ** 61
 
 
 def _det_spd_batch(mats):
-    """Determinants of a (B, k, k) batch of symmetric integer matrices under
-    _det_spd's contract: one pivot-free int64 Bareiss elimination for all B,
-    on a (k, k, B) copy, so that numpy loops run along B.  A batch past the
-    Hadamard guard goes to _det_spd on Python ints (an object array).  A
-    pivot <= 0 before the last step or an inexact division raises
-    ArithmeticError."""
+    """Determinants of a (k, k, B) stack of B symmetric integer matrices
+    under _det_spd's contract: one pivot-free int64 Bareiss elimination for
+    all B, on a copy, B the last axis so that numpy loops run along it.  A
+    batch past the Hadamard guard goes to _det_spd on Python ints (an
+    object array).  A pivot <= 0 before the last step or an inexact
+    division raises ArithmeticError."""
     import numpy as np
 
-    m = np.array(np.moveaxis(mats, 0, -1), dtype=np.int64, order="C")  # eliminated in place
-    norms = np.maximum(1.0, np.square(m, dtype=float).sum(axis=1))
-    if (norms.prod(axis=0) > _INT64_HADAMARD_SQ).any():
-        upper = ([r[i:] for i, r in enumerate(a)] for a in np.moveaxis(m, -1, 0).tolist())
-        return np.array([_det_spd(rows) for rows in upper], dtype=object)
+    m = np.array(mats, dtype=np.int64, order="C")  # eliminated in place
+    k = len(m)
+    # a row's norm is at most sqrt(k) max|a|: most batches pass without norms
+    if (k * float(np.abs(m).max(initial=0)) ** 2) ** k > _INT64_HADAMARD_SQ:
+        norms = np.maximum(1.0, np.square(m, dtype=float).sum(axis=1))
+        if (norms.prod(axis=0) > _INT64_HADAMARD_SQ).any():
+            upper = ([r[i:] for i, r in enumerate(a)] for a in np.moveaxis(m, -1, 0).tolist())
+            return np.array([_det_spd(rows) for rows in upper], dtype=object)
     prev = 1
-    for i in range(len(m) - 1):
+    for i in range(k - 1):
         pivot = m[i, i]
         if (pivot <= 0).any():
             raise ArithmeticError(f"leading minor {i + 1} is not positive")
         rest = m[i + 1 :, i + 1 :]
-        rest[...], rem = np.divmod(pivot * rest - m[i + 1 :, i, None] * m[i, None, i + 1 :], prev)
-        if rem.any():
-            raise ArithmeticError("a Bareiss division left a remainder")
+        step = pivot * rest - m[i + 1 :, i, None] * m[i, None, i + 1 :]
+        if i:  # the first step divides by 1
+            step, rem = np.divmod(step, prev)
+            if rem.any():
+                raise ArithmeticError("a Bareiss division left a remainder")
+        rest[...] = step
         prev = pivot
     return m[-1, -1]
 
@@ -265,20 +268,3 @@ def count_at_least(n: int, s, m: int) -> int:
     if m > len(edges):
         return 0
     return sum(exact_k_distribution(n, edges)[m:])
-
-
-def verify_by_enumeration(n: int, predicate: Callable[[Tree], bool]) -> int:
-    """Independent oracle: count trees satisfying `predicate` by streaming
-    the full enumeration of T_n."""
-    return sum(1 for t in enumerate_trees(n) if predicate(t))
-
-
-def enumeration_count_containing(n: int, edges) -> int:
-    """Enumeration-oracle count of trees containing `edges` (bitmask sweep).
-
-    Same answer as verify_by_enumeration(n, lambda t: edges <= t.edge_set())
-    but vectorized over the cached tree-mask universe.
-    """
-    (n,) = _as_ints("n", n, low=(2,))
-    es = _edges(n, edges)
-    return int((edge_hits(n, es) == len(es)).sum())

@@ -51,7 +51,6 @@ from .trees import (
     is_d_star_like,
     mask_to_edges,
     min_pairwise_intersection,
-    star_masks,
     tree_mask_array,
 )
 
@@ -127,11 +126,10 @@ class FamilySpec:
         if self.kind == "threshold":
             return tree_mask_array(self.n)[edge_hits(self.n, self.edges) >= self.threshold]
         if self.kind == "stars_plus_edge":
-            import numpy as np
-
             keep = edge_hits(self.n, self.edges or [(1, 2)]) >= 1
-            arr = tree_mask_array(self.n)
-            return arr[keep | np.isin(arr, np.array(star_masks(self.n), dtype=np.uint64))]
+            # the star at c + 1 is the Prufer code (c + 1, ..., c + 1): tree index c (n^(n-2) - 1)/(n - 1)
+            keep[[c * ((self.n ** (self.n - 2) - 1) // (self.n - 1)) for c in range(self.n)]] = True
+            return tree_mask_array(self.n)[keep]
         out = []
         for tr in self.members:
             Tree(self.n, tr)  # each member must be a spanning tree
@@ -391,8 +389,9 @@ def count_avoiding(n: int, t0: Forest, f: Forest, method: str = "ie") -> int:
 class BlockedReport:
     """Exact D_t with argmin witnesses and the asymptotic-bound context.
 
-    orbits counts the S_n-orbits of t-edge forests, one forest of each
-    scored, and pairs_checked the (F, T_0) pairs: their admissible trees.
+    orbits counts the S_n-orbits of t-edge forests (unlabelled t-forests),
+    and pairs_checked the admissible pairs scored: one tree of each
+    unlabelled non-star type against each labelled t-edge forest.
     """
 
     __slots__ = (
@@ -468,22 +467,82 @@ def _forest_orbits(n: int, t: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(grown)
 
 
+@lru_cache(maxsize=None)
+def _forest_level(n: int, t: int):
+    """Every labelled t-edge forest on [n], orbit by orbit in the order of
+    _forest_orbits(n, t), as read-only arrays: edge masks (N,), edge bits
+    (t, N), class-pair masks (k, k, N) and the orbits' start indices.
+
+    An orbit is the distinct images g(R) of its representative R under the
+    columns g of _edge_image_bits(n), one column kept per image.  A
+    relabelling maps classes to classes and cuts to cuts, so the masks of
+    g(R) are g's images of R's: [i, j] is the AND of the cuts of classes i
+    and j (the edges between them, or leaving class i when i = j), over
+    every class of R but its first, k = n - t - 1 of them."""
+    import numpy as np
+
+    images = _edge_image_bits(n)
+    edges = all_edges(n)
+    masks, bits, cells, starts = [], [], [], [0]
+    for rep in _forest_orbits(n, t):
+        img = np.bitwise_or.reduce(images[list(rep)], axis=0)
+        cols = np.argsort(img)  # then one relabelling per distinct image
+        cols = cols[np.append(True, img[cols[1:]] != img[cols[:-1]])]
+        classes = Forest(n, [edges[b] for b in rep]).classes()[1:]
+        cut_bits = [[b for b, (u, v) in enumerate(edges) if (u in c) != (v in c)] for c in classes]
+        cuts = np.array([np.bitwise_or.reduce(images[np.ix_(cut, cols)], axis=0) for cut in cut_bits])
+        masks.append(img[cols])
+        bits.append(np.bitwise_count(images[np.ix_(rep, cols)] - np.uint64(1)))
+        cells.append(cuts[:, None] & cuts)
+        starts.append(starts[-1] + len(cols))
+    level = np.concatenate(masks), np.concatenate(bits, axis=1), np.concatenate(cells, axis=2), np.array(starts)
+    for a in level:
+        a.flags.writeable = False
+    return level
+
+
+def _scored(level, trees, t):
+    """Every pair of the tree masks `trees` and the forests of a
+    _forest_level, a block of at most _BLOCK_CELLS Laplacian cells at a
+    time: whole rows of trees while they fit, else one tree against a slice
+    of the forests.  Yields (first tree, first forest, admissible, counts)
+    per block, the last two (trees, forests) arrays.  Every pair has a
+    count, since K_n less a non-star tree stays connected when F is
+    contracted, so no pair is filtered before its determinant."""
+    import numpy as np
+
+    fmasks, _, cells, _ = level
+    k = len(cells)
+    sign = 2 * np.eye(k, dtype=np.int64)[:, :, None, None] - 1
+    step = max(1, _BLOCK_CELLS // (k * k))
+    fstep = min(len(fmasks), step)
+    tstep = max(1, step // fstep)
+    for a in range(0, len(trees), tstep):
+        tm = trees[a : a + tstep, None]
+        for f in range(0, len(fmasks), fstep):
+            lap = sign * np.bitwise_count(cells[:, :, None, f : f + fstep] & ~tm)
+            counts = _det_spd_batch(lap.reshape(k, k, -1)).reshape(lap.shape[2:])
+            yield a, f, np.bitwise_count(tm & fmasks[f : f + fstep]) < t, counts
+
+
 def blocked_Dt(n: int, t: int) -> BlockedReport:
     """Exact D_t = min over t-edge forests F and non-star trees T_0 with
     |T_0 and F| < t of |T_n[T_0; F]|, by exhaustive double minimization.
 
     A relabelling of the vertices maps admissible pairs to admissible pairs
-    and keeps every count, so all forests of one S_n-orbit share a minimum.
-    The scan scores the lexicographically first forest of each orbit.  A
-    count is the determinant of the reduced Laplacian of K_n - T_0 with F
-    contracted (positive definite: a non-star tree's complement is
-    connected), whose entries count the edges outside T_0 between classes
-    (the AND of their cuts) or leaving one, a block of T_0 at a time.
+    and keeps every count, so one tree of each unlabelled non-star type
+    (_forest_orbits(n, n - 1) less the star) against every labelled
+    t-forest (_forest_level) meets every pair's orbit.  A count is the
+    determinant of the reduced Laplacian of K_n - T_0 with F contracted
+    (positive definite: a non-star tree's complement is connected), whose
+    entries count the edges outside T_0 between classes or leaving one.
 
-    Ties resolve to the first pair in scan order (forests in lexicographic
-    order, trees in tree-index order), which is the lowest canonical
-    serialization and the pair a scan of every forest would return.  Needs
-    the full tree universe, so n is capped.
+    The witnesses are those of a scan of every forest orbit's first forest,
+    in lexicographic order, against the tree universe in tree-index order,
+    first strict minimum kept: F* is the representative of the first orbit
+    with a tying pair, and T* the least tree index among g(T) over the tying
+    pairs (T, F) with F in that orbit and g a relabelling that maps F onto
+    F*.  That lookup reads the tree universe, so n is capped.
     """
     import numpy as np
 
@@ -491,39 +550,43 @@ def blocked_Dt(n: int, t: int) -> BlockedReport:
     _check_cap("enum_cap", DEFAULT_ENUM_CAP, n, "vertices for the D_t exhaustion")
     if t > n - 2:
         raise ValueError(f"t={t} out of range 1..{n - 2}")
-    arr = tree_mask_array(n)
-    stars = np.array(star_masks(n), dtype=np.uint64)
-    # star c is the Prufer code (c, ..., c), tree index (c - 1)(n^(n-2) - 1)/(n - 1)
-    not_star = np.ones(len(arr), dtype=bool)
-    not_star[np.arange(n) * ((n ** (n - 2) - 1) // (n - 1))] = False
-    edges = all_edges(n)
-    orbits = _forest_orbits(n, t)
-    best = None  # (count, forest, tree index)
-    pairs = 0
-    for bits in orbits:
-        f = Forest(n, [edges[b] for b in bits])
-        # a class's cut is the XOR of its stars; one class is left out
-        cuts = np.array([np.bitwise_xor.reduce(stars[np.array(c) - 1]) for c in f.classes()[1:]])
-        masks, k = (cuts[:, None] & cuts)[:, :, None], len(cuts)
-        sign = 2 * np.eye(k, dtype=np.int64)[:, :, None] - 1
-        fmask = np.uint64(sum(1 << b for b in bits))
-        step = _BLOCK_CELLS // (k * k)
-        for lo in range(0, len(arr), step):
-            block = arr[lo : lo + step]
-            sel = np.flatnonzero(not_star[lo : lo + step] & (np.bitwise_count(block & fmask) < t))
-            if len(sel) == 0:
-                continue
-            pairs += len(sel)
-            lap = sign * np.bitwise_count(masks & ~block[sel])  # (k, k, B)
-            counts = _det_spd_batch(lap.transpose(2, 0, 1))
-            j = int(np.argmin(counts))
-            if best is None or counts[j] < best[0]:
-                best = (int(counts[j]), f, lo + int(sel[j]))
+    # the first tree type, bits 0..n-2, is the star at vertex 1
+    types = np.array(_forest_orbits(n, n - 1)[1:], dtype=np.intp).reshape(-1, n - 1)
+    trees = np.bitwise_or.reduce(np.uint64(1) << types.astype(np.uint64), axis=1)
+    level = _forest_level(n, t)
+    _, bits, _, starts = level
+    best, ties, pairs = None, [], 0  # the least count and the pairs that reach it
+    for a, f, ok, counts in _scored(level, trees, t):
+        pairs += int(ok.sum())
+        if not ok.any():
+            continue
+        low = counts[ok].min()
+        if best is None or low < best:
+            best, ties = low, []
+        if low == best:
+            ti, fi = np.nonzero(ok & (counts == low))
+            ties.append((ti + a, fi + f))
     if best is None:
         raise ValueError(f"no admissible (F, T_0) pair at n={n}, t={t}")
-    value, f, idx = best
+    ti, fi = map(np.concatenate, zip(*ties))
+    p = int(np.searchsorted(starts, fi.min(), "right")) - 1  # F*'s orbit
+    rep = _forest_orbits(n, t)[p]
+    ti, fi = ti[fi < starts[p + 1]], fi[fi < starts[p + 1]]
+    images, target = _edge_image_bits(n), sum(1 << b for b in rep)
+    found, step = [], max(1, _BLOCK_CELLS // (t * images.shape[1]))
+    for i in range(0, len(fi), step):
+        # j, g: a tying pair and a relabelling that maps its forest onto F*
+        j, g = np.nonzero(np.bitwise_or.reduce(images[bits[:, fi[i : i + step]]], axis=0) == target)
+        found.append(np.bitwise_or.reduce(images[types[ti[i + j]].T, g], axis=0))
+    # T* is the first tree of the universe among them: a binary search in
+    # the sorted masks, where position len(found) wraps to 0, a smaller mask
+    found = np.sort(np.concatenate(found))
+    arr = tree_mask_array(n)
+    idx = int(np.argmax(found[np.searchsorted(found, arr) % len(found)] == arr))
+    edges = all_edges(n)
+    forest = Forest(n, [edges[b] for b in rep])
     tree = _tree(n, mask_to_edges(n, int(arr[idx])))
-    return BlockedReport(n, t, value, f, tree, pairs, len(orbits))
+    return BlockedReport(n, t, int(best), forest, tree, pairs, len(_forest_orbits(n, t)))
 
 
 # -- lopsided local lemma ------------------------------------------------------

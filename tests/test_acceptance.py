@@ -13,6 +13,7 @@ import random
 import time
 from fractions import Fraction
 
+from enumeration_oracle import enumeration_count_containing
 from forest_oracle import forests, forests_with_count
 
 from treefam.counting import (
@@ -20,7 +21,6 @@ from treefam.counting import (
     count_at_least,
     count_matching_family,
     count_trees_containing,
-    enumeration_count_containing,
 )
 from treefam.extremal import (
     FamilySpec,

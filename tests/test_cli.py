@@ -562,7 +562,7 @@ def test_gamma_packing_of_one_vertex(capsys, tmp_path, graph):
 def test_dt_command(capsys):
     code, data = run_json(capsys, "dt", "--n", "6", "--t", "1", "--reproducible")
     assert code == EXIT_OK and data["value"] == "30"
-    assert (data["pairs_checked"], data["orbits"]) == (860, 1)
+    assert (data["pairs_checked"], data["orbits"]) == (50, 1)
 
 
 def test_llll_commands(capsys):

@@ -4,7 +4,9 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from dt_oracle import universe_scan
 from forest_oracle import forests
 
 from treefam.counting import (
@@ -70,6 +72,18 @@ def test_stars_plus_edge_realization(n):
     masks = FamilySpec("stars_plus_edge", n, 1).realize()
     assert len(masks) == len(set(masks)) == stars_plus_edge_size(n)
     assert min_pairwise_intersection(masks) >= 1
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_stars_plus_edge_takes_the_stars_by_index(n):
+    """The stars sit at fixed tree indices; the family equals the selection
+    that searches the universe for the star masks."""
+    from treefam.trees import edge_hits, star_masks, tree_mask_array
+
+    arr = tree_mask_array(n)
+    for e in ([(1, 2)], [(2, 4)], [(n - 1, n)]):
+        keep = (edge_hits(n, e) >= 1) | np.isin(arr, np.array(star_masks(n), dtype=np.uint64))
+        assert FamilySpec("stars_plus_edge", n, 1, edges=e).realize() == arr[keep].tolist()
 
 
 def test_trivial_family_realization_is_t_intersecting():
@@ -455,7 +469,7 @@ def test_family_F_ntj_reduces_to_trivial_at_j0():
 def test_family_F_ntj_matches_enumeration():
     n, t, j = 6, 2, 1
     f = balanced_forest(n, t + 2 * j)
-    from treefam.counting import verify_by_enumeration
+    from enumeration_oracle import verify_by_enumeration
 
     oracle = verify_by_enumeration(
         n, lambda tr: len(tr.edge_set() & f.edge_set()) >= t + j
@@ -733,12 +747,21 @@ def _blocked_dt_scan(n, t):
     "n, t", [(n, t) for n in (4, 5, 6) for t in range(1, n - 1)] + [(7, 1)]
 )
 def test_blocked_dt_matches_all_forest_scan(n, t):
-    """One forest per S_n-orbit gives the full scan's value and witnesses."""
+    """One tree per type against every labelled forest gives the full
+    scan's value and witnesses."""
     rep = blocked_Dt(n, t)
     value, f_edges, tree_edges = _blocked_dt_scan(n, t)
     assert rep.value == value
     assert rep.argmin_forest.edges == f_edges
     assert rep.argmin_tree.edges == tree_edges
+
+
+@pytest.mark.parametrize("n, t", [(n, t) for n in range(4, 9) for t in range(1, n - 1)])
+def test_blocked_dt_matches_the_universe_scan(n, t):
+    """One tree per type against every labelled forest gives the value,
+    witnesses and orbit count of one forest per orbit against every tree."""
+    rep = blocked_Dt(n, t)
+    assert (rep.value, rep.argmin_forest.edges, rep.argmin_tree.edges, rep.orbits) == universe_scan(n, t)
 
 
 def test_blocked_dt_n7_values_and_witnesses():
@@ -755,41 +778,95 @@ def test_blocked_dt_n7_values_and_witnesses():
     assert values == {1: 288, 2: 72, 3: 16, 4: 4, 5: 1}
 
 
-def test_blocked_dt_scores_one_forest_per_orbit():
-    """pairs_checked pins the orbit reduction at n = 6: scoring every forest
-    would check 12,900 / 122,550 / 548,250 / 1,386,750 pairs."""
+def test_blocked_dt_scores_one_tree_per_type():
+    """pairs_checked pins the reduction at n = 6: the 5 non-star tree types
+    against every labelled t-forest, where scoring every forest against
+    every non-star tree would check 12,900 / 122,550 / 548,250 / 1,386,750
+    pairs, and one forest per orbit against every tree 860 / 2,329 / 5,029
+    / 7,701."""
     pairs = {t: blocked_Dt(6, t).pairs_checked for t in (1, 2, 3, 4)}
-    assert pairs == {1: 860, 2: 2329, 3: 5029, 4: 7701}
+    assert pairs == {1: 50, 2: 475, 3: 2125, 4: 5375}
+
+
+def _tree_types(n):
+    """Brute force: the first tree of each S_n-orbit in tree-index order."""
+    from itertools import permutations
+
+    from treefam.trees import edge, enumerate_trees
+
+    firsts, seen = [], set()
+    for tr in enumerate_trees(n):
+        if tr.edges not in seen:
+            firsts.append(tr)
+            seen.update(tuple(sorted(edge(p[u - 1], p[v - 1]) for u, v in tr.edges))
+                        for p in permutations(range(1, n + 1)))
+    return firsts
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_pairs_checked_counts_type_forest_pairs(n):
+    """pairs_checked = the admissible pairs of a non-star tree type (one
+    tree each) and a labelled t-edge forest, counted by brute force."""
+    from treefam.trees import is_star
+
+    types = [tr for tr in _tree_types(n) if not is_star(tr)]
+    assert len(types) == {3: 0, 4: 1, 5: 2, 6: 5}[n]
+    for t in range(1, n - 1):
+        want = sum(len(tr.edge_set() & set(f)) < t for tr in types
+                   for f in forests(n, max_edges=t, min_edges=t))
+        if want == 0:
+            with pytest.raises(ValueError, match="no admissible"):
+                blocked_Dt(n, t)
+        else:
+            assert blocked_Dt(n, t).pairs_checked == want
 
 
 @pytest.mark.parametrize("n, orbits, pairs", [
-    (4, [1, 2], [6, 18]),
-    (5, [1, 2, 3], [72, 206, 347]),
-    (6, [1, 2, 4, 6], [860, 2329, 5029, 7701]),
-    (7, [1, 2, 4, 7, 11], [12000, 31200, 66123, 117237, 184711]),
+    (4, [1, 2], [3, 12]),
+    (5, [1, 2, 3], [12, 78, 212]),
+    (6, [1, 2, 4, 6], [50, 475, 2125, 5375]),
+    (7, [1, 2, 4, 7, 11], [150, 1950, 12750, 52350, 133710]),
 ])
 def test_blocked_dt_counts_forest_orbits(n, orbits, pairs):
-    """orbits = the number of unlabelled t-edge forests on n vertices, each
-    scored through the lexicographically first of its labelled forests."""
+    """orbits = the number of unlabelled t-edge forests on n vertices, the
+    orbits of the labelled forests that each tree type is scored against.
+    _forest_level(n, t) holds each labelled t-edge forest once, with its
+    edge bits, in the orbit of _forest_orbits(n, t) that it belongs to, and
+    the AND of the cuts of n - t - 1 of its classes."""
     from itertools import permutations
+    from math import comb
 
-    from treefam.extremal import _forest_orbits
+    from treefam.extremal import _forest_level, _forest_orbits
     from treefam.trees import all_edges, edge
 
     reports = [blocked_Dt(n, t) for t in range(1, n - 1)]
     got = [r.orbits for r in reports]
     assert got == orbits
     assert [r.pairs_checked for r in reports] == pairs
+    assert len(_forest_level(n, 1)[0]) == comb(n, 2)
+    edges = all_edges(n)
     if n <= 6:  # the first forest of each orbit, walking every forest in order
         for t in range(1, n - 1):
-            firsts, seen = [], set()
+            firsts, orbit_of = [], {}
             for f in forests(n, max_edges=t, min_edges=t):
-                if f not in seen:
+                if f not in orbit_of:
                     firsts.append(f)
-                    seen.update(tuple(sorted(edge(p[u - 1], p[v - 1]) for u, v in f))
-                                for p in permutations(range(1, n + 1)))
-            reps = [tuple(all_edges(n)[b] for b in bits) for bits in _forest_orbits(n, t)]
+                    orbit_of.update((tuple(sorted(edge(p[u - 1], p[v - 1]) for u, v in f)), len(firsts) - 1)
+                                    for p in permutations(range(1, n + 1)))
+            reps = [tuple(edges[b] for b in bits) for bits in _forest_orbits(n, t)]
             assert reps == firsts and len(firsts) == got[t - 1]
+            masks, bits, cells, starts = _forest_level(n, t)
+            assert sorted(masks.tolist()) == sorted(edges_to_mask(n, f) for f in orbit_of)
+            assert len(starts) == len(reps) + 1
+            for p in range(len(reps)):
+                for i in range(starts[p], starts[p + 1]):
+                    f = tuple(sorted(edges[b] for b in bits[:, i]))
+                    assert edges_to_mask(n, f) == masks[i] and orbit_of[f] == p
+                    cuts = {edges_to_mask(n, [e for e in edges if (e[0] in c) != (e[1] in c)])
+                            for c in Forest(n, f).classes()}
+                    diag = cells.diagonal()[i]
+                    assert len(set(diag.tolist())) == n - t - 1 and set(diag.tolist()) <= cuts
+                    assert (cells[:, :, i] == np.bitwise_and.outer(diag, diag)).all()
     assert blocked_Dt(n, 1).to_dict()["orbits"] == 1
 
 
@@ -798,9 +875,13 @@ def test_forest_orbits_reach_the_unlabelled_trees_once(n, trees):
     """At t = n - 1 the orbits are the unlabelled trees on n vertices; a
     level is walked once per process and then read from the memo."""
     from treefam.extremal import _forest_orbits
+    from treefam.trees import all_edges
 
     assert len(_forest_orbits(n, n - 1)) == trees
     assert _forest_orbits(n, n - 1) is _forest_orbits(n, n - 1)
+    # blocked_Dt drops the first as the star at vertex 1: no other is a star
+    types = [Tree(n, [all_edges(n)[b] for b in bits]) for bits in _forest_orbits(n, n - 1)]
+    assert [is_star(tr) for tr in types] == [True] + [False] * (trees - 1)
 
 
 @pytest.fixture
@@ -809,6 +890,7 @@ def cold_orbit_caches():
 
     def clear():
         extremal._forest_orbits.cache_clear()
+        extremal._forest_level.cache_clear()
         gamma._edge_image_bits.cache_clear()
 
     clear()
@@ -817,17 +899,22 @@ def cold_orbit_caches():
 
 
 def test_dt_blocks_do_not_change_results(cold_orbit_caches, monkeypatch):
-    """The S_n table, the orbit walk and the D_t scan agree between the
-    default blocks and blocks of 64 cells."""
+    """The S_n table, the orbit walk, the labelled levels and the D_t scan
+    agree between the default blocks, where a block of the scan holds
+    whole tree types (every type at n <= 6), and blocks of 64 cells, where
+    it holds one type against a slice of the forests and the witness
+    search takes one tying pair at a time."""
     from treefam import extremal, gamma
 
     def run():
         return [(gamma._edge_image_bits(n).tolist(),
-                 [(extremal._forest_orbits(n, t), blocked_Dt(n, t).to_dict()) for t in range(1, n - 1)])
+                 [(extremal._forest_orbits(n, t), [a.tolist() for a in extremal._forest_level(n, t)],
+                   blocked_Dt(n, t).to_dict()) for t in range(1, n - 1)])
                 for n in (4, 5, 6)]
 
     default = run()
     extremal._forest_orbits.cache_clear()
+    extremal._forest_level.cache_clear()
     gamma._edge_image_bits.cache_clear()
     monkeypatch.setattr(extremal, "_BLOCK_CELLS", 64)
     monkeypatch.setattr(gamma, "_BLOCK_CELLS", 64)
@@ -845,7 +932,7 @@ def test_blocked_dt_n8_pins(dt8):
     assert {t: r.value for t, r in dt8.items()} == {
         1: 3430, 2: 735, 3: 140, 4: 25, 5: 5, 6: 1}
     assert [r.pairs_checked for r in dt8.values()] == [
-        196602, 495601, 1037281, 2092737, 3668785, 6028887]
+        462, 7854, 70070, 414260, 1684914, 4415334]
     assert [r.orbits for r in dt8.values()] == [1, 2, 4, 8, 14, 23]
     for t, rep in dt8.items():
         # the argmin forest is the star K_{1,t} at vertex 1
