@@ -221,7 +221,10 @@ def _cmd_gamma_build(args):
     dg = gamma.build_gamma(g, args.t)
     payload = dg.summary()
     if args.out:
-        dg.save_adjacency(args.out)
+        try:
+            dg.save_adjacency(args.out)
+        except OSError as e:
+            raise CLIError(f"cannot write {args.out}: {e}")
         payload["dump"] = args.out
     return payload, None
 
@@ -372,11 +375,7 @@ def _cmd_llll_check(args):
             raise CLIError(f"event edge {i}-{j} out of range 0..{len(p) - 1}")
         adjacency[i].append(j)
         adjacency[j].append(i)
-    try:
-        rep = extremal.llll_condition_check(p, x, adjacency)
-    except ValueError as e:
-        raise CLIError(str(e))
-    return rep.to_dict(), None
+    return extremal.llll_condition_check(p, x, adjacency).to_dict(), None
 
 
 def _cmd_llll_notstar(args):

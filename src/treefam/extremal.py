@@ -762,13 +762,14 @@ def brute_force_max_t_intersecting(
     Branch and bound for a maximum independent set of Gamma_t(K_n), so
     gamma_cap bounds n (K_7 passes, K_8 does not) and node_budget the search.
     Returns the result and a comparison with the best trivial family (all
-    trees through the balanced t-edge forest) and, at t = 1, stars-plus-edge.
+    trees through the balanced t-edge forest) and, at t = 1 and n >= 3,
+    stars-plus-edge.
     """
     n, t = _as_ints("n and t", n, t, low=(2, 1))
     gamma = build_gamma(SimpleGraph.complete(n), t)
     result = max_independent_set(gamma, budget=node_budget)
     comparison = {"found": result.size, "optimal": result.optimal,
                   "best_trivial": count_trees_containing(n, balanced_forest(n, t))}
-    if t == 1:
+    if t == 1 and n >= 3:
         comparison["stars_plus_edge"] = stars_plus_edge_size(n)
     return result, comparison

@@ -73,81 +73,59 @@ class SpreadReport:
         return json.dumps(self.to_dict())
 
 
-
-
-def _extend(best: list, e: int):
-    """Add a component with e edges to the sub-forest DP row.
-
-    best[j] is the least product of component sizes of a j-edge sub-forest
-    of the components so far (None if j edges do not fit).  Inside one tree
-    component, f edges in pieces of sizes s_j give prod s_j >= 1 + sum(s_j - 1)
-    = f + 1, attained by a connected subtree, so the new row is the min-product
-    knapsack over f = 0..e.  Returns (new row, edges taken from this component
-    at each j), ties broken towards fewer edges here.
-    """
-    new = [None] * len(best)
-    take = [0] * len(best)
-    for j in range(len(best)):
-        for f in range(min(e, j) + 1):
-            b = best[j - f]
-            if b is not None:
-                v = b * (f + 1)
-                if new[j] is None or v < new[j]:
-                    new[j] = v
-                    take[j] = f
-    return new, take
-
-
-def _profiles(n: int, k: int, jmax: int):
+def _profiles(n: int, k: int):
     """Every profile with k edges that fits on n vertices, larger parts first.
 
-    Yields (profile, prod, best, takes): prod = prod(e_i + 1), best is the
-    _extend DP row over j = 0..jmax, and takes[i] the per-j edge choice for
-    component i (a live stack: read it before advancing the generator).
+    Yields (profile, prod) with prod = prod(e_i + 1).
     """
     slots = n - k  # sum(e_i + 1) <= n allows at most n - k components
-    parts, rows, takes = [], [[1] + [None] * jmax], []
+    parts = []
 
     def rec(rest, cap, prod):
         if rest == 0:
-            yield tuple(parts), prod, rows[-1], takes
+            yield tuple(parts), prod
             return
         free = slots - len(parts)
         # the parts after e are each <= e, so rest - e must fit in free - 1 of them
         for e in range(min(rest, cap), 0, -1):
             if rest - e > e * (free - 1):
                 break
-            row, take = _extend(rows[-1], e)
             parts.append(e)
-            rows.append(row)
-            takes.append(take)
             yield from rec(rest - e, e, prod * (e + 1))
             parts.pop()
-            rows.pop()
-            takes.pop()
 
     yield from rec(k, k, 1)
 
 
-def _realise(profile, sub=None):
-    """Edges of the profile as paths on consecutive vertex blocks, or of the
-    sub-forest taking the first sub[i] edges of path i."""
+def _least_product(profile, j: int) -> int:
+    """Least component-size product of a j-edge sub-forest of the profile.
+
+    Inside one tree component, f edges in pieces of sizes s_i give
+    prod s_i >= 1 + sum(s_i - 1) = f + 1, attained by a connected subtree, so
+    this is the least prod(f_i + 1) over 0 <= f_i <= e_i with sum f_i = j.
+    That product is Schur-concave in f, so its minimum is at the allocation
+    that majorizes every other (Marshall and Olkin, *Inequalities: Theory of
+    Majorization and Its Applications*): fill the largest components first.
+    On a non-increasing profile that is the first j edges of _realise(profile).
+    """
+    prod = 1
+    for e in profile:
+        if j == 0:
+            break
+        f = min(e, j)
+        prod *= f + 1
+        j -= f
+    return prod
+
+
+def _realise(profile):
+    """Edges of the profile as paths on consecutive vertex blocks."""
     out = []
     start = 1
-    for i, e in enumerate(profile):
-        m = e if sub is None else sub[i]
-        out.extend([start + a, start + a + 1] for a in range(m))
+    for e in profile:
+        out.extend([start + a, start + a + 1] for a in range(e))
         start += e + 1
     return out
-
-
-def _sub_choice(takes, j):
-    """Per-component edge counts of the optimal j-edge sub-forest."""
-    sub = [0] * len(takes)
-    for i in range(len(takes) - 1, -1, -1):
-        sub[i] = takes[i][j]
-        j -= sub[i]
-    return sub
 
 
 def verify_r_spread(n: int, r, edge_budget: Optional[int] = None) -> SpreadReport:
@@ -187,9 +165,10 @@ def verify_rt_spread(
         |T_n[U]| * p^(|U|-|T|)  <=  |T_n[T]| * q^(|U|-|T|)      (r = p/q).
 
     For a U profile and a size |T| = k, the worst T is the k-edge sub-forest
-    with the least component-size product, found by the exact DP in _extend;
-    so the pairs compared are (U profile, k).  The witness realises U as
-    paths on consecutive vertex blocks and T as prefixes of those paths.
+    with the least component-size product, which fills the largest
+    components first (_least_product); so the pairs compared are
+    (U profile, k).  The witness realises U as paths on consecutive vertex
+    blocks and T as the first k of those edges.
     Budget handling is as in verify_r_spread.
     """
     n, t = _as_ints("n and t", n, t, low=(2, 0))
@@ -201,20 +180,20 @@ def verify_rt_spread(
     p, q = r.numerator, r.denominator
     checked = 0
     for ku in range(edge_budget + 1):
-        jmax = min(t, ku)
-        for profile, prod_u, best, takes in _profiles(n, ku, jmax):
+        for profile, prod_u in _profiles(n, ku):
             count_u = count_from_component_product(n, prod_u, ku)
-            for kt in range(jmax + 1):
+            for kt in range(min(t, ku) + 1):
                 checked += 1
                 gap = ku - kt
-                count_t = count_from_component_product(n, best[kt], kt)
+                count_t = count_from_component_product(
+                    n, _least_product(profile, kt), kt
+                )
                 if count_u * p ** gap > count_t * q ** gap:
                     u_edges = _realise(profile)
-                    t_edges = _realise(profile, _sub_choice(takes, kt))
                     count_u = count_trees_containing(n, u_edges)
-                    count_t = count_trees_containing(n, t_edges)
+                    count_t = count_trees_containing(n, u_edges[:kt])
                     witness = {
-                        "T": t_edges,
+                        "T": u_edges[:kt],
                         "U": u_edges,
                         "count_T": count_t,
                         "count_U": count_u,

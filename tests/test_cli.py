@@ -515,6 +515,17 @@ def test_gamma_commands(capsys, tmp_path):
     assert code == EXIT_OK and data["size"] == 1  # any two C5 trees share edges
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_gamma_build_out_unwritable(capsys, tmp_path, where):
+    # used to end in a FileNotFoundError (or IsADirectoryError) traceback, exit 1
+    out_path = tmp_path / "no" / "x.bin" if where == "missing directory" else tmp_path
+    code, out = run(capsys, "gamma", "build", "--graph", "K5", "--t", "1",
+                    "--out", str(out_path))
+    assert code == EXIT_VALIDATION
+    message = json.loads(out)["error"]["message"]
+    assert message.startswith(f"cannot write {out_path}: ")
+
+
 def _packing_output(g, data):
     """The JSON of `gamma packing` as a PackingResult on g, for the oracle."""
     return PackingResult(data["packing"], [Tree(g.n, w) for w in data["witness"]],
@@ -603,6 +614,15 @@ def test_search_max(capsys):
                           "--reproducible")
     assert code == EXIT_OK
     assert data["size"] == 10 and data["optimal"] is True
+
+
+def test_search_max_at_n_2(capsys):
+    # used to exit 2 with "n=2 must be >= 3" after the search had finished
+    code, data = run_json(capsys, "search", "max", "--n", "2", "--t", "1",
+                          "--reproducible")
+    assert code == EXIT_OK
+    assert data["size"] == 1 and data["optimal"] is True
+    assert "stars_plus_edge" not in data["comparison"]
 
 
 def test_sample_deterministic(capsys):

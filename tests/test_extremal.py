@@ -1129,6 +1129,14 @@ def test_brute_force_51():
     assert res.family.min_pairwise_intersection() >= 1
 
 
+def test_brute_force_21_has_no_stars_plus_edge():
+    # K_2 has one tree; the search used to finish and then raise from
+    # stars_plus_edge_size(2) while building its comparison
+    res, comp = brute_force_max_t_intersecting(2, 1)
+    assert res.optimal and res.size == 1
+    assert comp == {"found": 1, "optimal": True, "best_trivial": 1}
+
+
 def test_brute_force_52():
     res, comp = brute_force_max_t_intersecting(5, 2)
     assert res.optimal and res.size == 20

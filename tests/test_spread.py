@@ -3,16 +3,16 @@
 import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from forest_oracle import forests_with_count
 
 from treefam.counting import count_from_component_product, count_trees_containing
 from treefam.spread import (
+    _least_product,
     _profiles,
     _realise,
-    _sub_choice,
     verify_r_spread,
     verify_rt_spread,
 )
@@ -192,9 +192,10 @@ def test_profiles_agree_with_forest_sweep(n):
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_worst_sub_forest_matches_sweep(n):
-    # T_n's verdicts are all decided by the single edge, so the DP that finds
-    # the worst T <= U is checked on its own: for each U profile and |T|, the
-    # least |T_n[T]| over all subsets T of all forests U with that profile.
+    # T_n's verdicts are all decided by the single edge, so the closed form for
+    # the worst T <= U (fill the largest components first) is checked on its
+    # own: for each U profile and |T|, the least |T_n[T]| over all subsets T
+    # of all forests U with that profile.
     forests = _forests(n)
     count_of = dict(forests)
     least = {}
@@ -207,16 +208,40 @@ def test_worst_sub_forest_matches_sweep(n):
             least[key] = min(least.get(key, m), m)
     got = {}
     for k in range(n):
-        for profile, prod, best, takes in _profiles(n, k, k):
+        for profile, prod in _profiles(n, k):
+            u_edges = _realise(profile)
             assert count_from_component_product(n, prod, k) == count_of[
-                tuple(tuple(e) for e in _realise(profile))
+                tuple(tuple(e) for e in u_edges)
             ]
             for kt in range(k + 1):
-                got[profile, kt] = count_from_component_product(n, best[kt], kt)
-                t_edges = _realise(profile, _sub_choice(takes, kt))
+                got[profile, kt] = count_from_component_product(
+                    n, _least_product(profile, kt), kt
+                )
+                t_edges = u_edges[:kt]
                 assert len(t_edges) == kt
                 assert count_trees_containing(n, t_edges) == got[profile, kt]
     assert got == least
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_least_product_is_the_least_allocation(n):
+    # beyond the forest sweep: every allocation of j edges to the components
+    # (0 <= f_i <= e_i, sum f_i = j), and the witness T = the first j edges
+    for k in range(n):
+        for profile, prod in _profiles(n, k):
+            least = {}
+            for f in product(*(range(e + 1) for e in profile)):
+                m = 1
+                for fi in f:
+                    m *= fi + 1
+                j = sum(f)
+                least[j] = min(least.get(j, m), m)
+            assert least[k] == prod
+            u_edges = _realise(profile)
+            for j in range(k + 1):
+                assert _least_product(profile, j) == least[j], (profile, j)
+                want = count_from_component_product(n, _least_product(profile, j), j)
+                assert count_trees_containing(n, u_edges[:j]) == want
 
 
 def test_half_n_spread_at_n_40():
