@@ -368,8 +368,6 @@ def _cmd_llll_check(args):
     x = _parse_rational_list(args.x)
     adjacency: List[List[int]] = [[] for _ in p]
     pairs = _parse_edges_arg(args.graph_edges, None)  # no loops, i < j
-    if len(set(pairs)) < len(pairs):
-        raise CLIError(f"--graph-edges repeats an event pair: {args.graph_edges!r}")
     for i, j in pairs:
         if j >= len(p):
             raise CLIError(f"event edge {i}-{j} out of range 0..{len(p) - 1}")

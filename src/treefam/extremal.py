@@ -110,7 +110,7 @@ class FamilySpec:
             raise ValueError("trivial families need edges")
         if kind == "threshold" and (self.edges is None or threshold is None):
             raise ValueError("threshold families need edges and a threshold")
-        if kind == "stars_plus_edge" and self.edges is not None and len(self.edges) > 1:
+        if kind == "stars_plus_edge" and self.edges is not None and len(self.edges) != 1:
             raise ValueError(f"a stars_plus_edge family has one edge, got {list(self.edges)}")
         if kind == "explicit" and self.members is None:
             raise ValueError("explicit families need members")
@@ -367,23 +367,16 @@ def count_avoiding(n: int, t0: Forest, f: Forest, method: str = "ie") -> int:
     """|T_n[T_0; F]|: trees containing every edge of f and no edge of t0
     outside f.
 
-    method "ie" reads N_0 of the matrix-tree kernel, one determinant per
-    block, at any n ("ie" is the kernel's historical name: it replaced an
-    inclusion-exclusion walk); method "enum" recounts by scanning the full
-    tree universe (n within the enumeration cap).  The two paths must
-    agree; tests hold them to that.
+    It reads N_0 of the matrix-tree kernel, one determinant per block, at
+    any n.  "ie", the one method, is the kernel's historical name (it
+    replaced an inclusion-exclusion walk); the tests recount by
+    enumeration.
     """
+    if method != "ie":
+        raise ValueError(f"unknown method {method!r} (want 'ie')")
     (n,) = _as_ints("n", n, low=(2,))
     t0, f = _forest_on(n, t0), _forest_on(n, f)
-    base = f.edges
-    avoid = tuple(sorted(set(t0.edges) - set(base)))
-    if method == "ie":
-        return _containing_avoiding(n, avoid, base)
-    if method == "enum":
-        keep = edge_hits(n, base) == len(base)
-        keep &= edge_hits(n, avoid) == 0
-        return int(keep.sum())
-    raise ValueError(f"unknown method {method!r} (want 'ie' or 'enum')")
+    return _containing_avoiding(n, tuple(sorted(set(t0.edges) - set(f.edges))), f.edges)
 
 
 class BlockedReport:
@@ -616,14 +609,23 @@ def llll_condition_check(
     """Check p_i <= x_i * prod over neighbours j of (1 - x_j), for every event i.
 
     `adjacency` is the negative dependency graph as neighbour lists over event
-    indices 0..N-1.  When the condition holds, all events fail simultaneously
-    with probability at least prod(1 - x_i); that product is returned exactly
-    (inputs are taken as rationals).
+    indices 0..N-1, list i without repeats or i itself.  When the condition
+    holds, all events fail simultaneously with probability at least
+    prod(1 - x_i); that product is returned exactly (inputs are taken as
+    rationals).
     """
     p = [Fraction(v) for v in p]
     x = [Fraction(v) for v in x]
     if len(p) != len(x) or len(p) != len(adjacency):
         raise ValueError("p, x, adjacency must have equal length")
+    try:
+        adjacency = [_as_ints(f"adjacency[{i}]", *row) for i, row in enumerate(adjacency)]
+    except TypeError:  # a row that is not a list
+        raise ValueError(f"adjacency must be neighbour lists, got {adjacency!r}") from None
+    for i, row in enumerate(adjacency):
+        if len(set(row)) < len(row) or any(j == i or not 0 <= j < len(p) for j in row):
+            raise ValueError(f"adjacency[{i}]={list(row)} must list distinct events "
+                             f"of 0..{len(p) - 1} other than {i}")
     for i, xi in enumerate(x):
         if not (0 <= xi < 1):
             raise ValueError(f"x[{i}]={xi} outside [0, 1)")
@@ -712,8 +714,7 @@ def lemma_notstar_check(n: int, t0: Forest) -> NotstarReport:
     """Verify the avoidance lower bounds for a non-6-star-like forest T_0.
 
     6-star-like inputs are rejected with the witness edge in the message.
-    The avoid count is exact (the matrix-tree kernel; cross-checked against
-    the enumeration path when n is within the cap).
+    The avoid count is exact: one matrix-tree determinant at any n.
     """
     (n,) = _as_ints("n", n, low=(5,))
     t0 = _forest_on(n, t0)
@@ -724,14 +725,7 @@ def lemma_notstar_check(n: int, t0: Forest) -> NotstarReport:
             f"t0 is 6-star-like: edge {witness} meets "
             f"{deg[witness[0]] + deg[witness[1]] - 2} >= (n-1)/6 other edges"
         )
-    empty = Forest(n)
-    count = count_avoiding(n, t0, empty)
-    if n <= DEFAULT_ENUM_CAP:
-        other = count_avoiding(n, t0, empty, method="enum")
-        if other != count:
-            raise AssertionError(
-                f"avoidance paths disagree at n={n}: ie={count}, enum={other}"
-            )
+    count = count_avoiding(n, t0, Forest(n))
     rational_bound = Fraction((n - 4) ** (n - 1), n)  # (1-4/n)^(n-1) n^(n-2)
     rational_ok = count >= rational_bound
     with localcontext() as ctx:

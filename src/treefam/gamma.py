@@ -192,9 +192,6 @@ class DisjointnessGraph:
     def edge_count(self) -> int:
         return self.summary()["edges"]
 
-    def is_adjacent(self, i: int, j: int) -> bool:
-        return i != j and (self.masks[i] & self.masks[j]).bit_count() < self.t
-
     def tree(self, i: int) -> Tree:
         return _tree(self.n, mask_to_edges(self.n, self.masks[i]))
 

@@ -716,13 +716,3 @@ def min_pairwise_intersection(masks: Sequence[int]) -> Optional[int]:
         if lo + k == len(mat) or best <= floors[lo + k]:
             break
     return best
-
-
-@lru_cache(maxsize=None, typed=True)
-def star_masks(n: int) -> tuple:
-    """Edge bitmasks of the n stars of K_n, in center order 1..n."""
-    (n,) = _as_ints("n", n, low=(1,))
-    out = []
-    for c in range(1, n + 1):
-        out.append(edges_to_mask(n, (edge(c, x) for x in range(1, n + 1) if x != c)))
-    return tuple(out)

@@ -4,10 +4,11 @@ tree-index order, first strict minimum kept.  This was blocked_Dt's own
 scan; the tests hold the library's value and witnesses to it for n <= 8."""
 
 import numpy as np
+from enumeration_oracle import star_masks
 
 from treefam.counting import _det_spd_batch
 from treefam.extremal import _forest_orbits
-from treefam.trees import _BLOCK_CELLS, Forest, all_edges, mask_to_edges, star_masks, tree_mask_array
+from treefam.trees import _BLOCK_CELLS, Forest, all_edges, mask_to_edges, tree_mask_array
 
 
 def universe_scan(n, t):

@@ -2,7 +2,7 @@
 all n^(n-2) spanning trees of K_n, n within the enumeration cap."""
 
 from treefam.counting import _edges
-from treefam.trees import _as_ints, edge_hits, enumerate_trees
+from treefam.trees import _as_ints, _forest_on, edge_hits, edges_to_mask, enumerate_trees
 
 
 def verify_by_enumeration(n, predicate):
@@ -18,3 +18,17 @@ def enumeration_count_containing(n, edges):
     (n,) = _as_ints("n", n, low=(2,))
     es = _edges(n, edges)
     return int((edge_hits(n, es) == len(es)).sum())
+
+
+def enumeration_count_avoiding(n, t0, f):
+    """|T_n[T_0; F]| by the same sweep: the trees containing every edge of f
+    and no edge of t0 outside f (each a Forest on n or an edge iterable)."""
+    base = _forest_on(n, f).edges
+    avoid = set(_forest_on(n, t0).edges) - set(base)
+    return int(((edge_hits(n, base) == len(base)) & (edge_hits(n, avoid) == 0)).sum())
+
+
+def star_masks(n):
+    """Edge bitmasks of the n stars of K_n, in centre order 1..n."""
+    return tuple(edges_to_mask(n, [(c, x) for x in range(1, n + 1) if x != c])
+                 for c in range(1, n + 1))

@@ -13,7 +13,7 @@ import random
 import time
 from fractions import Fraction
 
-from enumeration_oracle import enumeration_count_containing
+from enumeration_oracle import enumeration_count_avoiding, enumeration_count_containing
 from forest_oracle import forests, forests_with_count
 
 from treefam.counting import (
@@ -201,6 +201,7 @@ def test_criterion_07_notstar_avoidance_bounds():
             if is_d_star_like(f, 6):
                 continue
             rep = lemma_notstar_check(n, f)
+            assert rep.avoid_count == enumeration_count_avoiding(n, f, Forest(n))
             assert rep.rational_ok and rep.avoid_count >= rational_bound
             assert rep.e4_ok  # exceeds e^-4 * 7^5 ~ 307.83
             assert rep.verdict
@@ -295,8 +296,7 @@ def test_criterion_12_dual_path_agreement():
             ]
             t0, f = Forest(n, t0_edges), Forest(n, f_edges)
             ie = count_avoiding(n, t0, f, method="ie")
-            en = count_avoiding(n, t0, f, method="enum")
-            assert ie == en
+            assert ie == enumeration_count_avoiding(n, t0, f)
             pairs += 1
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import treefam
+from enumeration_oracle import enumeration_count_avoiding
 from packing_oracle import check_packing_certificate
 from treefam import PackingResult, SimpleGraph, Tree
 from treefam.cli import COMMANDS, EXIT_OK, EXIT_UNKNOWN_COMMAND, EXIT_VALIDATION, main
@@ -384,6 +385,9 @@ def test_family_verify_spec_payloads(capsys, tmp_path, spec, want):
     ({"kind": "stars_plus_edge", "n": 5, "t": 1, "members": [[[1, 2]]]},
      "stars_plus_edge families do not read members"),
     ({"kind": [1], "n": 5, "t": 1}, "unknown family kind [1]"),
+    # used to verify the family on edge (1, 2) with exit 0
+    ({"kind": "stars_plus_edge", "n": 5, "t": 1, "edges": []},
+     "a stars_plus_edge family has one edge, got []"),
 ])
 def test_family_verify_rejects_malformed_spec(capsys, tmp_path, spec, message):
     # these used to crash with a traceback (exit 1), or, for threshold 1.5,
@@ -587,6 +591,7 @@ def test_llll_commands(capsys):
     code, data = run_json(capsys, "llll", "notstar", "--n", "7",
                           "--edges", "1-2,3-4,5-6", "--reproducible")
     assert code == EXIT_OK and data["verdict"] is True
+    assert data["avoid_count"] == str(enumeration_count_avoiding(7, [(1, 2), (3, 4), (5, 6)], []))
     # 6-star-like input rejected as validation error
     code, out = run(capsys, "llll", "notstar", "--n", "7",
                     "--edges", "1-2,2-3,3-4,4-5,5-6,6-7")

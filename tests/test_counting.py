@@ -45,7 +45,6 @@ from treefam.trees import (
     intersection_size,
     prufer_decode,
     sample_uniform_trees,
-    star_masks,
     tree_from_index,
     tree_mask_array,
     tree_masks,
@@ -123,7 +122,6 @@ _GATED = [
     ("tree-masks-n", lambda v: tree_masks(v), 4, "n"),
     ("mask-array-n", lambda v: tree_mask_array(v), 4, "n"),
     ("edge-hits-n", lambda v: edge_hits(v, [(1, 2)]), 5, "n"),
-    ("star-masks-n", lambda v: star_masks(v), 4, "n"),
     ("forests-n", lambda v: forests(v), 4, "n and min_edges"),
     ("forests-max", lambda v: forests(4, v), 1, "max_edges"),
     ("forests-min", lambda v: forests(4, 2, v), 1, "n and min_edges"),

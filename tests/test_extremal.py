@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from dt_oracle import universe_scan
+from enumeration_oracle import enumeration_count_avoiding, star_masks
 from forest_oracle import forests
 
 from treefam.counting import (
@@ -78,7 +79,7 @@ def test_stars_plus_edge_realization(n):
 def test_stars_plus_edge_takes_the_stars_by_index(n):
     """The stars sit at fixed tree indices; the family equals the selection
     that searches the universe for the star masks."""
-    from treefam.trees import edge_hits, star_masks, tree_mask_array
+    from treefam.trees import edge_hits, tree_mask_array
 
     arr = tree_mask_array(n)
     for e in ([(1, 2)], [(2, 4)], [(n - 1, n)]):
@@ -401,7 +402,11 @@ def test_family_spec_rejects_repeated_members_and_extra_edges():
     # the second edge used to be dropped without a word
     with pytest.raises(ValueError, match="one edge"):
         FamilySpec("stars_plus_edge", 5, 1, edges=[(1, 2), (3, 4)])
+    # an explicit empty list used to verify the family on edge (1, 2)
+    with pytest.raises(ValueError, match=r"one edge, got \[\]$"):
+        FamilySpec("stars_plus_edge", 5, 1, edges=[])
     assert FamilySpec("stars_plus_edge", 5, 1, edges=[(2, 4)]).verify() == (True, 1, 53)
+    assert FamilySpec("stars_plus_edge", 5, 1).verify() == (True, 1, 53)
     # a field the kind does not read used to be dropped, so the spec
     # verified another family: the plain trivial one, here
     for kind, fields, unread in (
@@ -613,8 +618,7 @@ def test_count_avoiding_t0_equals_f():
 def test_count_avoiding_dual_paths_on_path6():
     path6 = Forest(6, [(i, i + 1) for i in range(1, 6)])
     ie = count_avoiding(6, path6, Forest(6), method="ie")
-    en = count_avoiding(6, path6, Forest(6), method="enum")
-    assert ie == en == 130
+    assert ie == enumeration_count_avoiding(6, path6, Forest(6)) == 130
 
 
 def test_count_avoiding_randomized_dual_paths():
@@ -626,14 +630,33 @@ def test_count_avoiding_randomized_dual_paths():
         f_edges = [e for e in sample_uniform_tree(n, rng.randrange(2**30)).edges
                    if rng.random() < 0.4]
         t0, f = Forest(n, t0_edges), Forest(n, f_edges)
-        assert count_avoiding(n, t0, f, "ie") == count_avoiding(n, t0, f, "enum")
+        assert count_avoiding(n, t0, f, "ie") == enumeration_count_avoiding(n, t0, f)
 
 
 def test_count_avoiding_validation():
     with pytest.raises(ValueError):
         count_avoiding(6, Forest(5, [(1, 2)]), Forest(6))
-    with pytest.raises(ValueError):
-        count_avoiding(6, Forest(6), Forest(6), method="magic")
+    for method in ("magic", "enum"):  # the kernel is the one method
+        with pytest.raises(ValueError, match="unknown method"):
+            count_avoiding(6, Forest(6), Forest(6), method=method)
+
+
+def test_avoidance_counts_read_no_tree_universe(monkeypatch):
+    # one determinant answers at every n: no library path decodes or scans
+    # the 262,144 trees of K_8 to recount it
+    import treefam.extremal as extremal_mod
+    import treefam.trees as trees_mod
+
+    def refuse(*args):
+        raise AssertionError("the tree universe was read")
+
+    m3, e = Forest(8, [(1, 2), (3, 4), (5, 6)]), Forest(8, [(1, 2)])
+    want = enumeration_count_avoiding(8, m3, Forest(8)), enumeration_count_avoiding(8, m3, e)
+    for mod, name in ((trees_mod, "tree_mask_array"), (extremal_mod, "tree_mask_array"),
+                      (trees_mod, "edge_hits"), (extremal_mod, "edge_hits")):
+        monkeypatch.setattr(mod, name, refuse)
+    assert lemma_notstar_check(8, m3).avoid_count == want[0]
+    assert (count_avoiding(8, m3, Forest(8)), count_avoiding(8, m3, e)) == want
 
 
 # -- blocked count D_t ----------------------------------------------------------
@@ -719,7 +742,7 @@ def _blocked_dt_scan(n, t):
     edges)."""
     import numpy as np
 
-    from treefam.trees import edges_to_mask, mask_to_edges, star_masks, tree_masks
+    from treefam.trees import edges_to_mask, mask_to_edges, tree_masks
 
     masks = tree_masks(n)
     arr = np.array(masks, dtype=np.uint64)
@@ -1059,6 +1082,19 @@ def test_llll_input_validation():
         llll_condition_check([2], [Fraction(1, 2)], [[]])
     with pytest.raises(ValueError):
         llll_condition_check([Fraction(1, 2)], [Fraction(1, 2)], [[], []])
+    # a neighbour outside 0..N-1 (-1 used to read event N-1, 5 an
+    # IndexError), the event itself (a factor 1 - x_i), a repeat (its factor
+    # twice) or a non-integer (a TypeError) is refused by name
+    p, x = [Fraction(1, 4)] * 2, [Fraction(1, 2)] * 2
+    for adj, why in (([[-1], []], "other than 0"), ([[5], []], "other than 0"),
+                     ([[0], []], "other than 0"), ([[1, 1], [0]], "other than 0"),
+                     ([[1], [0, 0]], "other than 1"), ([[1.0], []], "must be an integer"),
+                     ([[True], []], "must be an integer"), ([["1"], []], "must be an integer")):
+        with pytest.raises(ValueError, match=rf"^adjacency\[\d\].* {why}"):
+            llll_condition_check(p, x, adj)
+    with pytest.raises(ValueError, match="^adjacency must be neighbour lists"):
+        llll_condition_check(p, x, [1, [0]])
+    assert llll_condition_check(p, x, [[1], [0]]).ok
 
 
 # -- notstar avoidance bound -------------------------------------------------------
@@ -1067,14 +1103,14 @@ def test_llll_input_validation():
 def test_notstar_check_on_matchings_n7():
     m3 = Forest(7, [(1, 2), (3, 4), (5, 6)])
     rep = lemma_notstar_check(7, m3)
-    assert rep.avoid_count == 6125
+    assert rep.avoid_count == 6125 == enumeration_count_avoiding(7, m3, Forest(7))
     assert rep.rational_bound == Fraction(3 ** 6, 7)
     assert rep.rational_ok and rep.e4_ok and rep.llll_ok and rep.verdict
 
 
 def test_notstar_empty_forest():
     rep = lemma_notstar_check(7, Forest(7))
-    assert rep.avoid_count == cayley_count(7)
+    assert rep.avoid_count == cayley_count(7) == enumeration_count_avoiding(7, [], [])
     assert rep.verdict
 
 
@@ -1106,6 +1142,7 @@ def test_notstar_n8_exhaustive_sweep():
             continue
         rep = lemma_notstar_check(n, f)
         assert rep.verdict, f_edges
+        assert rep.avoid_count == enumeration_count_avoiding(n, f, Forest(n)), f_edges
         checked += 1
     assert checked > 100
 
