@@ -6,15 +6,18 @@ containing a fixed forest F with component sizes q_1..q_m,
     q_1 q_2 ... q_m * n^(n - 2 - sum(q_i - 1)),
 
 plus one matrix-tree kernel, exact_k_distribution, for "contains a forced
-forest and exactly k edges of a set S" (exact Bareiss determinants, no cap on
-|S|), whose k = 0 term _containing_avoiding reads from one determinant
-per block.  The tests recount all of it by enumerating the n^(n-2) trees
+forest and exactly k edges of a set S" (no cap on |S|): a block of S that is
+a tree takes the forest expansion of its determinant in one leaves-first
+pass, any other exact Bareiss determinants, and the k = 0 term
+_containing_avoiding reads from one determinant per block.  The tests
+recount all of it by enumerating the n^(n-2) trees
 (tests/enumeration_oracle.py).  Every count is an exact Python int;
 nothing here touches floats.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import prod
 from typing import List, Tuple
 
@@ -92,8 +95,10 @@ def exact_k_distribution(n: int, s, forced=()) -> List[int]:
     cyclic `forced` counts 0); an edge of `s` inside a class drops out, and
     with weight x on the others, n^2 sum_k N_k x^k = det(n diag(a) +
     (x - 1) L), L their Laplacian between classes.  The determinant factors
-    over the blocks of L; a block on k classes has degree < k, so it is
-    evaluated at x = 1..k and interpolated, all in exact integers.
+    over the blocks of L, a block on k classes of degree < k.  A tree block
+    (k - 1 edges) is a sum over its edge sets, O(k^2) coefficient products
+    (_tree_poly); any other is evaluated at x = 1..k and interpolated.  All
+    in exact integers.
     """
     (n,) = _as_ints("n", n, low=(2,))
     edges, base = _edges(n, s), _edges(n, forced)
@@ -171,19 +176,55 @@ def _shifted(diag: List[int], lap: List[List[int]], y: int) -> List[List[int]]:
 
 def _times_block(poly: List[int], diag: List[int], lap: List[List[int]]) -> List[int]:
     """poly times det(diag(diag) + (x - 1) L), L given by its upper-triangle
-    rows: the determinant at x = 1..k, Newton's divided differences, Horner."""
+    rows.  A tree block (k classes, k - 1 edges) takes its coefficients in
+    x - 1 from _tree_poly; any other block is evaluated at x = 1..k and
+    given Newton's divided differences.  Either form goes into poly by
+    Horner's rule."""
     k = len(diag)
-    coef = [prod(diag)] + [_det_spd(_shifted(diag, lap, y)) for y in range(1, k)]
-    for j in range(1, k):
-        for i in range(k - 1, j - 1, -1):
-            coef[i], rem = divmod(coef[i] - coef[i - 1], j)
-            if rem:
-                raise ArithmeticError("a divided difference of a block is not integral")
+    if sum(row[0] for row in lap) == 2 * (k - 1):  # connected, k - 1 edges
+        coef, nodes = _tree_poly(diag, lap), [1] * k
+    else:
+        coef = [prod(diag)] + [_det_spd(_shifted(diag, lap, y)) for y in range(1, k)]
+        for j in range(1, k):
+            for i in range(k - 1, j - 1, -1):
+                coef[i], rem = divmod(coef[i] - coef[i - 1], j)
+                if rem:
+                    raise ArithmeticError("a divided difference of a block is not integral")
+        nodes = range(1, k + 1)
     out = [coef[-1] * a for a in poly]
-    for j in range(k - 2, -1, -1):  # out * (x - j - 1) + coef[j] * poly
-        out = [a - (j + 1) * b for a, b in zip([0] + out, out + [0])]
+    for j in range(k - 2, -1, -1):  # out * (x - nodes[j]) + coef[j] * poly
+        out = [a - nodes[j] * b for a, b in zip([0] + out, out + [0])]
         for i, a in enumerate(poly):
             out[i] += coef[j] * a
+    return out
+
+
+def _tree_poly(diag: List[int], lap: List[List[int]]) -> List[int]:
+    """Coefficients in y of det(diag(diag) + y L) for a tree block: by the
+    forest matrix-tree theorem, the sum over edge sets A of y^|A| times the
+    product of the diag sums of A's components.  Leaves first, each class
+    holds that sum over its subtree with its own component's diag sum left
+    open (p0) and counted (p1), and is merged into its parent, the one
+    nonzero entry past its diagonal."""
+    p0, p1 = [[1] for _ in diag], [[d] for d in diag]
+    for i, row in enumerate(lap[:-1]):
+        q0, q1, up = p0[i], p1[i], i + row.index(-1, 1)
+        g = _poly_add(q1, [0] + q0)  # the edge to the parent dropped or kept
+        # kept, the joined component's diag sum is the parent's part plus the child's
+        p1[up] = _poly_add(_poly_mul(p1[up], g), [0] + _poly_mul(p0[up], q1))
+        p0[up] = _poly_mul(p0[up], g)
+    return p1[-1]
+
+
+def _poly_add(a: List[int], b: List[int]) -> List[int]:
+    return [u + v for u, v in zip_longest(a, b, fillvalue=0)]
+
+
+def _poly_mul(a: List[int], b: List[int]) -> List[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
     return out
 
 

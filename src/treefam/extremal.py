@@ -614,14 +614,13 @@ def llll_condition_check(
     prod(1 - x_i); that product is returned exactly (inputs are taken as
     rationals).
     """
-    p = [Fraction(v) for v in p]
-    x = [Fraction(v) for v in x]
-    if len(p) != len(x) or len(p) != len(adjacency):
-        raise ValueError("p, x, adjacency must have equal length")
+    p, x = _rationals("p", p), _rationals("x", x)
     try:
         adjacency = [_as_ints(f"adjacency[{i}]", *row) for i, row in enumerate(adjacency)]
-    except TypeError:  # a row that is not a list
+    except TypeError:  # not a list, or a row that is not a list
         raise ValueError(f"adjacency must be neighbour lists, got {adjacency!r}") from None
+    if len(p) != len(x) or len(p) != len(adjacency):
+        raise ValueError("p, x, adjacency must have equal length")
     for i, row in enumerate(adjacency):
         if len(set(row)) < len(row) or any(j == i or not 0 <= j < len(p) for j in row):
             raise ValueError(f"adjacency[{i}]={list(row)} must list distinct events "
@@ -644,6 +643,13 @@ def llll_condition_check(
     for xi in x:
         bound *= 1 - xi
     return LLLLReport(failing is None, bound, failing)
+
+
+def _rationals(what: str, values) -> List[Fraction]:
+    try:
+        return [Fraction(v) for v in values]
+    except (TypeError, ValueError, ArithmeticError):  # None, a list, "1/0", inf
+        raise ValueError(f"{what} must be a list of rationals, got {values!r}") from None
 
 
 def line_graph_adjacency(f: Forest) -> List[List[int]]:

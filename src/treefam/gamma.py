@@ -21,7 +21,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .counting import _containing_avoiding
 from .trees import (
-    CapExceeded,
     Edge,
     SimpleGraph,
     Tree,

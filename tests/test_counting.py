@@ -42,7 +42,6 @@ from treefam.trees import (
     edge_hits,
     enumerate_trees,
     index_to_code,
-    intersection_size,
     prufer_decode,
     sample_uniform_trees,
     tree_from_index,
@@ -417,15 +416,108 @@ def test_exact_k_distribution_pinned_at_40_edges():
 
 
 def test_kernel_exactness_checks_raise(monkeypatch):
-    # a wrong determinant must fail loudly, under python -O too
+    # a wrong determinant or tree polynomial must fail loudly, under python -O
+    # too.  A triangle with a pendant edge is a block with a cycle, so it is
+    # interpolated from _det_spd; a path is a tree block, read from _tree_poly
     import treefam.counting as counting
 
+    cyclic = [(1, 2), (1, 3), (2, 3), (3, 4)]
+    det_spd, tree_poly = counting._det_spd, counting._tree_poly
     monkeypatch.setattr(counting, "_det_spd", lambda rows: 1)
     with pytest.raises(ArithmeticError, match="not integral"):
-        exact_k_distribution(6, [(1, 2), (2, 3)])
-    monkeypatch.setattr(counting, "_det_spd", lambda rows: 6 ** 2 + 1)
+        exact_k_distribution(4, cyclic)
+    # off by 3! = 6 at x = 2, 3, 4, the divided differences stay integral and
+    # only the n^2 check sees it
+    monkeypatch.setattr(counting, "_det_spd", lambda rows: det_spd(rows) + 6)
     with pytest.raises(ArithmeticError, match="does not divide"):
-        exact_k_distribution(6, [(1, 2), (3, 4), (5, 6)])
+        exact_k_distribution(4, cyclic)
+    monkeypatch.setattr(counting, "_det_spd", det_spd)
+    monkeypatch.setattr(counting, "_tree_poly", lambda diag, lap: [
+        c + (i == 0) for i, c in enumerate(tree_poly(diag, lap))])
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        exact_k_distribution(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)])
+
+
+def _random_tree_block(k, rng):
+    """(n, s, forced): a random forced forest contracts K_n to k classes,
+    n = 2k + 1 so that their sizes are not all equal, and s is a random tree
+    on those classes, each edge between random members of its two classes."""
+    n = 2 * k + 1
+    classes = [[v] for v in range(1, n + 1)]
+    forced = []
+    while len(classes) > k:
+        a, b = sorted(rng.sample(range(len(classes)), 2))
+        forced.append(tuple(sorted((rng.choice(classes[a]), rng.choice(classes[b])))))
+        classes[a] += classes.pop(b)
+    s = [tuple(sorted((rng.choice(classes[i - 1]), rng.choice(classes[j - 1]))))
+         for i, j in _random_tree_edges(k, rng)]
+    return n, s, forced
+
+
+def _block_values(diag, lap, xs):
+    """det(diag(diag) + (x - 1) L) at each x of xs, by Bareiss."""
+    from treefam.counting import _det_spd, _shifted
+
+    return [_det_spd(_shifted(diag, lap, x - 1)) for x in xs]
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 9, 17, 28, 40])
+def test_tree_blocks_match_the_interpolation_path(k):
+    # the forest expansion gives the polynomial that Bareiss at x = 1..k and
+    # interpolation would, on tree blocks with unequal class weights
+    from treefam.counting import _contract, _times_block
+
+    rng = random.Random(3500 + k)
+    for _ in range(4):
+        n, s, forced = _random_tree_block(k, rng)
+        free, blocks = _contract(n, s, forced)
+        ((diag, lap),) = blocks
+        assert free == 1 and len(diag) == k and len(set(diag)) > 1
+        assert sum(row[0] for row in lap) == 2 * (k - 1)  # the tree branch
+        poly = _times_block([1], diag, lap)
+        assert len(poly) == k
+        xs = range(1, k + 2)
+        assert [sum(c * x ** i for i, c in enumerate(poly)) for x in xs] == \
+            _block_values(diag, lap, xs)
+
+
+@pytest.mark.parametrize("n", [5, 8, 20, 301])
+def test_hamiltonian_path_closed_forms(n):
+    # the counts sum to every tree of K_n; only the path holds all n - 1 of
+    # its edges, and a tree holds n - 2 when one edge (i, i + 1) is swapped
+    # for another of the i (n - i) edges across its cut
+    dist = exact_k_distribution(n, [(i, i + 1) for i in range(1, n)])
+    assert len(dist) == n and sum(dist) == n ** (n - 2)
+    assert dist[n - 1] == 1
+    assert dist[n - 2] == sum(i * (n - i) - 1 for i in range(1, n))
+
+
+def test_acyclic_counts_take_no_determinant(monkeypatch):
+    # with S and forced together a forest every block is a tree, so the
+    # counts never reach a Bareiss determinant
+    import treefam.counting as counting
+
+    def refuse(rows):
+        raise AssertionError("a determinant was taken")
+
+    rng = random.Random(35)
+    cases = []
+    for n in (5, 6, 7, 7):
+        tree = _random_tree_edges(n, rng)
+        k = rng.randint(1, n - 1)
+        cases += [(n, tree[:k], tree[k:][: rng.randint(1, n - 1)]), (n, tree[:k], [])]
+    want = []
+    for n, s, forced in cases:
+        holds = edge_hits(n, forced) == len(forced)
+        want.append(np.bincount(edge_hits(n, s)[holds], minlength=len(s) + 1).tolist())
+    monkeypatch.setattr(counting, "_det_spd", refuse)
+    for (n, s, forced), hist in zip(cases, want):
+        assert exact_k_distribution(n, s, forced) == hist
+        if not forced:
+            assert [count_exactly(n, s, k) for k in range(len(s) + 1)] == hist
+            assert [count_at_least(n, s, m) for m in range(len(s) + 1)] == [
+                sum(hist[m:]) for m in range(len(s) + 1)]
+    assert exact_k_distribution(301, [(i, i + 1) for i in range(1, 301)])[-1] == 1
 
 
 def _random_reduced_laplacian(rng, k, lone_last=False):

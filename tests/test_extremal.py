@@ -1097,6 +1097,20 @@ def test_llll_input_validation():
     assert llll_condition_check(p, x, [[1], [0]]).ok
 
 
+@pytest.mark.parametrize("args, what", [
+    (([None], [Fraction(1, 2)], [[]]), "^p must be a list of rationals"),
+    (([Fraction(1, 4)], [[1]], [[]]), "^x must be a list of rationals"),
+    (([Fraction(1, 4)], [Fraction(1, 2)], None), "^adjacency must be neighbour lists"),
+    ((["1/0"], [Fraction(1, 2)], [[]]), "^p must be a list of rationals"),
+    (([Fraction(1, 4)], [float("inf")], [[]]), "^x must be a list of rationals"),
+], ids=["p-none", "x-list", "adjacency-none", "p-zero-denominator", "x-inf"])
+def test_llll_refuses_non_rationals_by_name(args, what):
+    # each was a TypeError (or ZeroDivisionError, OverflowError) from Fraction
+    # or len()
+    with pytest.raises(ValueError, match=what):
+        llll_condition_check(*args)
+
+
 # -- notstar avoidance bound -------------------------------------------------------
 
 

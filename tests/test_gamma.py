@@ -22,7 +22,6 @@ from treefam.gamma import (
     _BLOCK_CELLS,
     _REC_STEP,
     DEFAULT_NODE_BUDGET,
-    CapExceeded,
     DisjointnessGraph,
     SimpleGraph,
     TreeFamily,
@@ -43,7 +42,7 @@ from treefam.gamma import (
     packing_number,
 )
 from treefam.trees import (
-    _DSU, Tree, all_edges, cayley_count, edge_bit, edges_to_mask, intersection_size, is_star,
+    _DSU, CapExceeded, Tree, all_edges, cayley_count, edge_bit, edges_to_mask, intersection_size, is_star,
     tree_masks,
 )
 

@@ -23,7 +23,6 @@ from treefam.trees import (
     all_edges,
     cayley_count,
     components,
-    edge,
     edge_bit,
     edge_hits,
     edges_to_mask,
