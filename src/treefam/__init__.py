@@ -15,6 +15,7 @@ from .counting import (
     is_lower_bound_vacuous,
 )
 from .extremal import (
+    DEFAULT_DT_CAP,
     BlockedReport,
     ExampleReport,
     FamilySpec,

@@ -23,38 +23,28 @@ from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from .counting import _containing_avoiding, _det_spd_batch, count_at_least, count_trees_containing
-from .gamma import (
-    DEFAULT_NODE_BUDGET,
-    SearchResult,
-    SimpleGraph,
-    _edge_image_bits,
-    build_gamma,
-    max_independent_set,
-)
+from .gamma import DEFAULT_NODE_BUDGET, SearchResult, SimpleGraph, build_gamma, max_independent_set
 from .trees import (
     _BLOCK_CELLS,
-    DEFAULT_ENUM_CAP,
     Edge,
     Forest,
     Tree,
-    _DSU,
     _as_ints,
     _check_cap,
     _forest_on,
     _pair_edges,
-    _tree,
-    all_edges,
     cayley_count,
     edge,
     edge_hits,
     edges_to_mask,
     is_d_star_like,
-    mask_to_edges,
     min_pairwise_intersection,
+    tree_from_index,
     tree_mask_array,
 )
 
 COMPONENT_SHAPES = ("path", "star", "caterpillar")
+DEFAULT_DT_CAP = 10
 
 
 # -- family constructions ------------------------------------------------------
@@ -380,206 +370,184 @@ def count_avoiding(n: int, t0: Forest, f: Forest, method: str = "ie") -> int:
 
 
 class BlockedReport:
-    """Exact D_t with argmin witnesses and the asymptotic-bound context.
+    """Exact D_t with argmin witnesses and the asymptotic-bound context;
+    pairs_checked counts the admissible (non-star tree type, vertex
+    partition) pairs, and partitions the partitions into n - t blocks."""
 
-    orbits counts the S_n-orbits of t-edge forests (unlabelled t-forests),
-    and pairs_checked the admissible pairs scored: one tree of each
-    unlabelled non-star type against each labelled t-edge forest.
-    """
+    __slots__ = ("n", "t", "value", "argmin_forest", "argmin_tree", "pairs_checked", "partitions",
+                 "prop_hypothesis_met", "prop_bound")
 
-    __slots__ = (
-        "n",
-        "t",
-        "value",
-        "argmin_forest",
-        "argmin_tree",
-        "pairs_checked",
-        "orbits",
-        "prop_hypothesis_met",
-        "prop_bound",
-    )
-
-    def __init__(self, n, t, value, argmin_forest, argmin_tree, pairs_checked, orbits):
-        self.n = n
-        self.t = t
-        self.value = value
-        self.argmin_forest = argmin_forest
-        self.argmin_tree = argmin_tree
-        self.pairs_checked = pairs_checked
-        self.orbits = orbits
-        # the proven bound n^(n-2t-17) needs n >= 2t + 110; report it for
-        # context (it is < 1, hence vacuous, anywhere we can exhaust)
+    def __init__(self, n, t, value, argmin_forest, argmin_tree, pairs_checked, partitions):
+        self.n, self.t, self.value = n, t, value
+        self.argmin_forest, self.argmin_tree = argmin_forest, argmin_tree
+        self.pairs_checked, self.partitions = pairs_checked, partitions
+        # the proven bound n^(n-2t-17) needs n >= 2t + 110: context, < 1 wherever we can exhaust
         self.prop_hypothesis_met = n >= 2 * t + 110
-        e = n - 2 * t - 17
-        self.prop_bound = Fraction(n) ** e
+        self.prop_bound = Fraction(n) ** (n - 2 * t - 17)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "t": self.t,
-            "value": str(self.value),
-            "argmin_forest": [list(e) for e in self.argmin_forest.edges],
-            "argmin_tree": [list(e) for e in self.argmin_tree.edges],
-            "pairs_checked": self.pairs_checked,
-            "orbits": self.orbits,
-            "prop_hypothesis_met": self.prop_hypothesis_met,
-            "prop_bound": f"{self.prop_bound.numerator}/{self.prop_bound.denominator}",
-        }
+        out = {name: getattr(self, name) for name in self.__slots__}
+        out.update(value=str(self.value), prop_bound="%d/%d" % self.prop_bound.as_integer_ratio())
+        for name in ("argmin_forest", "argmin_tree"):
+            out[name] = [list(e) for e in out[name].edges]
+        return out
 
 
 @lru_cache(maxsize=None)
-def _forest_orbits(n: int, t: int) -> Tuple[Tuple[int, ...], ...]:
-    """The lexicographically first t-edge forest of each S_n-orbit, as
-    ascending edge-bit tuples, in lexicographic order.  Canonical
-    augmentation: such a forest less its last edge is the first of its own
-    orbit, so level t grows level t - 1 (memoised, so each level is walked
-    once per process) by a later edge that joins two of its classes, and
-    keeps the results first in their orbit (the OR of their _edge_image_bits
-    rows, a block of candidates at a time), where G comes before F if the
-    lowest bit of F ^ G is in G."""
+def _free_trees(n: int):
+    """One labelling of each unlabelled tree on n >= 2 vertices, by leaf
+    augmentation: read-only 0-based edges (types, n - 1, 2) and closed
+    neighbourhood bitmasks (types, n), one tree per centre-rooted AHU
+    string (Aho, Hopcroft and Ullman, 1974) in string order, so the star,
+    whose string is the greatest since "(" < ")", comes last."""
     import numpy as np
 
-    if t == 0:
-        return ((),)
-    images = _edge_image_bits(n)
-    edges = all_edges(n)
-    step = max(1, _BLOCK_CELLS // images.shape[1])
-    grown = []
-    for bits in _forest_orbits(n, t - 1):
-        dsu = _DSU(n)
-        for b in bits:
-            dsu.union(*edges[b])
-        lo = bits[-1] + 1 if bits else 0
-        free = [b for b in range(lo, len(edges)) if dsu.find(edges[b][0]) != dsu.find(edges[b][1])]
-        orbit = np.bitwise_or.reduce(images[list(bits)], axis=0)
-        for i in range(0, len(free), step):
-            rows = free[i : i + step]
-            cand = images[rows] | orbit  # row j: the orbit of bits + (rows[j],)
-            diff = cand ^ cand[:, :1]  # column 0 is the identity
-            grown += [bits + (rows[j],) for j in np.flatnonzero(~(diff & (0 - diff) & cand).any(axis=1))]
-    return tuple(grown)
+    def ahu(tree):  # (the least string over the centres, left by peeling leaves, (tree, masks))
+        adj = [[] for _ in range(n)]
+        for u, v in tree:
+            adj[u].append(v)
+            adj[v].append(u)
+        rest = set(range(n))
+        while len(rest) > 2:
+            rest -= {v for v in rest if sum(w in rest for w in adj[v]) == 1}
 
+        def code(v, up):
+            return "(" + "".join(sorted(code(w, v) for w in adj[v] if w != up)) + ")"
 
-@lru_cache(maxsize=None)
-def _forest_level(n: int, t: int):
-    """Every labelled t-edge forest on [n], orbit by orbit in the order of
-    _forest_orbits(n, t), as read-only arrays: edge masks (N,), edge bits
-    (t, N), class-pair masks (k, k, N) and the orbits' start indices.
+        return min(code(c, -1) for c in rest), (tree, [sum(1 << w for w in adj[v]) | 1 << v for v in range(n)])
 
-    An orbit is the distinct images g(R) of its representative R under the
-    columns g of _edge_image_bits(n), one column kept per image.  A
-    relabelling maps classes to classes and cuts to cuts, so the masks of
-    g(R) are g's images of R's: [i, j] is the AND of the cuts of classes i
-    and j (the edges between them, or leaving class i when i = j), over
-    every class of R but its first, k = n - t - 1 of them."""
-    import numpy as np
-
-    images = _edge_image_bits(n)
-    edges = all_edges(n)
-    masks, bits, cells, starts = [], [], [], [0]
-    for rep in _forest_orbits(n, t):
-        img = np.bitwise_or.reduce(images[list(rep)], axis=0)
-        cols = np.argsort(img)  # then one relabelling per distinct image
-        cols = cols[np.append(True, img[cols[1:]] != img[cols[:-1]])]
-        classes = Forest(n, [edges[b] for b in rep]).classes()[1:]
-        cut_bits = [[b for b, (u, v) in enumerate(edges) if (u in c) != (v in c)] for c in classes]
-        cuts = np.array([np.bitwise_or.reduce(images[np.ix_(cut, cols)], axis=0) for cut in cut_bits])
-        masks.append(img[cols])
-        bits.append(np.bitwise_count(images[np.ix_(rep, cols)] - np.uint64(1)))
-        cells.append(cuts[:, None] & cuts)
-        starts.append(starts[-1] + len(cols))
-    level = np.concatenate(masks), np.concatenate(bits, axis=1), np.concatenate(cells, axis=2), np.array(starts)
+    grown = {}
+    for tree in _free_trees(n - 1)[0].tolist() if n > 2 else [[]]:
+        for v in range(n - 1):
+            grown.setdefault(*ahu(tree + [[v, n - 1]]))
+    level = tuple(np.array(a, np.int64) for a in zip(*(grown[key] for key in sorted(grown))))
     for a in level:
         a.flags.writeable = False
     return level
 
 
-def _scored(level, trees, t):
-    """Every pair of the tree masks `trees` and the forests of a
-    _forest_level, a block of at most _BLOCK_CELLS Laplacian cells at a
-    time: whole rows of trees while they fit, else one tree against a slice
-    of the forests.  Yields (first tree, first forest, admissible, counts)
-    per block, the last two (trees, forests) arrays.  Every pair has a
-    count, since K_n less a non-star tree stays connected when F is
-    contracted, so no pair is filtered before its determinant."""
+@lru_cache(maxsize=None)
+def _partition_level(n: int, t: int):
+    """The partitions of [n] into m = n - t blocks as restricted growth
+    strings (Knuth, TAOCP 4A, 7.2.1.5), read-only: each vertex's block as a
+    one-hot row less block 0, vertex first; the contracted reduced
+    Laplacian of K_n; each vertex's block as a bitmask, and its star-block
+    weight (2 in a block of 3 or more, 1 in a block of 2); whether the
+    partition has the star K_(1,t)'s shape, t + 1 and singletons; a
+    relabelling of its largest block onto 0..t and the rest onto t+1..n-1,
+    each ascending; and that shape's stabiliser S_(t+1) x S_(n-t-1)."""
     import numpy as np
 
-    fmasks, _, cells, _ = level
-    k = len(cells)
-    sign = 2 * np.eye(k, dtype=np.int64)[:, :, None, None] - 1
-    step = max(1, _BLOCK_CELLS // (k * k))
-    fstep = min(len(fmasks), step)
-    tstep = max(1, step // fstep)
-    for a in range(0, len(trees), tstep):
-        tm = trees[a : a + tstep, None]
-        for f in range(0, len(fmasks), fstep):
-            lap = sign * np.bitwise_count(cells[:, :, None, f : f + fstep] & ~tm)
-            counts = _det_spd_batch(lap.reshape(k, k, -1)).reshape(lap.shape[2:])
-            yield a, f, np.bitwise_count(tm & fmasks[f : f + fstep]) < t, counts
+    def orderings(k):  # each ordering of range(j) with j put at each place
+        rows = np.zeros((1, 0), np.int8)
+        for j in range(k):
+            rows = np.concatenate([np.insert(rows, i, j, axis=1) for i in range(j + 1)])
+        return rows
+
+    m = n - t
+    labels, used, grow = np.zeros((1, 1), np.intp), np.ones(1, np.intp), np.arange(n - t)
+    for i in range(1, n):  # grow each prefix while it can still reach m blocks
+        r, c = np.nonzero((grow <= used[:, None]) & (np.maximum(used[:, None], grow + 1) + n - 1 - i >= m))
+        labels, used = np.column_stack([labels[r], c]), np.maximum(used[r], c + 1)
+    member = labels[:, None, :] == np.arange(m)[:, None]  # (P, m, n)
+    sizes = member.sum(2)
+    lap = sizes[:, 1:, None] * (n * np.eye(m - 1, dtype=np.intp) - sizes[:, None, 1:])  # s_i (n [i = j] - s_j)
+    place = np.argsort(np.argsort(labels != sizes.argmax(1)[:, None], axis=1, kind="stable"), axis=1)
+    a, b = orderings(t + 1), orderings(m - 1) + np.int8(t + 1)
+    level = (np.eye(m, dtype=np.int8)[labels.T, 1:], lap,
+             np.take_along_axis((member << np.arange(n)).sum(2), labels, 1),
+             np.take_along_axis((sizes > 1).astype(np.int8) + (sizes > 2), labels, 1),
+             (sizes == 1).sum(1) == m - 1, place,
+             np.hstack([np.repeat(a, len(b), 0), np.tile(b, (len(a), 1))]))
+    for a in level:
+        a.flags.writeable = False
+    return level
+
+
+def _pair_scores(n: int, t: int, lo: int, hi: int):
+    """Counts and star blocks, (types, partitions) arrays, of the non-star
+    types against partitions lo..hi-1.  A count is det(L - D^T D), D the
+    one-hot differences of T_0's edges.  A block of 3 or more has at most
+    one vertex whose neighbourhood holds it, a block of 2 both or none."""
+    import numpy as np
+
+    onehot = _partition_level(n, t)[0][:, lo:hi]
+    lap, bits, weight = (a[lo:hi] for a in _partition_level(n, t)[1:4])
+    edges, reach = (a[:-1] for a in _free_trees(n))  # the last type is the star
+    diff = (onehot[edges[..., 0]] - onehot[edges[..., 1]]).transpose(0, 2, 1, 3)  # (types, P, n - 1, m - 1)
+    mats = lap - diff.swapaxes(2, 3) @ diff
+    counts = _det_spd_batch(mats.transpose(2, 3, 0, 1).reshape(n - t - 1, n - t - 1, -1))
+    stars = ((bits & ~reach[:, None]) == 0)[..., None, :] @ weight[..., None]
+    return counts.reshape(stars.shape[:2]), stars[..., 0, 0] // 2
+
+
+def _prufer_ranks(n: int, edges):
+    """trees.tree_index of each tree of a (B, n - 1, 2) array of 0-based
+    edges, by n - 2 leaf removals on all B at once: the least leaf has the
+    least degree (n once removed), its neighbour the sum of those joined."""
+    import numpy as np
+
+    at = (np.arange(len(edges)) * n)[:, None, None] + edges
+    degree = np.bincount(at.ravel(), minlength=len(edges) * n)
+    joined = np.bincount(at.ravel(), edges[..., ::-1].ravel(), degree.size).astype(np.intp)
+    rows, rank = np.arange(0, degree.size, n), np.zeros(len(edges), np.int64)
+    for _ in range(n - 2):
+        leaf = degree.reshape(-1, n).argmin(1)
+        up = joined[rows + leaf]
+        rank = rank * n + up
+        degree[rows + leaf] = n
+        degree[rows + up] -= 1
+        joined[rows + up] -= leaf
+    return rank
 
 
 def blocked_Dt(n: int, t: int) -> BlockedReport:
     """Exact D_t = min over t-edge forests F and non-star trees T_0 with
-    |T_0 and F| < t of |T_n[T_0; F]|, by exhaustive double minimization.
+    |T_0 and F| < t of |T_n[T_0; F]|: one tree per unlabelled type against
+    F's vertex partition P.  A count reads F only through P, and some F of
+    partition P meets T_0 in fewer than t edges exactly when fewer than t
+    blocks B of P have a vertex T_0 joins to the rest (the complement of the
+    forest T_0[B] is disconnected only then).
 
-    A relabelling of the vertices maps admissible pairs to admissible pairs
-    and keeps every count, so one tree of each unlabelled non-star type
-    (_forest_orbits(n, n - 1) less the star) against every labelled
-    t-forest (_forest_level) meets every pair's orbit.  A count is the
-    determinant of the reduced Laplacian of K_n - T_0 with F contracted
-    (positive definite: a non-star tree's complement is connected), whose
-    entries count the edges outside T_0 between classes or leaving one.
-
-    The witnesses are those of a scan of every forest orbit's first forest,
-    in lexicographic order, against the tree universe in tree-index order,
-    first strict minimum kept: F* is the representative of the first orbit
-    with a tying pair, and T* the least tree index among g(T) over the tying
-    pairs (T, F) with F in that orbit and g a relabelling that maps F onto
-    F*.  That lookup reads the tree universe, so n is capped.
+    The witnesses are those of a scan of each forest orbit's first forest
+    against every tree, both in order, first strict minimum kept: F* is the
+    star K_(1,t) at vertex 1 if a pair ties on it (else this raises), and
+    T* the least tree index among the tying pairs placed on its partition
+    and relabelled by the stabiliser, less those meeting F* in t edges.
     """
     import numpy as np
 
     n, t = _as_ints("n and t", n, t, low=(3, 1))
-    _check_cap("enum_cap", DEFAULT_ENUM_CAP, n, "vertices for the D_t exhaustion")
+    _check_cap("dt_cap", DEFAULT_DT_CAP, n, "vertices for the D_t exhaustion")
     if t > n - 2:
         raise ValueError(f"t={t} out of range 1..{n - 2}")
-    # the first tree type, bits 0..n-2, is the star at vertex 1
-    types = np.array(_forest_orbits(n, n - 1)[1:], dtype=np.intp).reshape(-1, n - 1)
-    trees = np.bitwise_or.reduce(np.uint64(1) << types.astype(np.uint64), axis=1)
-    level = _forest_level(n, t)
-    _, bits, _, starts = level
-    best, ties, pairs = None, [], 0  # the least count and the pairs that reach it
-    for a, f, ok, counts in _scored(level, trees, t):
-        pairs += int(ok.sum())
-        if not ok.any():
-            continue
-        low = counts[ok].min()
-        if best is None or low < best:
-            best, ties = low, []
-        if low == best:
-            ti, fi = np.nonzero(ok & (counts == low))
-            ties.append((ti + a, fi + f))
-    if best is None:
+    *_, starlike, place, group = _partition_level(n, t)
+    types = _free_trees(n)[0][:-1]
+    lows, pairs = [], 0  # per block: the least count and its pairs of the star's partition shape
+    step = max(1, _BLOCK_CELLS // max(1, len(types) * (n - t) ** 2))
+    for lo in range(0, len(place), step):
+        counts, stars = _pair_scores(n, t, lo, lo + step)
+        ok = stars < t
+        pairs += np.count_nonzero(ok)
+        if ok.any():
+            low = counts[ok].min()
+            lows.append((low, *np.nonzero(ok & (counts == low) & starlike[lo : lo + step]), lo))
+    if not lows:
         raise ValueError(f"no admissible (F, T_0) pair at n={n}, t={t}")
-    ti, fi = map(np.concatenate, zip(*ties))
-    p = int(np.searchsorted(starts, fi.min(), "right")) - 1  # F*'s orbit
-    rep = _forest_orbits(n, t)[p]
-    ti, fi = ti[fi < starts[p + 1]], fi[fi < starts[p + 1]]
-    images, target = _edge_image_bits(n), sum(1 << b for b in rep)
-    found, step = [], max(1, _BLOCK_CELLS // (t * images.shape[1]))
-    for i in range(0, len(fi), step):
-        # j, g: a tying pair and a relabelling that maps its forest onto F*
-        j, g = np.nonzero(np.bitwise_or.reduce(images[bits[:, fi[i : i + step]]], axis=0) == target)
-        found.append(np.bitwise_or.reduce(images[types[ti[i + j]].T, g], axis=0))
-    # T* is the first tree of the universe among them: a binary search in
-    # the sorted masks, where position len(found) wraps to 0, a smaller mask
-    found = np.sort(np.concatenate(found))
-    arr = tree_mask_array(n)
-    idx = int(np.argmax(found[np.searchsorted(found, arr) % len(found)] == arr))
-    edges = all_edges(n)
-    forest = Forest(n, [edges[b] for b in rep])
-    tree = _tree(n, mask_to_edges(n, int(arr[idx])))
-    return BlockedReport(n, t, int(best), forest, tree, pairs, len(_forest_orbits(n, t)))
+    best = min(low for low, *_ in lows)
+    a, p = (np.concatenate(c) for c in zip(*((a, p + lo) for low, a, p, lo in lows if low == best)))
+    placed, found = place[p[:, None, None], types[a]], []
+    step = max(1, _BLOCK_CELLS // (2 * n * max(1, len(p))))
+    for lo in range(0, len(group), step):
+        images = group[lo : lo + step, placed].reshape(-1, n - 1, 2)
+        x, y = images[..., 0], images[..., 1]
+        keep = ((np.minimum(x, y) == 0) & (np.maximum(x, y) <= t)).sum(1) < t  # F* = {0, 1..t}
+        if keep.any():
+            found.append(_prufer_ranks(n, images[keep]).min())
+    if not found:
+        raise RuntimeError(f"no pair ties on the star K_(1,{t}) at n={n}, so its witness is unknown")
+    forest, tree = Forest(n, [(1, v) for v in range(2, t + 2)]), tree_from_index(n, int(min(found)))
+    return BlockedReport(n, t, int(best), forest, tree, int(pairs), len(place))
 
 
 # -- lopsided local lemma ------------------------------------------------------

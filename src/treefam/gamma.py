@@ -15,8 +15,7 @@ from __future__ import annotations
 import os
 import struct
 from functools import lru_cache
-from itertools import islice, permutations
-from math import factorial
+from itertools import permutations
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .counting import _containing_avoiding
@@ -562,18 +561,15 @@ def _edge_image_bits(n: int):
     masks: [b, g] is the bit of edge b's image under relabelling g, so
     OR-ing a forest's rows gives its orbit, the forest in column 0.  A
     relabelling keeps every overlap |T & T'|, so each is an automorphism of
-    Gamma_t(K_n) and its complement, for every t.  Filled a block of
-    relabellings at a time, so the build peaks at the table plus one block."""
+    Gamma_t(K_n) and its complement, for every t.  Its readers stop at
+    n = 8 (40,320 columns)."""
     import numpy as np
 
     eu, ev = np.array(all_edges(n)).T - 1
     pos = np.zeros((n, n), np.uint8)  # pos[u-1, v-1]: the bit of edge uv
     pos[eu, ev] = pos[ev, eu] = np.arange(len(eu))
-    bits = np.empty((len(eu), factorial(n)), np.uint64)
-    walk, step = permutations(range(n)), max(1, _BLOCK_CELLS // len(eu))
-    for lo in range(0, bits.shape[1], step):
-        perms = np.array(list(islice(walk, step)), np.uint8)
-        bits[:, lo : lo + step] = np.uint64(1) << pos[perms[:, eu], perms[:, ev]].T.astype(np.uint64)
+    perms = np.array(list(permutations(range(n))), np.uint8)
+    bits = np.uint64(1) << pos[perms[:, eu], perms[:, ev]].T.astype(np.uint64)
     bits.flags.writeable = False
     return bits
 

@@ -572,12 +572,12 @@ def _decode_all(n: int):
 
 # -- the mask kernel ------------------------------------------------------------
 # Every sweep over tree masks reduces to "popcount of a & b": the universe
-# sweeps count, per tree, how many edges of one mask it holds (edge_hits, and
-# D_t per class pair); the pairwise sweeps (family checks, Gamma_t rows) AND
-# blocks of rows of one mask matrix against another (pair_blocks).  numpy is
-# imported inside the functions so that importing the package is cheap.
+# sweeps count, per tree, how many edges of one mask it holds (edge_hits); the
+# pairwise sweeps (family checks, Gamma_t rows) AND blocks of rows of one mask
+# matrix against another (pair_blocks).  numpy is imported inside the
+# functions so that importing the package is cheap.
 
-# uint64 cells in the largest AND block pair_blocks (or a D_t block) yields (512 KiB)
+# cells in the largest block a sweep holds: pair_blocks' uint64 ANDs (512 KiB), D_t's Laplacians
 _BLOCK_CELLS = 1 << 16
 
 

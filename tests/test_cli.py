@@ -124,7 +124,7 @@ def test_cap_violation_names_the_cap(capsys):
 @pytest.mark.parametrize("argv, cap, value", [
     (("enumerate", "--n", "9"), "enum_cap", 8),
     (("family", "verify", "--kind", "trivial", "--n", "9", "--edges", "1-2"), "enum_cap", 8),
-    (("dt", "--n", "9", "--t", "1"), "enum_cap", 8),
+    (("dt", "--n", "11", "--t", "1"), "dt_cap", 10),
     (("gamma", "build", "--graph", "K8", "--t", "1"), "gamma_cap", 20000),
     (("search", "max", "--n", "8", "--t", "1"), "gamma_cap", 20000),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
@@ -577,7 +577,7 @@ def test_gamma_packing_of_one_vertex(capsys, tmp_path, graph):
 def test_dt_command(capsys):
     code, data = run_json(capsys, "dt", "--n", "6", "--t", "1", "--reproducible")
     assert code == EXIT_OK and data["value"] == "30"
-    assert (data["pairs_checked"], data["orbits"]) == (50, 1)
+    assert (data["pairs_checked"], data["partitions"]) == (50, 15)
 
 
 def test_llll_commands(capsys):

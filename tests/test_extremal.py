@@ -718,7 +718,7 @@ def test_blocked_dt_validation():
     from treefam.trees import CapExceeded
 
     with pytest.raises(CapExceeded):
-        blocked_Dt(9, 1)
+        blocked_Dt(11, 1)
 
 
 @pytest.mark.parametrize(
@@ -781,10 +781,10 @@ def test_blocked_dt_matches_all_forest_scan(n, t):
 
 @pytest.mark.parametrize("n, t", [(n, t) for n in range(4, 9) for t in range(1, n - 1)])
 def test_blocked_dt_matches_the_universe_scan(n, t):
-    """One tree per type against every labelled forest gives the value,
-    witnesses and orbit count of one forest per orbit against every tree."""
+    """One tree per type against every vertex partition gives the value and
+    witnesses of one forest per orbit against every tree."""
     rep = blocked_Dt(n, t)
-    assert (rep.value, rep.argmin_forest.edges, rep.argmin_tree.edges, rep.orbits) == universe_scan(n, t)
+    assert (rep.value, rep.argmin_forest.edges, rep.argmin_tree.edges) == universe_scan(n, t)
 
 
 def test_blocked_dt_n7_values_and_witnesses():
@@ -803,12 +803,11 @@ def test_blocked_dt_n7_values_and_witnesses():
 
 def test_blocked_dt_scores_one_tree_per_type():
     """pairs_checked pins the reduction at n = 6: the 5 non-star tree types
-    against every labelled t-forest, where scoring every forest against
-    every non-star tree would check 12,900 / 122,550 / 548,250 / 1,386,750
-    pairs, and one forest per orbit against every tree 860 / 2,329 / 5,029
-    / 7,701."""
+    against every partition of [6] into 6 - t blocks, where every t-forest
+    against every non-star tree would be 12,900 / 122,550 / 548,250 /
+    1,386,750 pairs."""
     pairs = {t: blocked_Dt(6, t).pairs_checked for t in (1, 2, 3, 4)}
-    assert pairs == {1: 50, 2: 475, 3: 2125, 4: 5375}
+    assert pairs == {1: 50, 2: 302, 3: 448, 4: 155}
 
 
 def _tree_types(n):
@@ -826,17 +825,43 @@ def _tree_types(n):
     return firsts
 
 
+def _rooted_min_string(n, edges):
+    """A canonical string of a tree built apart from the library's: the
+    least over every root (not just the centres) of its sorted-children
+    bracket string."""
+    adj = {v: [] for v in range(1, n + 1)}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+
+    def code(v, parent):
+        return "(" + "".join(sorted(code(w, v) for w in adj[v] if w != parent)) + ")"
+
+    return min(code(r, 0) for r in adj)
+
+
+def _least_overlaps(n, t, types):
+    """Brute force: {(type index, partition): least |T_0 and F| over the
+    t-edge forests F whose vertex partition is that partition}."""
+    least = {}
+    for f in forests(n, max_edges=t, min_edges=t):
+        part = frozenset(map(frozenset, Forest(n, f).classes()))
+        for a, tr in enumerate(types):
+            key = (a, part)
+            least[key] = min(least.get(key, t), len(tr.edge_set() & set(f)))
+    return least
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_pairs_checked_counts_type_forest_pairs(n):
-    """pairs_checked = the admissible pairs of a non-star tree type (one
-    tree each) and a labelled t-edge forest, counted by brute force."""
-    from treefam.trees import is_star
-
+    """pairs_checked = the (type, partition) pairs, of a non-star tree type
+    and a vertex partition into n - t blocks, with some t-edge forest of
+    that partition meeting the type's tree in fewer than t edges, found by
+    brute force over every labelled t-forest."""
     types = [tr for tr in _tree_types(n) if not is_star(tr)]
     assert len(types) == {3: 0, 4: 1, 5: 2, 6: 5}[n]
     for t in range(1, n - 1):
-        want = sum(len(tr.edge_set() & set(f)) < t for tr in types
-                   for f in forests(n, max_edges=t, min_edges=t))
+        want = sum(m < t for m in _least_overlaps(n, t, types).values())
         if want == 0:
             with pytest.raises(ValueError, match="no admissible"):
                 blocked_Dt(n, t)
@@ -844,29 +869,59 @@ def test_pairs_checked_counts_type_forest_pairs(n):
             assert blocked_Dt(n, t).pairs_checked == want
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_star_blocks_are_the_least_overlap(n):
+    """The star-block rule, pair by pair: the star blocks of a partition,
+    with two or more vertices of which one is joined in T_0 to all the
+    others, number the least overlap of T_0 with a t-forest of that
+    partition.  And every such forest gives the pair's count: a count reads
+    F only through its partition."""
+    from treefam.extremal import _free_trees, _pair_scores, _partition_level
+
+    edges = _free_trees(n)[0][:-1] + 1
+    types = [Tree(n, tr) for tr in edges.tolist()]
+    for t in range(1, n - 1):
+        counts, stars = _pair_scores(n, t, 0, None)
+        bits = _partition_level(n, t)[2]
+        parts = [frozenset(frozenset(v + 1 for v in range(n) if b >> v & 1) for b in row) for row in bits.tolist()]
+        assert len(set(parts)) == len(parts) and all(len(p) == n - t for p in parts)
+        least = _least_overlaps(n, t, types)
+        assert {(a, p) for a, _ in enumerate(types) for p in parts} == set(least)
+        for a, tr in enumerate(types):
+            for i, p in enumerate(parts):
+                assert stars[a, i] == least[a, p]
+        for f in forests(n, max_edges=t, min_edges=t):
+            i = parts.index(frozenset(map(frozenset, Forest(n, f).classes())))
+            for a, tr in enumerate(types):
+                assert count_avoiding(n, tr, Forest(n, f)) == counts[a, i]
+
+
 @pytest.mark.parametrize("n, orbits, pairs", [
-    (4, [1, 2], [3, 12]),
-    (5, [1, 2, 3], [12, 78, 212]),
-    (6, [1, 2, 4, 6], [50, 475, 2125, 5375]),
-    (7, [1, 2, 4, 7, 11], [150, 1950, 12750, 52350, 133710]),
+    (4, [1, 2], [3, 6]),
+    (5, [1, 2, 3], [12, 45, 30]),
+    (6, [1, 2, 4, 6], [50, 302, 448, 155]),
+    (7, [1, 2, 4, 7, 11], [150, 1323, 3483, 3010, 630]),
 ])
 def test_blocked_dt_counts_forest_orbits(n, orbits, pairs):
-    """orbits = the number of unlabelled t-edge forests on n vertices, the
-    orbits of the labelled forests that each tree type is scored against.
-    _forest_level(n, t) holds each labelled t-edge forest once, with its
-    edge bits, in the orbit of _forest_orbits(n, t) that it belongs to, and
-    the AND of the cuts of n - t - 1 of its classes."""
+    """orbits = the unlabelled t-edge forests on n vertices, which the
+    universe scan's orbit walk reaches once each; blocked_Dt scores the
+    partitions instead, S(n, n - t) of them (Stirling numbers of the second
+    kind), and pins pairs (type, partition) pairs."""
     from itertools import permutations
-    from math import comb
 
-    from treefam.extremal import _forest_level, _forest_orbits
+    from dt_oracle import _forest_orbits
+
     from treefam.trees import all_edges, edge
 
     reports = [blocked_Dt(n, t) for t in range(1, n - 1)]
-    got = [r.orbits for r in reports]
-    assert got == orbits
+    assert [len(_forest_orbits(n, t)) for t in range(1, n - 1)] == orbits
     assert [r.pairs_checked for r in reports] == pairs
-    assert len(_forest_level(n, 1)[0]) == comb(n, 2)
+    stirling = {(0, 0): 1}
+    for i in range(1, n + 1):
+        for k in range(1, i + 1):
+            stirling[i, k] = k * stirling.get((i - 1, k), 0) + stirling.get((i - 1, k - 1), 0)
+    assert [r.partitions for r in reports] == [stirling[n, n - t] for t in range(1, n - 1)]
+    assert blocked_Dt(n, 1).to_dict()["partitions"] == n * (n - 1) // 2
     edges = all_edges(n)
     if n <= 6:  # the first forest of each orbit, walking every forest in order
         for t in range(1, n - 1):
@@ -876,71 +931,108 @@ def test_blocked_dt_counts_forest_orbits(n, orbits, pairs):
                     firsts.append(f)
                     orbit_of.update((tuple(sorted(edge(p[u - 1], p[v - 1]) for u, v in f)), len(firsts) - 1)
                                     for p in permutations(range(1, n + 1)))
-            reps = [tuple(edges[b] for b in bits) for bits in _forest_orbits(n, t)]
-            assert reps == firsts and len(firsts) == got[t - 1]
-            masks, bits, cells, starts = _forest_level(n, t)
-            assert sorted(masks.tolist()) == sorted(edges_to_mask(n, f) for f in orbit_of)
-            assert len(starts) == len(reps) + 1
-            for p in range(len(reps)):
-                for i in range(starts[p], starts[p + 1]):
-                    f = tuple(sorted(edges[b] for b in bits[:, i]))
-                    assert edges_to_mask(n, f) == masks[i] and orbit_of[f] == p
-                    cuts = {edges_to_mask(n, [e for e in edges if (e[0] in c) != (e[1] in c)])
-                            for c in Forest(n, f).classes()}
-                    diag = cells.diagonal()[i]
-                    assert len(set(diag.tolist())) == n - t - 1 and set(diag.tolist()) <= cuts
-                    assert (cells[:, :, i] == np.bitwise_and.outer(diag, diag)).all()
-    assert blocked_Dt(n, 1).to_dict()["orbits"] == 1
+            assert [tuple(edges[b] for b in bits) for bits in _forest_orbits(n, t)] == firsts
 
 
 @pytest.mark.parametrize("n, trees", [(6, 6), (7, 11), (8, 23)])
 def test_forest_orbits_reach_the_unlabelled_trees_once(n, trees):
-    """At t = n - 1 the orbits are the unlabelled trees on n vertices; a
-    level is walked once per process and then read from the memo."""
-    from treefam.extremal import _forest_orbits
+    """At t = n - 1 the universe scan's orbits are the unlabelled trees on n
+    vertices, the same as blocked_Dt's tree types; a level is walked once
+    per process and then read from the memo."""
+    from dt_oracle import _forest_orbits
+
+    from treefam.extremal import _free_trees
     from treefam.trees import all_edges
 
     assert len(_forest_orbits(n, n - 1)) == trees
     assert _forest_orbits(n, n - 1) is _forest_orbits(n, n - 1)
-    # blocked_Dt drops the first as the star at vertex 1: no other is a star
+    # the first orbit is the star at vertex 1: no other is a star
     types = [Tree(n, [all_edges(n)[b] for b in bits]) for bits in _forest_orbits(n, n - 1)]
     assert [is_star(tr) for tr in types] == [True] + [False] * (trees - 1)
+    assert (sorted(_rooted_min_string(n, tr.edges) for tr in types)
+            == sorted(_rooted_min_string(n, e) for e in (_free_trees(n)[0] + 1).tolist()))
+
+
+@pytest.mark.parametrize("n, count", list(zip(range(2, 12), [1, 1, 2, 3, 6, 11, 23, 47, 106, 235])))
+def test_free_trees_are_the_unlabelled_trees(n, count):
+    """Leaf augmentation keeps one tree per isomorphism class: the counts
+    are OEIS A000055, no two types are isomorphic, exactly one is a star
+    and it comes last, and for n <= 7 they are the brute-force types.  The
+    neighbourhood masks match the edges."""
+    from treefam.extremal import _free_trees
+
+    edges, reach = _free_trees(n)
+    trees = [Tree(n, tr) for tr in (edges + 1).tolist()]
+    assert len(trees) == count
+    strings = [_rooted_min_string(n, tr.edges) for tr in trees]
+    assert len(set(strings)) == count
+    assert [is_star(tr) for tr in trees] == [False] * (count - 1) + [True]
+    if n <= 7:
+        assert set(strings) == {_rooted_min_string(n, tr.edges) for tr in _tree_types(n)}
+    for tr, masks in zip(edges.tolist(), reach.tolist()):
+        want = [1 << v for v in range(n)]
+        for u, v in tr:
+            want[u] |= 1 << v
+            want[v] |= 1 << u
+        assert masks == want
+    assert _free_trees(n) is _free_trees(n)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 8, 10, 11])
+def test_prufer_ranks_are_tree_indices(n):
+    """The vectorised leaf removal ranks trees as tree_index does."""
+    from treefam.extremal import _prufer_ranks
+    from treefam.trees import sample_uniform_trees, tree_index
+
+    trees = sample_uniform_trees(n, 20261021 + n, 300)
+    ranks = _prufer_ranks(n, np.array([tr.edges for tr in trees]) - 1)
+    assert ranks.tolist() == [tree_index(tr) for tr in trees]
+
+
+@pytest.mark.parametrize("n, t", [(4, 1), (6, 2), (7, 3), (8, 6)])
+def test_stabiliser_keeps_the_star_partition(n, t):
+    """The witness relabellings: each of the (t+1)! (n-t-1)! relabellings
+    that keep {0..t} and {t+1..n-1}, once."""
+    from math import factorial
+
+    from treefam.extremal import _partition_level
+
+    group = _partition_level(n, t)[-1]
+    assert len({tuple(g) for g in group.tolist()}) == len(group) == factorial(t + 1) * factorial(n - t - 1)
+    assert (np.sort(group[:, : t + 1], axis=1) == np.arange(t + 1)).all()
+    assert (np.sort(group[:, t + 1 :], axis=1) == np.arange(t + 1, n)).all()
 
 
 @pytest.fixture
-def cold_orbit_caches():
-    from treefam import extremal, gamma
+def cold_dt_caches():
+    from treefam import extremal
 
     def clear():
-        extremal._forest_orbits.cache_clear()
-        extremal._forest_level.cache_clear()
-        gamma._edge_image_bits.cache_clear()
+        for memo in (extremal._free_trees, extremal._partition_level):
+            memo.cache_clear()
 
     clear()
     yield
     clear()
 
 
-def test_dt_blocks_do_not_change_results(cold_orbit_caches, monkeypatch):
-    """The S_n table, the orbit walk, the labelled levels and the D_t scan
-    agree between the default blocks, where a block of the scan holds
-    whole tree types (every type at n <= 6), and blocks of 64 cells, where
-    it holds one type against a slice of the forests and the witness
-    search takes one tying pair at a time."""
-    from treefam import extremal, gamma
+def test_dt_blocks_do_not_change_results(cold_dt_caches, monkeypatch):
+    """The tree types, the partition levels and the D_t scan agree between
+    the default blocks, where one block holds every partition at n <= 6,
+    and blocks of 64 cells, where a block holds one partition against every
+    type and the witness search takes one relabelling at a time."""
+    from treefam import extremal
 
     def run():
-        return [(gamma._edge_image_bits(n).tolist(),
-                 [(extremal._forest_orbits(n, t), [a.tolist() for a in extremal._forest_level(n, t)],
-                   blocked_Dt(n, t).to_dict()) for t in range(1, n - 1)])
+        return [([a.tolist() for a in extremal._free_trees(n)],
+                 [([a.tolist() for a in extremal._partition_level(n, t)], blocked_Dt(n, t).to_dict())
+                  for t in range(1, n - 1)])
                 for n in (4, 5, 6)]
 
     default = run()
-    extremal._forest_orbits.cache_clear()
-    extremal._forest_level.cache_clear()
-    gamma._edge_image_bits.cache_clear()
+    for memo in (extremal._free_trees, extremal._partition_level):
+        memo.cache_clear()
     monkeypatch.setattr(extremal, "_BLOCK_CELLS", 64)
-    monkeypatch.setattr(gamma, "_BLOCK_CELLS", 64)
     assert run() == default
 
 
@@ -955,8 +1047,8 @@ def test_blocked_dt_n8_pins(dt8):
     assert {t: r.value for t, r in dt8.items()} == {
         1: 3430, 2: 735, 3: 140, 4: 25, 5: 5, 6: 1}
     assert [r.pairs_checked for r in dt8.values()] == [
-        462, 7854, 70070, 414260, 1684914, 4415334]
-    assert [r.orbits for r in dt8.values()] == [1, 2, 4, 8, 14, 23]
+        462, 5595, 23000, 37417, 21252, 2794]
+    assert [r.partitions for r in dt8.values()] == [28, 266, 1050, 1701, 966, 127]
     for t, rep in dt8.items():
         # the argmin forest is the star K_{1,t} at vertex 1
         assert rep.argmin_forest.edges == tuple((1, v) for v in range(2, t + 2))
@@ -965,8 +1057,32 @@ def test_blocked_dt_n8_pins(dt8):
         assert count_avoiding(8, rep.argmin_tree, rep.argmin_forest) == rep.value
 
 
-def test_blocked_dt_fits_the_conjectured_closed_form(dt8):
-    """Conjecture, from every value computed at n = 4..8 (not a theorem):
+@pytest.fixture(scope="module")
+def dt9():
+    return {t: blocked_Dt(9, t) for t in range(1, 8)}
+
+
+def test_blocked_dt_n9_pins(dt9):
+    """Past the tree-universe cap: one type of each of the 46 non-star
+    trees on 9 vertices against every partition, and a witness of each
+    value that is admissible and recounts to it."""
+    from treefam.trees import intersection_size, is_star
+
+    assert {t: r.value for t, r in dt9.items()} == {
+        1: 49152, 2: 9216, 3: 1536, 4: 240, 5: 36, 6: 6, 7: 1}
+    assert [r.pairs_checked for r in dt9.values()] == [
+        1288, 20481, 121258, 319687, 357420, 139150, 11730]
+    assert [r.partitions for r in dt9.values()] == [36, 462, 2646, 6951, 7770, 3025, 255]
+    for t, rep in dt9.items():
+        assert rep.argmin_forest.edges == tuple((1, v) for v in range(2, t + 2))
+        assert not is_star(rep.argmin_tree)
+        assert intersection_size(rep.argmin_tree, rep.argmin_forest) < t
+        assert count_avoiding(9, rep.argmin_tree, rep.argmin_forest) == rep.value
+
+
+def test_blocked_dt_fits_the_conjectured_closed_form(dt8, dt9):
+    """Conjecture, from every value computed at n = 4..10 (not a theorem;
+    the CI sweep checks n = 10, too slow for this suite):
     D_t(n) = (t+1)(n-3)(n-1)^(n-4-t) for 1 <= t <= n-4, D_{n-3}(n) = n-3
     and D_{n-2}(n) = 1."""
 
@@ -978,10 +1094,11 @@ def test_blocked_dt_fits_the_conjectured_closed_form(dt8):
         return (t + 1) * (n - 3) * (n - 1) ** (n - 4 - t)
 
     values = {(8, t): rep.value for t, rep in dt8.items()}
+    values.update({(9, t): rep.value for t, rep in dt9.items()})
     for n in (4, 5, 6, 7):
         for t in range(1, n - 1):
             values[n, t] = blocked_Dt(n, t).value
-    assert len(values) == 20
+    assert len(values) == 27
     assert values == {key: conjectured(*key) for key in values}
 
 
@@ -1005,9 +1122,10 @@ def test_spider_star_pair_meets_the_closed_form_at_every_n():
         assert count_avoiding(n, tree, forest) == (t + 1) * (n - 3) * (n - 1) ** (n - 4 - t)
 
 
-def test_spider_star_pair_is_the_argmin(dt8):
+def test_spider_star_pair_is_the_argmin(dt8, dt9):
     reports = {(n, t): blocked_Dt(n, t) for n in (5, 6, 7) for t in range(1, n - 3)}
     reports.update({(8, t): dt8[t] for t in range(1, 5)})
+    reports.update({(9, t): dt9[t] for t in range(1, 6)})
     for (n, t), rep in reports.items():
         assert (rep.argmin_tree, rep.argmin_forest) == spider_star_pair(n, t)
 

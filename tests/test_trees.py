@@ -278,7 +278,7 @@ K8 = SimpleGraph.complete(8)
     (lambda: next(enumerate_trees(9)), lambda: next(enumerate_trees(8)), "enum_cap", 8),
     (lambda: edge_hits(9, [(1, 2)]), lambda: edge_hits(8, [(1, 2)]), "enum_cap", 8),
     (lambda: tree_mask_array(9), lambda: tree_mask_array(8), "enum_cap", 8),
-    (lambda: blocked_Dt(9, 1), lambda: blocked_Dt(8, 6), "enum_cap", 8),
+    (lambda: blocked_Dt(11, 1), lambda: blocked_Dt(10, 8), "dt_cap", 10),
     (lambda: build_gamma(K8, 1), None, "gamma_cap", 20000),
     (lambda: list(enumerate_spanning_trees(K8)), None, "gamma_cap", 20000),
     (lambda: brute_force_max_t_intersecting(8, 1), None, "gamma_cap", 20000),
