@@ -33,13 +33,14 @@ from .trees import (
     _check_cap,
     _forest_on,
     _pair_edges,
+    _rationals,
     cayley_count,
     edge,
     edge_hits,
     edges_to_mask,
+    intersection_size,
     is_d_star_like,
     min_pairwise_intersection,
-    tree_from_index,
     tree_mask_array,
 )
 
@@ -432,17 +433,8 @@ def _partition_level(n: int, t: int):
     strings (Knuth, TAOCP 4A, 7.2.1.5), read-only: each vertex's block as a
     one-hot row less block 0, vertex first; the contracted reduced
     Laplacian of K_n; each vertex's block as a bitmask, and its star-block
-    weight (2 in a block of 3 or more, 1 in a block of 2); whether the
-    partition has the star K_(1,t)'s shape, t + 1 and singletons; a
-    relabelling of its largest block onto 0..t and the rest onto t+1..n-1,
-    each ascending; and that shape's stabiliser S_(t+1) x S_(n-t-1)."""
+    weight (2 in a block of 3 or more, 1 in a block of 2)."""
     import numpy as np
-
-    def orderings(k):  # each ordering of range(j) with j put at each place
-        rows = np.zeros((1, 0), np.int8)
-        for j in range(k):
-            rows = np.concatenate([np.insert(rows, i, j, axis=1) for i in range(j + 1)])
-        return rows
 
     m = n - t
     labels, used, grow = np.zeros((1, 1), np.intp), np.ones(1, np.intp), np.arange(n - t)
@@ -452,13 +444,9 @@ def _partition_level(n: int, t: int):
     member = labels[:, None, :] == np.arange(m)[:, None]  # (P, m, n)
     sizes = member.sum(2)
     lap = sizes[:, 1:, None] * (n * np.eye(m - 1, dtype=np.intp) - sizes[:, None, 1:])  # s_i (n [i = j] - s_j)
-    place = np.argsort(np.argsort(labels != sizes.argmax(1)[:, None], axis=1, kind="stable"), axis=1)
-    a, b = orderings(t + 1), orderings(m - 1) + np.int8(t + 1)
     level = (np.eye(m, dtype=np.int8)[labels.T, 1:], lap,
              np.take_along_axis((member << np.arange(n)).sum(2), labels, 1),
-             np.take_along_axis((sizes > 1).astype(np.int8) + (sizes > 2), labels, 1),
-             (sizes == 1).sum(1) == m - 1, place,
-             np.hstack([np.repeat(a, len(b), 0), np.tile(b, (len(a), 1))]))
+             np.take_along_axis((sizes > 1).astype(np.int8) + (sizes > 2), labels, 1))
     for a in level:
         a.flags.writeable = False
     return level
@@ -481,26 +469,6 @@ def _pair_scores(n: int, t: int, lo: int, hi: int):
     return counts.reshape(stars.shape[:2]), stars[..., 0, 0] // 2
 
 
-def _prufer_ranks(n: int, edges):
-    """trees.tree_index of each tree of a (B, n - 1, 2) array of 0-based
-    edges, by n - 2 leaf removals on all B at once: the least leaf has the
-    least degree (n once removed), its neighbour the sum of those joined."""
-    import numpy as np
-
-    at = (np.arange(len(edges)) * n)[:, None, None] + edges
-    degree = np.bincount(at.ravel(), minlength=len(edges) * n)
-    joined = np.bincount(at.ravel(), edges[..., ::-1].ravel(), degree.size).astype(np.intp)
-    rows, rank = np.arange(0, degree.size, n), np.zeros(len(edges), np.int64)
-    for _ in range(n - 2):
-        leaf = degree.reshape(-1, n).argmin(1)
-        up = joined[rows + leaf]
-        rank = rank * n + up
-        degree[rows + leaf] = n
-        degree[rows + up] -= 1
-        joined[rows + up] -= leaf
-    return rank
-
-
 def blocked_Dt(n: int, t: int) -> BlockedReport:
     """Exact D_t = min over t-edge forests F and non-star trees T_0 with
     |T_0 and F| < t of |T_n[T_0; F]|: one tree per unlabelled type against
@@ -509,11 +477,11 @@ def blocked_Dt(n: int, t: int) -> BlockedReport:
     blocks B of P have a vertex T_0 joins to the rest (the complement of the
     forest T_0[B] is disconnected only then).
 
-    The witnesses are those of a scan of each forest orbit's first forest
-    against every tree, both in order, first strict minimum kept: F* is the
-    star K_(1,t) at vertex 1 if a pair ties on it (else this raises), and
-    T* the least tree index among the tying pairs placed on its partition
-    and relabelled by the stabiliser, less those meeting F* in t edges.
+    The witness is a closed form: F* is the star K_(1,t) at vertex 1, and T*
+    the spider whose centre c = t + 2 is joined to every vertex but c and x,
+    plus the edge (m, x), where x = n if c < n, else 2, and m = t + 3 if
+    t + 3 < x, else 1.  This raises RuntimeError unless T* meets F* in
+    fewer than t edges and recounts to the scanned minimum.
     """
     import numpy as np
 
@@ -521,33 +489,24 @@ def blocked_Dt(n: int, t: int) -> BlockedReport:
     _check_cap("dt_cap", DEFAULT_DT_CAP, n, "vertices for the D_t exhaustion")
     if t > n - 2:
         raise ValueError(f"t={t} out of range 1..{n - 2}")
-    *_, starlike, place, group = _partition_level(n, t)
-    types = _free_trees(n)[0][:-1]
-    lows, pairs = [], 0  # per block: the least count and its pairs of the star's partition shape
-    step = max(1, _BLOCK_CELLS // max(1, len(types) * (n - t) ** 2))
-    for lo in range(0, len(place), step):
+    partitions, lows, pairs = len(_partition_level(n, t)[1]), [], 0
+    step = max(1, _BLOCK_CELLS // max(1, (len(_free_trees(n)[0]) - 1) * (n - t) ** 2))
+    for lo in range(0, partitions, step):
         counts, stars = _pair_scores(n, t, lo, lo + step)
         ok = stars < t
         pairs += np.count_nonzero(ok)
         if ok.any():
-            low = counts[ok].min()
-            lows.append((low, *np.nonzero(ok & (counts == low) & starlike[lo : lo + step]), lo))
+            lows.append(int(counts[ok].min()))
     if not lows:
         raise ValueError(f"no admissible (F, T_0) pair at n={n}, t={t}")
-    best = min(low for low, *_ in lows)
-    a, p = (np.concatenate(c) for c in zip(*((a, p + lo) for low, a, p, lo in lows if low == best)))
-    placed, found = place[p[:, None, None], types[a]], []
-    step = max(1, _BLOCK_CELLS // (2 * n * max(1, len(p))))
-    for lo in range(0, len(group), step):
-        images = group[lo : lo + step, placed].reshape(-1, n - 1, 2)
-        x, y = images[..., 0], images[..., 1]
-        keep = ((np.minimum(x, y) == 0) & (np.maximum(x, y) <= t)).sum(1) < t  # F* = {0, 1..t}
-        if keep.any():
-            found.append(_prufer_ranks(n, images[keep]).min())
-    if not found:
-        raise RuntimeError(f"no pair ties on the star K_(1,{t}) at n={n}, so its witness is unknown")
-    forest, tree = Forest(n, [(1, v) for v in range(2, t + 2)]), tree_from_index(n, int(min(found)))
-    return BlockedReport(n, t, int(best), forest, tree, int(pairs), len(place))
+    best, c = min(lows), t + 2
+    x = n if c < n else 2
+    leg = edge(t + 3 if t + 3 < x else 1, x)  # (t+3, n), but (1, n) at t = n - 3 and (1, 2) at t = n - 2
+    forest = Forest(n, [(1, v) for v in range(2, t + 2)])
+    tree = Tree(n, [edge(v, c) for v in range(1, n + 1) if v not in (c, x)] + [leg])
+    if intersection_size(tree, forest) >= t or count_avoiding(n, tree, forest) != best:
+        raise RuntimeError(f"the spider-star pair does not attain D_{t}({n}) = {best}, so its witness is unknown")
+    return BlockedReport(n, t, best, forest, tree, int(pairs), partitions)
 
 
 # -- lopsided local lemma ------------------------------------------------------
@@ -611,13 +570,6 @@ def llll_condition_check(
     for xi in x:
         bound *= 1 - xi
     return LLLLReport(failing is None, bound, failing)
-
-
-def _rationals(what: str, values) -> List[Fraction]:
-    try:
-        return [Fraction(v) for v in values]
-    except (TypeError, ValueError, ArithmeticError):  # None, a list, "1/0", inf
-        raise ValueError(f"{what} must be a list of rationals, got {values!r}") from None
 
 
 def line_graph_adjacency(f: Forest) -> List[List[int]]:

@@ -19,11 +19,10 @@ always X = [[1, 2]].
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Optional
 
 from .counting import count_from_component_product, count_trees_containing
-from .trees import _as_ints
+from .trees import _as_ints, _rationals
 
 
 class SpreadReport:
@@ -174,7 +173,7 @@ def verify_rt_spread(
     n, t = _as_ints("n and t", n, t, low=(2, 0))
     budget = n - 1 if edge_budget is None else edge_budget
     edge_budget = min(_as_ints("edge_budget", budget, low=(0,))[0], n - 1)
-    r = Fraction(r)
+    (r,) = _rationals("r", r, one=True)
     if r <= 1:
         raise ValueError(f"r={r} must exceed 1")
     p, q = r.numerator, r.denominator

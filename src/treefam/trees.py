@@ -27,7 +27,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Edge = Tuple[int, int]
 
@@ -336,7 +336,7 @@ def is_d_star_like(f: Forest, d) -> bool:
     comparison is exact (d may be a Fraction); larger d weakens the
     requirement, so the predicate is monotone in d.
     """
-    d = Fraction(d)
+    (d,) = _rationals("d", d, one=True)
     if d <= 0:
         raise ValueError("d must be positive")
     if not f.edges:
@@ -601,6 +601,18 @@ def _as_ints(what: str, *values, low: Sequence = ()) -> Tuple[int, ...]:
             return ints
     kind = "an integer" if len(values) == 1 else "integers"
     raise ValueError(f"{what} must be {kind}, got {', '.join(map(repr, values))}")
+
+
+def _rationals(what: str, values, one: bool = False) -> List[Fraction]:
+    """The values as Fractions, or with `one` the lone value in a list.  A
+    value that is no rational (None, a list, "1/0", inf), or values that are
+    no list, is a ValueError naming `what`, by a raise that `python -O`
+    keeps."""
+    try:
+        return [Fraction(v) for v in ([values] if one else values)]
+    except (TypeError, ValueError, ArithmeticError):
+        kind = "a rational" if one else "a list of rationals"
+        raise ValueError(f"{what} must be {kind}, got {values!r}") from None
 
 
 def edge_hits(n: int, edges: Iterable):

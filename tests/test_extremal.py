@@ -40,6 +40,7 @@ from treefam.trees import (
     cayley_count,
     edges_to_mask,
     enumerate_trees,
+    intersection_size,
     is_d_star_like,
     is_star,
     mask_matrix,
@@ -978,31 +979,6 @@ def test_free_trees_are_the_unlabelled_trees(n, count):
     assert _free_trees(n) is _free_trees(n)
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 8, 10, 11])
-def test_prufer_ranks_are_tree_indices(n):
-    """The vectorised leaf removal ranks trees as tree_index does."""
-    from treefam.extremal import _prufer_ranks
-    from treefam.trees import sample_uniform_trees, tree_index
-
-    trees = sample_uniform_trees(n, 20261021 + n, 300)
-    ranks = _prufer_ranks(n, np.array([tr.edges for tr in trees]) - 1)
-    assert ranks.tolist() == [tree_index(tr) for tr in trees]
-
-
-@pytest.mark.parametrize("n, t", [(4, 1), (6, 2), (7, 3), (8, 6)])
-def test_stabiliser_keeps_the_star_partition(n, t):
-    """The witness relabellings: each of the (t+1)! (n-t-1)! relabellings
-    that keep {0..t} and {t+1..n-1}, once."""
-    from math import factorial
-
-    from treefam.extremal import _partition_level
-
-    group = _partition_level(n, t)[-1]
-    assert len({tuple(g) for g in group.tolist()}) == len(group) == factorial(t + 1) * factorial(n - t - 1)
-    assert (np.sort(group[:, : t + 1], axis=1) == np.arange(t + 1)).all()
-    assert (np.sort(group[:, t + 1 :], axis=1) == np.arange(t + 1, n)).all()
-
-
 @pytest.fixture
 def cold_dt_caches():
     from treefam import extremal
@@ -1020,7 +996,7 @@ def test_dt_blocks_do_not_change_results(cold_dt_caches, monkeypatch):
     """The tree types, the partition levels and the D_t scan agree between
     the default blocks, where one block holds every partition at n <= 6,
     and blocks of 64 cells, where a block holds one partition against every
-    type and the witness search takes one relabelling at a time."""
+    type."""
     from treefam import extremal
 
     def run():
@@ -1066,13 +1042,17 @@ def test_blocked_dt_n9_pins(dt9):
     """Past the tree-universe cap: one type of each of the 46 non-star
     trees on 9 vertices against every partition, and a witness of each
     value that is admissible and recounts to it."""
-    from treefam.trees import intersection_size, is_star
+    from treefam.trees import intersection_size, is_star, tree_index
 
     assert {t: r.value for t, r in dt9.items()} == {
         1: 49152, 2: 9216, 3: 1536, 4: 240, 5: 36, 6: 6, 7: 1}
     assert [r.pairs_checked for r in dt9.values()] == [
         1288, 20481, 121258, 319687, 357420, 139150, 11730]
     assert [r.partitions for r in dt9.values()] == [36, 462, 2646, 6951, 7770, 3025, 255]
+    # the least tree indices that the stabiliser-image search of earlier
+    # releases found; the closed-form witness keeps them
+    assert [tree_index(r.argmin_tree) for r in dt9.values()] == [
+        1195743, 1793614, 2391485, 2989356, 3587227, 4185090, 531440]
     for t, rep in dt9.items():
         assert rep.argmin_forest.edges == tuple((1, v) for v in range(2, t + 2))
         assert not is_star(rep.argmin_tree)
@@ -1080,54 +1060,85 @@ def test_blocked_dt_n9_pins(dt9):
         assert count_avoiding(9, rep.argmin_tree, rep.argmin_forest) == rep.value
 
 
+def conjectured_dt(n, t):
+    if t == n - 2:
+        return 1
+    if t == n - 3:
+        return n - 3
+    return (t + 1) * (n - 3) * (n - 1) ** (n - 4 - t)
+
+
 def test_blocked_dt_fits_the_conjectured_closed_form(dt8, dt9):
     """Conjecture, from every value computed at n = 4..10 (not a theorem;
     the CI sweep checks n = 10, too slow for this suite):
     D_t(n) = (t+1)(n-3)(n-1)^(n-4-t) for 1 <= t <= n-4, D_{n-3}(n) = n-3
     and D_{n-2}(n) = 1."""
-
-    def conjectured(n, t):
-        if t == n - 2:
-            return 1
-        if t == n - 3:
-            return n - 3
-        return (t + 1) * (n - 3) * (n - 1) ** (n - 4 - t)
-
     values = {(8, t): rep.value for t, rep in dt8.items()}
     values.update({(9, t): rep.value for t, rep in dt9.items()})
     for n in (4, 5, 6, 7):
         for t in range(1, n - 1):
             values[n, t] = blocked_Dt(n, t).value
     assert len(values) == 27
-    assert values == {key: conjectured(*key) for key in values}
+    assert values == {key: conjectured_dt(*key) for key in values}
 
 
 def spider_star_pair(n, t):
-    """The conjectured D_t witness for 1 <= t <= n-4: F = K_{1,t} at vertex 1,
-    and T_0 the spider with centre t+2 joined to 1..t+1 and t+3..n-1, plus
-    the edge (t+3, n).  T_0 shares no edge with F and is no star."""
-    c = t + 2
+    """The conjectured D_t witness: F = K_{1,t} at vertex 1, and T_0 a
+    spider, a centre joined to all but one vertex plus one edge, the leg,
+    to the vertex left out.
+    For t <= n-4 the centre is t+2, joined to 1..t+1 and t+3..n-1, and the
+    leg is (t+3, n); at t = n-3 the centre is n-1 and the leg (1, n); at
+    t = n-2 the centre is n, joined to 1 and 3..n-1, and the leg (1, 2).
+    T_0 is no star and meets F in fewer than t edges."""
     forest = Forest(n, [(1, v) for v in range(2, t + 2)])
-    tree = Tree(n, [(min(v, c), max(v, c)) for v in range(1, n) if v != c] + [(t + 3, n)])
+    if t <= n - 4:
+        centre, spokes, leg = t + 2, [*range(1, t + 2), *range(t + 3, n)], (t + 3, n)
+    elif t == n - 3:
+        centre, spokes, leg = n - 1, range(1, n - 1), (1, n)
+    else:
+        centre, spokes, leg = n, [1, *range(3, n)], (1, 2)
+    tree = Tree(n, [(v, centre) for v in spokes] + [leg])
+    assert not is_star(tree) and intersection_size(tree, forest) < t
     return tree, forest
 
 
 def test_spider_star_pair_meets_the_closed_form_at_every_n():
-    """The upper half of the conjecture: D_t(n) <= (t+1)(n-3)(n-1)^(n-4-t),
-    by the witness's own count, with no enumeration."""
-    pairs = [(n, t) for n in range(6, 41) for t in range(1, n - 3)]
-    assert len(pairs) == 665
+    """The upper half of the conjecture: D_t(n) <= the conjectured form at
+    every t, by the witness's own count, with no enumeration."""
+    pairs = [(n, t) for n in range(6, 41) for t in range(1, n - 1)]
+    assert len(pairs) == 735
     for n, t in pairs:
         tree, forest = spider_star_pair(n, t)
-        assert count_avoiding(n, tree, forest) == (t + 1) * (n - 3) * (n - 1) ** (n - 4 - t)
+        assert count_avoiding(n, tree, forest) == conjectured_dt(n, t)
 
 
 def test_spider_star_pair_is_the_argmin(dt8, dt9):
-    reports = {(n, t): blocked_Dt(n, t) for n in (5, 6, 7) for t in range(1, n - 3)}
-    reports.update({(8, t): dt8[t] for t in range(1, 5)})
-    reports.update({(9, t): dt9[t] for t in range(1, 6)})
+    reports = {(n, t): blocked_Dt(n, t) for n in (4, 5, 6, 7) for t in range(1, n - 1)}
+    reports.update({(8, t): rep for t, rep in dt8.items()})
+    reports.update({(9, t): rep for t, rep in dt9.items()})
+    assert len(reports) == 27
     for (n, t), rep in reports.items():
         assert (rep.argmin_tree, rep.argmin_forest) == spider_star_pair(n, t)
+
+
+@pytest.mark.parametrize("n, t", [(5, 1), (6, 2), (7, 4), (8, 6)])
+def test_blocked_dt_refuses_a_witness_that_misses_the_minimum(monkeypatch, n, t):
+    """The closed-form witness is checked, by a raise that python -O keeps:
+    when one admissible count falls below the spider's, blocked_Dt raises
+    rather than report a value its witness does not attain."""
+    from treefam import extremal
+
+    scores = extremal._pair_scores
+
+    def lowered(*args):
+        counts, stars = scores(*args)
+        counts = counts.copy()
+        counts[tuple(np.argwhere(stars < t)[:1].T)] = conjectured_dt(n, t) - 1
+        return counts, stars
+
+    monkeypatch.setattr(extremal, "_pair_scores", lowered)
+    with pytest.raises(RuntimeError, match=f"does not attain D_{t}\\({n}\\) = {conjectured_dt(n, t) - 1}"):
+        blocked_Dt(n, t)
 
 
 # -- local lemma ------------------------------------------------------------------

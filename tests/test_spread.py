@@ -87,6 +87,23 @@ def test_rejects_r_at_most_one():
         verify_rt_spread(6, Fraction(1, 2), 2, 3)
 
 
+@pytest.mark.parametrize("r", [None, [1], float("inf"), float("nan"), "1/0", "two"])
+def test_non_rational_r_is_refused_by_name(r):
+    """A value of r that is no rational is a ValueError naming r, not a
+    TypeError or OverflowError from deep inside the check."""
+    with pytest.raises(ValueError, match="^r must be a rational, got "):
+        verify_rt_spread(6, r, 1)
+    with pytest.raises(ValueError, match="^r must be a rational, got "):
+        verify_r_spread(6, r)
+
+
+def test_rational_r_spellings_agree():
+    """r may be an int, a Fraction, a float or a string that Fraction reads."""
+    reports = [verify_rt_spread(6, r, 2).to_dict() for r in (Fraction(5, 2), 2.5, "5/2", "2.5")]
+    assert all(rep == reports[0] for rep in reports)
+    assert verify_r_spread(6, 3).to_dict() == verify_r_spread(6, "3").to_dict()
+
+
 def test_negative_budget_rejected():
     with pytest.raises(ValueError):
         verify_r_spread(5, 3, -1)

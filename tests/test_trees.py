@@ -361,6 +361,12 @@ def test_is_d_star_like():
     assert not is_d_star_like(Forest(5), 6)
 
 
+@pytest.mark.parametrize("d", [None, [6], float("inf"), "1/0"])
+def test_is_d_star_like_refuses_a_non_rational_d_by_name(d):
+    with pytest.raises(ValueError, match="^d must be a rational, got "):
+        is_d_star_like(Tree(4, [(1, 2), (2, 3), (3, 4)]), d)
+
+
 def test_is_d_star_like_monotone_in_d():
     forests = [
         Forest(9, [(1, 2), (2, 3), (3, 4)]),
