@@ -28,7 +28,6 @@ import io
 import json
 import sys
 from datetime import datetime, timezone
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import counting, extremal, gamma, spread, trees
@@ -120,16 +119,11 @@ def _parse_edges_arg(spec: Optional[str], path: Optional[str]) -> List[trees.Edg
     return out
 
 
-def _forest(n: int, edges) -> trees.Forest:
-    try:
-        return trees.Forest(n, edges)
-    except ValueError as e:
-        raise CLIError(f"not a forest: {e}")
-
-
 def _parse_graph_arg(spec: str, n_override: Optional[int]) -> gamma.SimpleGraph:
     """K<n>, C<n>, P<n> aliases, or a path to an edge-list file."""
     if len(spec) >= 2 and spec[0] in "KCP" and spec[1:].isdigit():
+        if n_override is not None:
+            raise CLIError(f"--graph-n applies only to an edge-list file, not to {spec}")
         G = gamma.SimpleGraph
         return {"K": G.complete, "C": G.cycle, "P": G.path}[spec[0]](int(spec[1:]))
     try:
@@ -137,19 +131,6 @@ def _parse_graph_arg(spec: str, n_override: Optional[int]) -> gamma.SimpleGraph:
             return gamma.SimpleGraph.from_edge_list_text(fh.read(), n_override)
     except OSError as e:
         raise CLIError(f"{spec!r} is not a K<n>/C<n>/P<n> alias or readable file: {e}")
-
-
-def _parse_rational(spec: str) -> Fraction:
-    try:
-        return Fraction(spec)
-    except (ValueError, ZeroDivisionError):
-        raise CLIError(f"bad rational {spec!r}, expected forms like 3 or 7/2")
-
-
-def _parse_rational_list(spec: str) -> List[Fraction]:
-    if spec.strip() == "":
-        return []
-    return [_parse_rational(part.strip()) for part in spec.split(",")]
 
 
 def _edges_json(edges) -> list:
@@ -200,11 +181,10 @@ def _cmd_count_at_least(args):
 
 
 def _cmd_spread_check(args):
-    r = _parse_rational(args.r)
     if args.t is None:
-        report = spread.verify_r_spread(args.n, r, args.edge_budget)
+        report = spread.verify_r_spread(args.n, args.r, args.edge_budget)
     else:
-        report = spread.verify_rt_spread(args.n, r, args.t, args.edge_budget)
+        report = spread.verify_rt_spread(args.n, args.r, args.t, args.edge_budget)
     payload = report.to_dict()
     if args.witness and report.witness is not None:
         lines = []
@@ -290,7 +270,7 @@ def _cmd_family_size(args):
     kind, n = args.kind, args.n
     if kind == "trivial":
         edges = _parse_edges_arg(args.edges, args.edges_file)
-        size = extremal.trivial_family_size(n, _forest(n, edges))
+        size = extremal.trivial_family_size(n, edges)
         return {"kind": kind, "n": n, "t": len(edges), "size": str(size)}, None
     if kind == "stars-plus-edge":
         size = extremal.stars_plus_edge_size(n)
@@ -342,7 +322,7 @@ def _family_spec_from_flags(args) -> extremal.FamilySpec:
     if args.kind != "stars-plus-edge":
         edges = _parse_edges_arg(args.edges, args.edges_file)
     if args.kind == "trivial":
-        claimed = len(_forest(args.n, edges).edges)
+        claimed = len(edges)
     elif args.kind == "stars-plus-edge":
         claimed = 1
     else:  # two members share >= 2m - |s| edges of s
@@ -364,8 +344,7 @@ def _cmd_dt(args):
 
 
 def _cmd_llll_check(args):
-    p = _parse_rational_list(args.p)
-    x = _parse_rational_list(args.x)
+    p, x = (s.split(",") if s.strip() else [] for s in (args.p, args.x))
     adjacency: List[List[int]] = [[] for _ in p]
     pairs = _parse_edges_arg(args.graph_edges, None)  # no loops, i < j
     for i, j in pairs:

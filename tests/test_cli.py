@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -647,6 +648,12 @@ def test_text_format(capsys):
                     "--format", "text", "--reproducible")
     assert code == EXIT_OK
     assert "count: 48" in out
+    # without --reproducible the last line is the UTC time stamp
+    code, out = run(capsys, "count", "matching", "--n", "6", "--l", "3", "--format", "text")
+    lines = out.splitlines()
+    assert code == EXIT_OK and lines[:3] == ["n: 6", "l: 3", "count: 48"] and len(lines) == 4
+    key, _, stamp = lines[3].partition(": ")
+    assert key == "generated_at" and datetime.fromisoformat(stamp).tzinfo is not None
 
 
 def test_graph_alias_validation(capsys):
@@ -664,6 +671,49 @@ def test_graph_from_edge_list_file(capsys, tmp_path):
     code, data = run_json(capsys, "gamma", "packing", "--graph", str(p),
                           "--graph-n", "6", "--reproducible")
     assert code == EXIT_OK and data["packing"] == 0
+
+
+@pytest.mark.parametrize("sub", ["build", "alpha", "packing"])
+def test_graph_n_is_refused_for_an_alias(capsys, sub):
+    # --graph K5 --graph-n 7 used to print the K_5 result with exit 0
+    t = () if sub == "packing" else ("--t", "1")
+    code, out = run(capsys, "gamma", sub, "--graph", "K5", "--graph-n", "7", *t, "--reproducible")
+    assert code == EXIT_VALIDATION
+    assert json.loads(out) == {"error": {"message": "--graph-n applies only to an edge-list file, not to K5"}}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("spread", "check", "--n", "5", "--r", "x"), "r must be a rational, got 'x'"),
+    (("spread", "check", "--n", "5", "--r", "1/0", "--t", "1"), "r must be a rational, got '1/0'"),
+    (("llll", "check", "--p", "1/2,x", "--x", "1/2,1/2"), "p must be a list of rationals, got ['1/2', 'x']"),
+    (("family", "size", "--kind", "trivial", "--n", "5", "--edges", "1-2,2-3,1-3"),
+     "edge set contains a cycle through (2,3)"),
+    (("family", "verify", "--kind", "trivial", "--n", "5", "--edges", "1-2,2-3,1-3"),
+     "edge set contains a cycle through (2,3)"),
+    (("count", "contain", "--n", "5", "--edges", "1-2-3"), "bad edge '1-2-3', expected 'u-v'"),
+    (("count", "contain", "--n", "5", "--edges", "1-2", "--edges-file", "e.txt"),
+     "give either --edges or --edges-file, not both"),
+    (("family", "verify", "--kind", "trivial", "--edges", "1-2"), "--n is required with --kind"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+def test_bad_values_exit_2_with_the_library_message(capsys, argv, message):
+    code, out = run(capsys, *argv, "--reproducible")
+    assert code == EXIT_VALIDATION
+    assert json.loads(out) == {"error": {"message": message}}
+
+
+@pytest.mark.parametrize("argv", [("count", "contain", "--n", "5", "--edges-file"), ("family", "verify", "--spec")])
+def test_unreadable_input_file_exits_2(capsys, tmp_path, argv):
+    missing = str(tmp_path / "missing.txt")
+    code, out = run(capsys, *argv, missing, "--reproducible")
+    assert code == EXIT_VALIDATION
+    assert json.loads(out)["error"]["message"].startswith(f"cannot read {missing}: ")
+
+
+def test_bare_treefam_exits_2_and_help_exits_0(capsys):
+    code, usage = run(capsys)
+    assert code == EXIT_VALIDATION and usage.startswith("Command-line front end")
+    for flag in ("-h", "--help"):
+        assert run(capsys, flag) == (EXIT_OK, usage)
 
 
 def test_counts_never_json_numbers(capsys):

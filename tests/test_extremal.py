@@ -383,11 +383,19 @@ def test_family_spec_roundtrip_and_verify():
     two_paths = [[(1, 2), (2, 3), (3, 4)], [(1, 3), (2, 3), (2, 4)]]
     assert FamilySpec("explicit", 4, 1, members=two_paths).verify()[0]
     assert not FamilySpec("explicit", 4, 2, members=two_paths).verify()[0]
+    fs = FamilySpec("explicit", 4, 1, members=two_paths)
+    back = FamilySpec.from_json(fs.to_json())
+    assert back.to_json() == fs.to_json() and back.members == fs.members
+    assert back.realize() == fs.realize() and back.verify() == (True, 1, 2)
 
     with pytest.raises(ValueError):
         FamilySpec("mystery", 5, 1)
     with pytest.raises(ValueError):
         FamilySpec("trivial", 5, 1)  # no edges
+    with pytest.raises(ValueError, match="^threshold families need edges and a threshold$"):
+        FamilySpec("threshold", 5, 1, edges=[(1, 2)])
+    with pytest.raises(ValueError, match="^explicit families need members$"):
+        FamilySpec("explicit", 5, 1)
     with pytest.raises(ValueError):
         FamilySpec("explicit", 4, 1, members=[[(1, 2)]]).realize()  # not spanning
 
@@ -577,6 +585,20 @@ def test_scan_9_4_table():
 def test_scan_rejects_negative_j_max():
     with pytest.raises(ValueError, match="j_max=-1"):
         conjecture_scan(5, 1, -1)
+
+
+def test_scan_refuses_a_forest_past_n_minus_1_edges():
+    with pytest.raises(ValueError, match=r"^t \+ 2\*j_max = 10 exceeds n-1 = 8$"):
+        conjecture_scan(9, 4, 3)
+
+
+@pytest.mark.parametrize("n, t, message", [
+    (9, 3, "t=3 must be a positive even integer"),
+    (5, 4, "n=5 cannot host 3 disjoint 3-vertex paths"),
+])
+def test_example_forest_refuses_what_it_cannot_build(n, t, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        example_forest(n, t)
 
 
 # -- avoidance counts -----------------------------------------------------------

@@ -347,6 +347,27 @@ def test_build_gamma_rejects_non_integer_t():
     assert type(dg.t) is int and dg.summary()["t"] == 2
 
 
+def test_build_gamma_refuses_t_past_n_minus_1():
+    with pytest.raises(ValueError, match=r"^t=4 out of range 1\.\.3$"):
+        build_gamma(SimpleGraph.complete(4), 4)
+
+
+@pytest.mark.parametrize("search", [max_clique, max_independent_set])
+def test_search_on_a_host_with_no_spanning_tree(search):
+    # two disjoint edges span no tree: Gamma_1 is empty, and so is its optimum
+    dg = build_gamma(SimpleGraph(4, [(1, 2), (3, 4)]), 1)
+    res = search(dg)
+    assert (dg.vertex_count, res.size, res.optimal, res.family.trees()) == (0, 0, True, [])
+
+
+def test_dump_with_a_wrong_magic_is_refused(tmp_path):
+    path = tmp_path / "gamma.bin"
+    build_gamma(SimpleGraph.complete(4), 1).save_adjacency(str(path))
+    path.write_bytes(b"NOTGAMMA" + path.read_bytes()[8:])
+    with pytest.raises(ValueError, match="^bad magic b'NOTGAMMA' in "):
+        DisjointnessGraph.load_adjacency(str(path))
+
+
 def test_bools_are_not_integers_for_gamma():
     # True used to build Gamma_1 through operator.index
     k4 = SimpleGraph.complete(4)
@@ -413,6 +434,16 @@ def test_packing_needs_two_vertices(g):
     # no partition of one vertex has two blocks to bound the packing by
     with pytest.raises(ValueError, match="n >= 2"):
         packing_number(g)
+
+
+def test_packing_refuses_a_partition_that_misses_its_bound(monkeypatch):
+    # the partition certifies the witness count; read as [1], [2..5] it
+    # bounds K_5 by 4 / (2 - 1), not its 2 trees, and the check raises (not
+    # an assert, so python -O keeps it)
+    monkeypatch.setattr(treefam.gamma, "SimpleGraph",
+                        lambda n, edges: SimpleGraph(n, [(u, u + 1) for u in range(2, n)]))
+    with pytest.raises(RuntimeError, match=r"^partition bound 4 / \(2 - 1\) does not match the 2 witness"):
+        packing_number(SimpleGraph.complete(5))
 
 
 def test_packing_past_the_old_cap():

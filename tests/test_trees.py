@@ -232,6 +232,11 @@ def test_enumerate_trees_in_index_order_and_ranges():
     assert [tree_index(Tree(5, e)) for e in full] == list(range(125))
 
 
+def test_enumerate_trees_refuses_a_reversed_range():
+    with pytest.raises(ValueError, match=r"^bad index range \[5, 3\) for n=4$"):
+        enumerate_trees(4, start=5, stop=3)
+
+
 def _same_as_validated(t):
     # a decoded tree is built without re-validation; it must be the Tree a
     # caller would get from the same edges
@@ -364,6 +369,12 @@ def test_is_d_star_like():
 @pytest.mark.parametrize("d", [None, [6], float("inf"), "1/0"])
 def test_is_d_star_like_refuses_a_non_rational_d_by_name(d):
     with pytest.raises(ValueError, match="^d must be a rational, got "):
+        is_d_star_like(Tree(4, [(1, 2), (2, 3), (3, 4)]), d)
+
+
+@pytest.mark.parametrize("d", [0, -1, Fraction(-1, 2)])
+def test_is_d_star_like_refuses_a_non_positive_d(d):
+    with pytest.raises(ValueError, match="^d must be positive$"):
         is_d_star_like(Tree(4, [(1, 2), (2, 3), (3, 4)]), d)
 
 
